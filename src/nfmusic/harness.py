@@ -7,7 +7,10 @@ role), so results are independent of scheduling and thread count.
 """
 
 import concurrent.futures
+import contextlib
+import ctypes
 import dataclasses
+import functools
 import logging
 import math
 import time
@@ -114,7 +117,6 @@ class ExperimentConfig:
     distance_spacing: str = "inverse"  # or "uniform"
     methods: tuple[str, ...] = ("proposed", "proposed_nocorrect", "ls", "rls")
     snr_ref: str = "relative"  # or "absolute"
-    per_ue_angular_rescan: bool = False
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -244,7 +246,6 @@ _PAIR_KEYS = ("azimuth_range", "elevation_range", "distance_range")
 _LIST_KEYS = ("snr_db_list",)
 _STR_KEYS = ("distance_spacing", "snr_ref", "out_dir")
 _STR_LIST_KEYS = ("methods",)
-_BOOL_KEYS = ("per_ue_angular_rescan",)
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -280,10 +281,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 values[key] = tuple(float(p) for p in val.split(","))
             elif key in _STR_LIST_KEYS:
                 values[key] = tuple(p.strip() for p in val.split(",") if p.strip())
-            elif key in _BOOL_KEYS:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError("expected true or false")
-                values[key] = val.lower() == "true"
             elif key in _STR_KEYS:
                 values[key] = val
             else:
@@ -453,15 +450,7 @@ def _run_trial(
     two_step_methods = [m for m in cfg.methods if m in PARAMETRIC_TWO_STEP]
     if two_step_methods:
         try:
-            result = two_step_estimate(
-                block,
-                g,
-                cfg.k_ues,
-                cfg.c_r,
-                angle_grid,
-                dist_grid,
-                per_ue_angular_rescan=cfg.per_ue_angular_rescan,
-            )
+            result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
             rows.extend(
                 _score_parametric(
                     two_step_methods,
@@ -539,6 +528,43 @@ def _baseline_estimates(cfg, block, pilots):
     return out
 
 
+@functools.lru_cache(maxsize=1)
+def _openblas_threads():
+    """Thread-count setter and getter of numpy's bundled OpenBLAS, or None when
+    numpy ships no such library."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter and getter:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
+
+    Each trial worker makes its own BLAS calls; if every call also fans out to
+    one BLAS thread per CPU, the workers oversubscribe the cores.
+    """
+    funcs = _openblas_threads()
+    if funcs is None:
+        yield
+        return
+    set_threads, get_threads = funcs
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(previous)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir=None,
@@ -550,6 +576,8 @@ def run_experiment(
     Output is deterministic for a given config and seed regardless of
     ``threads``: every trial draws from its own keyed random streams and rows
     are emitted in (method, SNR, trial, user) order through a single sink.
+    With ``threads > 1`` numpy's bundled OpenBLAS runs one thread per worker
+    while the pool runs, and gets its previous thread count back afterwards.
     """
     started = time.monotonic()
     g = cfg.geometry()
@@ -559,7 +587,7 @@ def run_experiment(
 
     results: dict[tuple[int, int], list[TrialRecord]] = {}
     if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        with _one_blas_thread(), concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             futures = {
                 pool.submit(_run_trial, cfg, g, angle_grid, dist_grid, si, t): (si, t)
                 for si, t in items
@@ -772,12 +800,17 @@ def dump_spectrum(
     """Synthesize one trial and dump the requested spectrum as CSV.
 
     ``kind`` is "angular" (2-D), "distance" (1-D at given or estimated
-    angles), or "xz" (plane slice through the full-array search).
+    angles), or "xz" (plane slice through the full-array search).  ``snr_db``
+    must be one of ``cfg.snr_db_list`` (default: the last), because the
+    trial's random streams are keyed by its position there.
     """
     snr_db = snr_db if snr_db is not None else cfg.snr_db_list[-1]
-    snr_index = (
-        cfg.snr_db_list.index(snr_db) if snr_db in cfg.snr_db_list else 0
-    )
+    if snr_db not in cfg.snr_db_list:
+        raise ConfigError(
+            f"snr_db {snr_db:g} is not in snr_db_list {list(cfg.snr_db_list)}; "
+            "its random streams are keyed by the list position"
+        )
+    snr_index = cfg.snr_db_list.index(snr_db)
     g = cfg.geometry()
     locs = place_ues(cfg, stream(cfg.seed, snr_index, trial, ROLE_PLACEMENT))
     a_true = channel_matrix(g, locs)

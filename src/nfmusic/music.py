@@ -2,10 +2,18 @@
 
 Every spectrum value is ``1 / (a^H U_n U_n^H a + eps)`` for a steering vector
 ``a`` and a noise subspace ``U_n``; the guard ``eps = 1e-15 * ||a||**2`` keeps
-values finite at exact orthogonality.  An :class:`EvalCounter` can be threaded
-through to audit how many steering-vector quotients a search spends.
+values finite at exact orthogonality.  The noise projection is computed in its
+orthogonal-complement form ``||a||**2 - ||U_s^H a||**2`` from the K signal
+eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
+steering vector instead of M - K; the difference is clamped at zero, where
+rounding can push an exactly orthogonal vector below it.  The planar-wave
+angular steering bank does not depend on the data, so it is built once per
+(steering centers, wavelength, grid) and kept read-only in a small cache.  An
+:class:`EvalCounter` can be threaded through to audit how many steering-vector
+quotients a search spends.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -125,16 +133,22 @@ class PeakSet:
         return self.found >= self.requested
 
 
+def _column_energy(x: np.ndarray) -> np.ndarray:
+    return np.sum(x.real**2 + x.imag**2, axis=0)
+
+
 def _quotient_denominators(
-    un: np.ndarray, steering: np.ndarray, counter: Optional[EvalCounter]
+    un: NoiseSubspace,
+    steering: np.ndarray,
+    norms: np.ndarray,
+    counter: Optional[EvalCounter],
 ) -> np.ndarray:
-    """||U_n^H a||**2 + eps for each column of ``steering``."""
-    proj = un.conj().T @ steering
-    denom = np.sum(proj.real**2 + proj.imag**2, axis=0)
-    norms = np.sum(steering.real**2 + steering.imag**2, axis=0)
+    """||U_n^H a||**2 + eps for each column ``a`` of ``steering``, whose squared
+    norms are ``norms``, as max(||a||**2 - ||U_s^H a||**2, 0) + eps."""
+    captured = _column_energy(un.signal.conj().T @ steering)
     if counter is not None:
         counter.add(steering.shape[1])
-    return denom + EPS_SCALE * norms
+    return np.maximum(norms - captured, 0.0) + EPS_SCALE * norms
 
 
 def _check_dim(un: NoiseSubspace, expected: int, what: str):
@@ -166,6 +180,31 @@ def _steering_subgrid(g: ArrayGeometry, side: int) -> np.ndarray:
     if offset:
         centers = centers + np.array([offset, offset, 0.0])
     return centers
+
+
+@functools.lru_cache(maxsize=4)
+def _angular_bank(
+    centers_xy: bytes, wavelength: float, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """Planar-wave steering vectors over an (azimuth, elevation) grid and their
+    squared norms, for steering centers given as the bytes of an (M, 2) float
+    array of (x, y) coordinates.
+
+    Both arrays are read-only: every caller, pool workers included, shares them.
+    """
+    centers = np.frombuffer(centers_xy).reshape(-1, 2)
+    az, el = grid.axis_points()
+    azg, elg = np.meshgrid(az, el, indexing="ij")
+    u = (np.cos(elg) * np.sin(azg)).ravel()
+    v = np.sin(elg).ravel()
+
+    k_wave = 2.0 * math.pi / wavelength
+    phase = k_wave * (centers[:, 0][:, None] * u[None, :] + centers[:, 1][:, None] * v[None, :])
+    steering = np.exp(1j * phase)
+    norms = _column_energy(steering)
+    steering.flags.writeable = False
+    norms.flags.writeable = False
+    return steering, norms
 
 
 def spectrum_3d(
@@ -214,7 +253,7 @@ def spectrum_3d(
         amp = amp_scale * np.sqrt(pz[sl][None, :] * (dx**2 + pz[sl][None, :] ** 2)) / r**2.5
         steering = amp * np.exp(-1j * k_wave * r)
         steering /= np.linalg.norm(steering, axis=0, keepdims=True)
-        values[sl] = 1.0 / _quotient_denominators(un.matrix, steering, counter)
+        values[sl] = 1.0 / _quotient_denominators(un, steering, _column_energy(steering), counter)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
@@ -231,17 +270,9 @@ def spectrum_2d_angular(
     """
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
-    side = _subgrid_side(un, g)
-    centers = _steering_subgrid(g, side)
-    az, el = grid.axis_points()
-    azg, elg = np.meshgrid(az, el, indexing="ij")
-    u = (np.cos(elg) * np.sin(azg)).ravel()
-    v = np.sin(elg).ravel()
-
-    k_wave = 2.0 * math.pi / g.wavelength
-    phase = k_wave * (centers[:, 0][:, None] * u[None, :] + centers[:, 1][:, None] * v[None, :])
-    steering = np.exp(1j * phase)
-    values = 1.0 / _quotient_denominators(un.matrix, steering, counter)
+    centers = _steering_subgrid(g, _subgrid_side(un, g))
+    steering, norms = _angular_bank(centers[:, :2].tobytes(), g.wavelength, grid)
+    values = 1.0 / _quotient_denominators(un, steering, norms, counter)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
@@ -264,7 +295,7 @@ def spectrum_1d_distance(
     v = math.sin(elevation)
     r = np.sqrt(d * d + x * x + y * y - 2.0 * d * (u * x + v * y))
     steering = np.exp(-2j * math.pi * r / g.wavelength)
-    values = 1.0 / _quotient_denominators(un.matrix, steering, counter)
+    values = 1.0 / _quotient_denominators(un, steering, _column_energy(steering), counter)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
@@ -342,16 +373,13 @@ def two_step_estimate(
     c_r: int,
     angle_grid: GridSpec,
     distance_grid: GridSpec,
-    per_ue_angular_rescan: bool = False,
     counter: Optional[EvalCounter] = None,
 ) -> TwoStepResult:
     """Estimate up to ``k_sources`` polar locations from one snapshot block.
 
     Pipeline: subarray-smoothed covariance -> noise subspace -> one angular
     spectrum whose k tallest peaks give the angles -> one distance spectrum
-    per angle.  ``per_ue_angular_rescan`` recomputes the (identical) angular
-    spectrum once per source instead of once total; results match, only the
-    evaluation count changes.
+    per angle.
 
     A distance spectrum without an interior peak falls back to its grid
     argmax (counted in ``boundary_fallbacks``) so a far user at the edge of
@@ -377,18 +405,8 @@ def two_step_estimate(
     cov = smoothed_covariance(block, c_r)
     un = noise_subspace(cov, k_sources)
 
-    if per_ue_angular_rescan:
-        angular_spectrum = None
-        peaks: list[Peak] = []
-        for k in range(k_sources):
-            angular_spectrum = spectrum_2d_angular(un, angle_grid, g, counter)
-            found = find_peaks(angular_spectrum, k_sources)
-            if found.found > k:
-                peaks.append(found.peaks[k])
-        angular_peaks = PeakSet(peaks=tuple(peaks), requested=k_sources)
-    else:
-        angular_spectrum = spectrum_2d_angular(un, angle_grid, g, counter)
-        angular_peaks = find_peaks(angular_spectrum, k_sources)
+    angular_spectrum = spectrum_2d_angular(un, angle_grid, g, counter)
+    angular_peaks = find_peaks(angular_spectrum, k_sources)
 
     if not angular_peaks.complete:
         warnings.append(

@@ -38,11 +38,15 @@ class NoiseSubspace:
     """Orthonormal eigenvectors spanning the smallest-eigenvalue subspace.
 
     ``matrix`` is M x (M - k_sources); its columns are the eigenvectors of the
-    covariance associated with the M - K smallest eigenvalues.
+    covariance associated with the M - K smallest eigenvalues.  ``signal`` is
+    M x k_sources and holds the remaining K eigenvectors, the orthogonal
+    complement of ``matrix``; the spectra read it, because
+    ``||U_n^H a||**2 = ||a||**2 - ||U_s^H a||**2`` costs K projections, not M - K.
     """
 
     matrix: np.ndarray
     k_sources: int
+    signal: np.ndarray
 
     @property
     def dim(self) -> int:
@@ -129,9 +133,14 @@ def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
 
 
 def noise_subspace(r: CovarianceEstimate, k_sources: int) -> NoiseSubspace:
-    """Eigenvectors of the M - K smallest eigenvalues of the covariance."""
+    """Eigenvectors of the M - K smallest eigenvalues of the covariance, with
+    the K signal eigenvectors of the same decomposition."""
     m = r.dim
     if not 0 < k_sources < m:
         raise ValueError(f"source count must lie in (0, {m}), got {k_sources}")
     _, vecs = hermitian_eig(r)
-    return NoiseSubspace(matrix=vecs[:, : m - k_sources], k_sources=k_sources)
+    return NoiseSubspace(
+        matrix=vecs[:, : m - k_sources],
+        k_sources=k_sources,
+        signal=vecs[:, m - k_sources :],
+    )

@@ -56,7 +56,6 @@ class TestConfigParsing:
             elevation_range=-30,30
             min_angular_separation=1.8
             methods=proposed,ls
-            per_ue_angular_rescan=true
             out_dir=/tmp/results
             """
         )
@@ -66,7 +65,6 @@ class TestConfigParsing:
         assert cfg.elevation_range == pytest.approx((-math.pi / 6, math.pi / 6))
         assert cfg.min_angular_separation == pytest.approx(math.radians(1.8))
         assert cfg.methods == ("proposed", "ls")
-        assert cfg.per_ue_angular_rescan is True
         assert cfg.out_dir == "/tmp/results"
 
     def test_unknown_key_is_hard_error(self):
@@ -199,6 +197,28 @@ class TestDeterminism:
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
+    def test_pool_runs_blas_single_threaded_and_restores_count(self, monkeypatch):
+        funcs = harness._openblas_threads()
+        if funcs is None:
+            pytest.skip("numpy ships no bundled OpenBLAS")
+        set_threads, get_threads = funcs
+        seen = []
+        run_trial = harness._run_trial
+
+        def spy(*args):
+            seen.append(get_threads())
+            return run_trial(*args)
+
+        monkeypatch.setattr(harness, "_run_trial", spy)
+        original = get_threads()
+        set_threads(2)
+        try:
+            run_experiment(_tiny_config(trials=2), threads=2)
+            assert get_threads() == 2
+        finally:
+            set_threads(original)
+        assert seen == [1, 1]
+
     def test_csv_round_trip_consistency(self, tmp_path):
         cfg = _tiny_config()
         report = run_experiment(cfg, out_dir=tmp_path)
@@ -311,6 +331,18 @@ class TestCli:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_dump_spectrum_rejects_snr_outside_list(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=64\nk_ues=2\nsnr_db_list=0,10,20\n")
+        out = tmp_path / "spec.csv"
+        rc = cli_main(
+            ["dump-spectrum", "--config", str(cfg_path), "--kind", "angular", "--out", str(out),
+             "--snr-db", "7"]
+        )
+        assert rc == 2
+        assert "[0.0, 10.0, 20.0]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from nfmusic.channel import channel_matrix
+from nfmusic import music
+from nfmusic.channel import array_response, channel_matrix, farfield_response, polar_response
 from nfmusic.geometry import PolarLocation, UeLocation, build_geometry, cart_to_polar, polar_to_cart
 from nfmusic.harness import ExperimentConfig, place_ues
 from nfmusic.metrics import match_estimates
 from nfmusic.music import (
+    EPS_SCALE,
     EvalCounter,
     GridAxis,
     GridSpec,
@@ -127,8 +129,91 @@ class TestSpectrum2dAngular:
         un = noise_subspace(sample_covariance(block.received.T), 2)
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 21), GridAxis("elevation", -0.7, 0.7, 15)))
         base = spectrum_2d_angular(un, grid, geo16).values
-        rotated = dataclasses.replace(un, matrix=un.matrix @ random_unitary(rng, 14))
+        rotated = dataclasses.replace(
+            un,
+            matrix=un.matrix @ random_unitary(rng, 14),
+            signal=un.signal @ random_unitary(rng, 2),
+        )
+        assert not np.allclose(rotated.signal, un.signal)
         assert np.allclose(spectrum_2d_angular(rotated, grid, geo16).values, base, rtol=1e-9)
+
+    def test_steering_bank_is_cached_read_only(self, geo16):
+        grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 13), GridAxis("elevation", -0.7, 0.7, 9)))
+        key = (geo16.subgrid_centers(3)[:, :2].tobytes(), geo16.wavelength, grid)
+        first = music._angular_bank(*key)
+        assert music._angular_bank(*key) is first
+        steering, norms = first
+        with pytest.raises(ValueError):
+            steering[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+
+        un = noise_subspace(sample_covariance(np.eye(16)), 1)
+        hits = music._angular_bank.cache_info().hits
+        spectrum_2d_angular(un, grid, geo16)
+        spectrum_2d_angular(un, grid, geo16)
+        assert music._angular_bank.cache_info().hits >= hits + 1
+
+    def test_noiseless_user_spectrum_bounded_by_guard(self, geo16):
+        """At exact orthogonality ||a||^2 - ||U_s^H a||^2 rounds to either
+        side of zero; the clamp keeps every value at or below 1/(eps ||a||^2)."""
+        grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 21), GridAxis("elevation", -0.7, 0.7, 15)))
+        az, el = grid.axis_points()
+        ceiling = (1.0 + 1e-9) / (EPS_SCALE * geo16.n_antennas)
+        below_zero = 0
+        for i in range(1, 20, 2):
+            for j in range(1, 14, 3):
+                a = farfield_response(geo16, az[i], el[j])
+                un = noise_subspace(sample_covariance([a]), 1)
+                below_zero += np.vdot(a, a).real < np.sum(np.abs(un.signal.conj().T @ a) ** 2)
+                values = spectrum_2d_angular(un, grid, geo16).values
+                assert np.all(np.isfinite(values)) and np.all(values > 0)
+                assert values.max() <= ceiling
+                assert np.unravel_index(np.argmax(values), values.shape) == (i, j)
+        assert below_zero > 0
+
+
+class TestSignalSubspaceForm:
+    """Every spectrum equals the noise-subspace quotient 1/(||U_n^H a||^2 + eps ||a||^2),
+    with steering vectors ``a`` taken from the channel models."""
+
+    @staticmethod
+    def _quotient(un, a):
+        return 1.0 / (np.sum(np.abs(un.matrix.conj().T @ a) ** 2) + EPS_SCALE * np.vdot(a, a).real)
+
+    @pytest.fixture(scope="class")
+    def block(self, geo16):
+        locs = [UeLocation(0.2, 0.1, 2.0), UeLocation(-0.3, -0.2, 3.0)]
+        a = channel_matrix(geo16, locs)
+        return received_block(a, gen_pilots(2, 8, stream(12, 0)), 15.0, stream(12, 1))
+
+    def test_angular(self, geo16, block):
+        un = noise_subspace(smoothed_covariance(block, 1), 2)
+        grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 21), GridAxis("elevation", -0.7, 0.7, 15)))
+        az, el = grid.axis_points()
+        want = [[self._quotient(un, farfield_response(geo16, x, y, n_d=3)) for y in el] for x in az]
+        got = spectrum_2d_angular(un, grid, geo16).values
+        assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_distance(self, geo16, block):
+        un = noise_subspace(sample_covariance(block.received.T), 2)
+        grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
+        dists = grid.axis_points()[0]
+        want = [self._quotient(un, polar_response(geo16, 0.3, -0.1, d)) for d in dists]
+        got = spectrum_1d_distance(un, 0.3, -0.1, grid, geo16).values
+        assert np.allclose(got, want, rtol=1e-9, atol=0)
+
+    def test_3d(self, geo16, block):
+        un = noise_subspace(sample_covariance(block.received.T), 2)
+        grid = GridSpec((GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)))
+        xs, zs = grid.axis_points()
+        want = []
+        for x in xs:
+            for z in zs:
+                a = array_response(geo16, UeLocation(x, 0.0, z))
+                want.append(self._quotient(un, a / np.linalg.norm(a)))
+        got = spectrum_3d(un, grid, geo16).values
+        assert np.allclose(got.ravel(), want, rtol=1e-9, atol=0)
 
 
 class TestSpectrum1dDistance:
@@ -239,21 +324,6 @@ class TestTwoStep:
         block = received_block(a, gen_pilots(2, 3, stream(6, 0)), 20.0, stream(6, 1))
         res = two_step_estimate(block, geo16, 2, 1, angle_grid, dist_grid)
         assert res.eval_count == 18 * 11 + res.angular_peaks.found * 13
-
-    def test_per_source_rescan_same_answer_more_evals(self, geo16):
-        angle_grid = GridSpec(
-            (GridAxis("azimuth", -1.0, 1.0, 18), GridAxis("elevation", -0.8, 0.8, 11))
-        )
-        dist_grid = GridSpec((GridAxis("distance", 1.0, 3.0, 13),))
-        locs = [UeLocation(0.2, 0.1, 1.5), UeLocation(-0.4, -0.2, 2.0)]
-        a = channel_matrix(geo16, locs)
-        block = received_block(a, gen_pilots(2, 3, stream(6, 0)), 20.0, stream(6, 1))
-        once = two_step_estimate(block, geo16, 2, 1, angle_grid, dist_grid)
-        rescan = two_step_estimate(
-            block, geo16, 2, 1, angle_grid, dist_grid, per_ue_angular_rescan=True
-        )
-        assert rescan.locations == once.locations
-        assert rescan.eval_count == 2 * 18 * 11 + rescan.angular_peaks.found * 13
 
     def test_scaling_snapshots_leaves_peaks_unchanged(self, geo16):
         angle_grid = GridSpec(

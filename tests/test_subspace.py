@@ -213,6 +213,17 @@ class TestNoiseSubspace:
         un = noise_subspace(cov, 4)
         assert np.linalg.norm(a.entries.conj().T @ un.matrix) < 1e-6 * np.linalg.norm(a.entries)
 
+    def test_signal_basis_completes_noise_basis(self):
+        rng = np.random.default_rng(12)
+        cov = sample_covariance(random_complex(rng, (3, 10)))
+        un = noise_subspace(cov, 3)
+        assert un.signal.shape == (10, 3)
+        full = np.hstack([un.matrix, un.signal])
+        assert np.allclose(full.conj().T @ full, np.eye(10), atol=1e-10)
+        # the signal columns carry the three nonzero eigenvalues
+        captured = np.trace(un.signal.conj().T @ cov.matrix @ un.signal).real
+        assert captured == pytest.approx(np.trace(cov.matrix).real, rel=1e-10)
+
     def test_rejects_too_many_sources(self):
         cov = sample_covariance(np.eye(4))
         with pytest.raises(ValueError):
