@@ -15,7 +15,6 @@ from .geometry import (
     UeLocation,
     build_geometry,
     cart_to_polar,
-    fresnel_distance,
     near_field_bounds,
     polar_to_cart,
 )

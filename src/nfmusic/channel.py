@@ -1,13 +1,22 @@
-"""Near-field channel coefficients and array response vectors.
+"""Near-field channel models: the one definition of each steering response.
 
-Three response models are provided:
+Every response vector in the package comes from one of three models, and the
+spectral searches in :mod:`nfmusic.music` call them rather than re-deriving
+phases:
 
 * :func:`array_response` — exact spherical-wave model with per-element
-  amplitude, used to synthesize data and to reconstruct channels.
-* :func:`farfield_response` — unit-modulus planar-wave model, used by the
-  angular spectral search.
-* :func:`polar_response` — unit-modulus model whose phase follows the
-  first-order distance expansion, used by the distance spectral search.
+  amplitude.  It synthesizes data (:func:`channel_matrix`), reconstructs
+  channels at estimated locations, and steers the full-location search
+  (``spectrum_3d``).
+* :func:`farfield_response` — unit-modulus planar-wave model; it steers the
+  angular search (``spectrum_2d_angular``).
+* :func:`polar_response` — unit-modulus model whose phase is the exact element
+  distance written in polar form; it steers the distance search
+  (``spectrum_1d_distance``).
+
+Each response broadcasts over grid points: scalar coordinates give an (M,)
+vector for the M element centres, and (P,) coordinate arrays give an (M, P)
+matrix whose column j equals the response at point j, bit for bit.
 
 :func:`channel_exact_integral` integrates the incident field over the element
 aperture and serves as a numerical cross-check of the closed-form coefficient.
@@ -51,76 +60,91 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-def _amplitude(g: ArrayGeometry, loc: UeLocation, cx: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # Element gain depends on the x offset and height only, not on the y offset.
-    return (
-        g.element_diag
-        / math.sqrt(8.0 * math.pi)
-        * np.sqrt(loc.z * ((cx - loc.x) ** 2 + loc.z**2))
-        / r**2.5
-    )
+def _element_xy(centers: np.ndarray, *coords) -> tuple[np.ndarray, np.ndarray]:
+    """x and y columns of ``centers`` shaped to broadcast against grid
+    coordinates: (M,) when those are scalars, (M, 1) when they are (P,) arrays."""
+    shape = (-1,) + (1,) * max(np.ndim(c) for c in coords)
+    return centers[:, 0].reshape(shape), centers[:, 1].reshape(shape)
+
+
+def _spherical_phase(r: np.ndarray, wavelength: float) -> np.ndarray:
+    """exp(-i 2 pi r / wavelength) for path lengths ``r``.
+
+    The exponent is scaled by the reciprocal wavelength in real arithmetic,
+    which rounds exactly as numpy's division of the complex exponent by the
+    wavelength does, without a complex division per entry.
+    """
+    return np.exp(1j * (-2.0 * math.pi * r * (1.0 / wavelength)))
+
+
+def array_response(g: ArrayGeometry, x, y, z) -> np.ndarray:
+    """Exact spherical-wave response to users at Cartesian points (x, y, z).
+
+    Entry n is amp_n * exp(-i 2 pi r_n / wavelength), where r_n is the distance
+    from the user to element n and amp_n = D / sqrt(8 pi) *
+    sqrt(z ((x_n - x)**2 + z**2)) / r_n**2.5.  The element gain depends on the
+    x offset and the height only, not on the y offset.  Elements are in
+    row-major order; every z must be positive.
+    """
+    x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
+    if not np.all(z > 0):
+        raise ValueError("users must lie in front of the array plane (z > 0)")
+    cx, cy = _element_xy(g.centers, x, y, z)
+    dx = cx - x
+    # z**2 by the C library's pow, which is how Python squares a float; numpy's
+    # product differs in the last bit for about one height in a thousand, and
+    # spectra from rank-deficient few-pilot covariances amplify that bit.
+    z2 = np.float_power(z, 2)
+    r = np.sqrt(dx**2 + (cy - y) ** 2 + z2)
+    amp = g.element_diag / math.sqrt(8.0 * math.pi) * np.sqrt(z * (dx**2 + z2)) / r**2.5
+    return amp * _spherical_phase(r, g.wavelength)
 
 
 def channel_coefficient(g: ArrayGeometry, loc: UeLocation, n: int, m: int) -> complex:
     """Closed-form channel from a user at ``loc`` to element (n, m), 1-based."""
-    cx, cy, _ = g.centers[g.index(n, m)]
-    r = math.sqrt((cx - loc.x) ** 2 + (cy - loc.y) ** 2 + loc.z**2)
-    amp = _amplitude(g, loc, np.asarray(cx), np.asarray(r))
-    return complex(amp * np.exp(-2j * math.pi * r / g.wavelength))
-
-
-def array_response(g: ArrayGeometry, loc: UeLocation) -> np.ndarray:
-    """Exact array response vector of length N, row-major element order."""
-    diff = g.centers - np.array([loc.x, loc.y, 0.0])
-    r = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2 + loc.z**2)
-    amp = _amplitude(g, loc, g.centers[:, 0], r)
-    return amp * np.exp(-2j * math.pi * r / g.wavelength)
-
-
-def _steering_centers(g: ArrayGeometry, n_d: Optional[int]) -> np.ndarray:
-    if n_d is None:
-        return g.centers
-    return g.subgrid_centers(n_d)
+    return complex(array_response(g, loc.x, loc.y, loc.z)[g.index(n, m)])
 
 
 def farfield_response(
-    g: ArrayGeometry, azimuth: float, elevation: float, n_d: Optional[int] = None
+    g: ArrayGeometry, azimuth, elevation, centers: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Planar-wave response, unit modulus per entry.
 
-    Entry (n, m) is exp(+i (2 pi / wavelength) (cos(el) sin(az) x_n + sin(el) y_m)).
-    With ``n_d`` given, only the leading n_d x n_d element block is used.
+    Entry n is exp(+i (2 pi / wavelength) (cos(el) sin(az) x_n + sin(el) y_n))
+    for the element centres (x_n, y_n) in ``centers`` (default: the whole array).
     """
-    centers = _steering_centers(g, n_d)
-    k = 2.0 * math.pi / g.wavelength
-    u = math.cos(elevation) * math.sin(azimuth)
-    v = math.sin(elevation)
-    return np.exp(1j * k * (u * centers[:, 0] + v * centers[:, 1]))
+    centers = g.centers if centers is None else centers
+    u = np.cos(elevation) * np.sin(azimuth)
+    v = np.sin(elevation)
+    x, y = _element_xy(centers, u)
+    return np.exp(1j * (2.0 * math.pi / g.wavelength * (x * u + y * v)))
 
 
 def polar_response(
     g: ArrayGeometry,
-    azimuth: float,
-    elevation: float,
-    distance: float,
-    n_d: Optional[int] = None,
+    azimuth,
+    elevation,
+    distance,
+    centers: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Unit-modulus spherical-phase response parameterized in polar form.
 
     Phase per element is -(2 pi / wavelength) times the polar-form distance
-    sqrt(d**2 + x**2 + y**2 - 2 d (cos(el) sin(az) x + sin(el) y)), so the
+    sqrt(d**2 + x**2 + y**2 - 2 d (cos(el) sin(az) x + sin(el) y)) to the
+    element centre (x, y) in ``centers`` (default: the whole array), so the
     vector is a literal phase-only version of the exact response; only the
     per-element amplitude is dropped.  The common distance-dependent phase is
     kept (spectral quotients are invariant to it).
     """
-    if distance <= 0:
+    d = np.asarray(distance, dtype=float)
+    if not np.all(d > 0):
         raise ValueError("distance must be positive")
-    centers = _steering_centers(g, n_d)
-    x, y = centers[:, 0], centers[:, 1]
-    u = math.cos(elevation) * math.sin(azimuth)
-    v = math.sin(elevation)
-    r = np.sqrt(distance**2 + x * x + y * y - 2.0 * distance * (u * x + v * y))
-    return np.exp(-2j * math.pi * r / g.wavelength)
+    centers = g.centers if centers is None else centers
+    u = np.cos(elevation) * np.sin(azimuth)
+    v = np.sin(elevation)
+    x, y = _element_xy(centers, u, d)
+    r = np.sqrt(d * d + x * x + y * y - 2.0 * d * (u * x + v * y))
+    return _spherical_phase(r, g.wavelength)
 
 
 def channel_matrix(
@@ -129,8 +153,10 @@ def channel_matrix(
     """Stack exact array responses for several users into a channel matrix."""
     if not locations:
         raise ValueError("at least one user location required")
-    cols = np.column_stack([array_response(g, loc) for loc in locations])
-    return ChannelMatrix(entries=cols, geometry=g, provenance=(provenance,) * len(locations))
+    x, y, z = np.array([(loc.x, loc.y, loc.z) for loc in locations]).T
+    return ChannelMatrix(
+        entries=array_response(g, x, y, z), geometry=g, provenance=(provenance,) * len(locations)
+    )
 
 
 class QuadratureResult(NamedTuple):

@@ -11,9 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-Point = tuple[float, float, float]
-
-
 @dataclass(frozen=True)
 class ArrayGeometry:
     """Square uniform planar array of ``n_antennas`` elements.
@@ -143,22 +140,6 @@ def polar_to_cart(p: PolarLocation) -> UeLocation:
         x=p.distance * cos_el * math.sin(p.azimuth),
         y=p.distance * math.sin(p.elevation),
         z=p.distance * cos_el * math.cos(p.azimuth),
-    )
-
-
-def fresnel_distance(p: PolarLocation, center: Point) -> float:
-    """First-order expansion of the user-to-element distance.
-
-    Returns d + (xc**2 + yc**2) / (2 d) - cos(el) sin(az) * xc - sin(el) * yc
-    for an element centered at ``center`` = (xc, yc, 0).  Exact (returns d)
-    when the element sits at the origin.
-    """
-    xc, yc = center[0], center[1]
-    return (
-        p.distance
-        + (xc * xc + yc * yc) / (2.0 * p.distance)
-        - math.cos(p.elevation) * math.sin(p.azimuth) * xc
-        - math.sin(p.elevation) * yc
     )
 
 

@@ -3,7 +3,10 @@
 Runs synthesize-estimate-score loops over SNR points and trials, comparing
 the parametric pipeline against the non-parametric baselines.  Every random
 draw comes from a counter-based stream keyed by (seed, snr index, trial,
-role), so results are independent of scheduling and thread count.
+role), so results are independent of scheduling and thread count.  Trials,
+the plane-slice scenario and spectrum dumps synthesize their data through
+the same two helpers, and the config parser and the CSV writers read their
+schemas from the dataclass fields.
 """
 
 import concurrent.futures
@@ -14,6 +17,7 @@ import functools
 import logging
 import math
 import time
+import typing
 import warnings as _warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import channel_matrix
+from .channel import ChannelMatrix, channel_matrix
 from .geometry import (
     ArrayGeometry,
     PolarLocation,
@@ -64,6 +68,7 @@ from .signal import (
     ROLE_NOISE,
     ROLE_PILOTS,
     ROLE_PLACEMENT,
+    SnapshotBlock,
     gen_pilots,
     received_block,
     stream,
@@ -75,13 +80,6 @@ logger = logging.getLogger(__name__)
 KNOWN_METHODS = ("proposed", "proposed_nocorrect", "ls", "rls", "music3d")
 PARAMETRIC_TWO_STEP = ("proposed", "proposed_nocorrect")
 PLACEMENT_BUDGET = 100_000
-
-TRIAL_CSV_HEADER = (
-    "method,snr_db,trial,ue,nmse,bf_gain,az_err_rad,el_err_rad,dist_err_m,peaks_found"
-)
-AGGREGATE_CSV_HEADER = (
-    "method,snr_db,mean_nmse,median_nmse,mean_bf_gain,trials_ok,trials_failed"
-)
 
 
 class ConfigError(ValueError):
@@ -146,7 +144,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{what} must satisfy -pi/2 < lo <= hi < pi/2")
         if self.min_angular_separation < 0:
             raise ConfigError("min_angular_separation must be >= 0")
-        d_lower, d_upper = self.near_field_bounds()
+        d_lower, d_upper = near_field_bounds(self.geometry())
         if self.distance_range is None:
             object.__setattr__(self, "distance_range", (d_lower, d_upper))
         d_min, d_max = self.distance_range
@@ -178,13 +176,6 @@ class ExperimentConfig:
 
     def geometry(self) -> ArrayGeometry:
         return build_geometry(self.n_antennas, self.element_diag, self.wavelength)
-
-    def near_field_bounds(self) -> tuple[float, float]:
-        root_n = math.sqrt(self.n_antennas)
-        return (
-            2.0 * self.element_diag * root_n,
-            2.0 * self.n_antennas * self.element_diag**2 / self.wavelength,
-        )
 
     def angular_grid(self) -> GridSpec:
         return GridSpec(
@@ -229,32 +220,44 @@ class ExperimentConfig:
 
 
 _ANGULAR_KEYS = ("azimuth_range", "elevation_range", "min_angular_separation")
-_INT_KEYS = (
-    "n_antennas",
-    "k_ues",
-    "l_pilots",
-    "c_r",
-    "trials",
-    "seed",
-    "azimuth_grid_points",
-    "elevation_grid_points",
-    "distance_grid_points",
-    "cart_grid_points",
-)
-_FLOAT_KEYS = ("wavelength", "element_diag", "min_angular_separation")
-_PAIR_KEYS = ("azimuth_range", "elevation_range", "distance_range")
-_LIST_KEYS = ("snr_db_list",)
-_STR_KEYS = ("distance_spacing", "snr_ref", "out_dir")
-_STR_LIST_KEYS = ("methods",)
+
+
+def _field_parser(tp):
+    """Converter from config text to a value of the annotated field type ``tp``.
+
+    Optional fields parse as their inner type; tuples are comma separated, with
+    a fixed length unless declared ``tuple[X, ...]``; empty names are dropped
+    from string lists.
+    """
+    args = typing.get_args(tp)
+    if type(None) in args:
+        (tp,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(tp)
+    if typing.get_origin(tp) is not tuple:
+        return tp
+
+    def parse(val: str) -> tuple:
+        parts = [p.strip() for p in val.split(",")]
+        if args[0] is str:
+            parts = [p for p in parts if p]
+        if args[-1] is not Ellipsis and len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} comma-separated values")
+        return tuple(args[0](p) for p in parts)
+
+    return parse
+
+
+_FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(ExperimentConfig)}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     """Parse flat key=value configuration text.
 
-    Keys are the ExperimentConfig field names; lists are comma separated;
-    blank lines and lines starting with '#' are ignored; unknown keys are
-    errors.  Angular values (azimuth_range, elevation_range,
-    min_angular_separation) are given in degrees.
+    Keys are the ExperimentConfig field names, and each value is converted to
+    its field's annotated type; lists are comma separated; blank lines and
+    lines starting with '#' are ignored; unknown keys are errors.  Angular
+    values (azimuth_range, elevation_range, min_angular_separation) are given
+    in degrees.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -267,26 +270,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            if key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _PAIR_KEYS:
-                parts = [float(p) for p in val.split(",")]
-                if len(parts) != 2:
-                    raise ValueError("expected two comma-separated values")
-                values[key] = tuple(parts)
-            elif key in _LIST_KEYS:
-                values[key] = tuple(float(p) for p in val.split(","))
-            elif key in _STR_LIST_KEYS:
-                values[key] = tuple(p.strip() for p in val.split(",") if p.strip())
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[key] = _FIELD_PARSERS[key](val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     for key in _ANGULAR_KEYS:
@@ -422,6 +409,31 @@ def _score_parametric(
     return rows
 
 
+def _place_users(
+    cfg: ExperimentConfig, g: ArrayGeometry, key: tuple[int, int]
+) -> tuple[list[UeLocation], ChannelMatrix]:
+    """User locations drawn from the placement stream at ``key``, and their
+    true channels."""
+    locs = place_ues(cfg, stream(cfg.seed, *key, ROLE_PLACEMENT))
+    return locs, channel_matrix(g, locs)
+
+
+def _observe(
+    cfg: ExperimentConfig,
+    a_true: ChannelMatrix,
+    l_pilots: int,
+    snr_db: float,
+    key: tuple[int, int],
+) -> SnapshotBlock:
+    """Pilots and the received block for ``a_true``, drawn from the pilot and
+    noise streams at ``key``, with the configured noise reference."""
+    pilots = gen_pilots(cfg.k_ues, l_pilots, stream(cfg.seed, *key, ROLE_PILOTS))
+    noise_ref = None if cfg.snr_ref == "relative" else 1.0
+    return received_block(
+        a_true, pilots, snr_db, stream(cfg.seed, *key, ROLE_NOISE), noise_ref=noise_ref
+    )
+
+
 def _run_trial(
     cfg: ExperimentConfig,
     g: ArrayGeometry,
@@ -431,19 +443,9 @@ def _run_trial(
     trial: int,
 ) -> list[TrialRecord]:
     snr_db = cfg.snr_db_list[snr_index]
-    locs = place_ues(cfg, stream(cfg.seed, snr_index, trial, ROLE_PLACEMENT))
+    locs, a_true = _place_users(cfg, g, (snr_index, trial))
     truth_polar = [cart_to_polar(l) for l in locs]
-    a_true = channel_matrix(g, locs)
-    pilots = gen_pilots(cfg.k_ues, cfg.l_pilots, stream(cfg.seed, snr_index, trial, ROLE_PILOTS))
-    noise_ref = None if cfg.snr_ref == "relative" else 1.0
-    block = received_block(
-        a_true,
-        pilots,
-        snr_db,
-        stream(cfg.seed, snr_index, trial, ROLE_NOISE),
-        noise_ref=noise_ref,
-        seed_info=(cfg.seed, snr_index, trial),
-    )
+    block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
     _, d_fa = near_field_bounds(g)
 
     rows: list[TrialRecord] = []
@@ -458,7 +460,7 @@ def _run_trial(
                     result.angular_peaks.found,
                     truth_polar,
                     a_true.entries,
-                    pilots,
+                    block.pilots,
                     block.received,
                     g,
                     d_fa,
@@ -466,7 +468,7 @@ def _run_trial(
                     trial,
                 )
             )
-        except Exception as exc:  # noqa: BLE001 - a failed trial must not kill the sweep
+        except ValueError as exc:
             logger.warning("two-step trial %d at %.1f dB aborted: %s", trial, snr_db, exc)
             for method in two_step_methods:
                 rows.extend(_nan_rows(method, snr_db, trial, cfg.k_ues, 0))
@@ -488,7 +490,7 @@ def _run_trial(
                     peaks.found,
                     truth_polar,
                     a_true.entries,
-                    pilots,
+                    block.pilots,
                     block.received,
                     g,
                     d_fa,
@@ -496,11 +498,11 @@ def _run_trial(
                     trial,
                 )
             )
-        except Exception as exc:  # noqa: BLE001
+        except ValueError as exc:
             logger.warning("3-D search trial %d at %.1f dB aborted: %s", trial, snr_db, exc)
             rows.extend(_nan_rows("music3d", snr_db, trial, cfg.k_ues, 0))
 
-    for method, estimate in _baseline_estimates(cfg, block, pilots):
+    for method, estimate in _baseline_estimates(cfg, block):
         for k in range(cfg.k_ues):
             rows.append(
                 TrialRecord(
@@ -519,12 +521,12 @@ def _run_trial(
     return rows
 
 
-def _baseline_estimates(cfg, block, pilots):
+def _baseline_estimates(cfg, block):
     out = []
     if "ls" in cfg.methods:
-        out.append(("ls", ls_baseline(block.received, pilots)))
+        out.append(("ls", ls_baseline(block.received, block.pilots)))
     if "rls" in cfg.methods:
-        out.append(("rls", rls_baseline(block.received, pilots, block.noise_var)))
+        out.append(("rls", rls_baseline(block.received, block.pilots, block.noise_var)))
     return out
 
 
@@ -631,49 +633,23 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def write_trial_csv(records: Sequence[TrialRecord], path) -> Path:
+def _write_records(records: Sequence, record_type: type, path) -> Path:
+    """Write dataclass records as CSV: a header of ``record_type``'s field
+    names, then one line per record."""
     path = Path(path)
-    lines = [TRIAL_CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    r.method,
-                    _fmt(r.snr_db),
-                    str(r.trial),
-                    str(r.ue),
-                    _fmt(r.nmse),
-                    _fmt(r.bf_gain),
-                    _fmt(r.az_err_rad),
-                    _fmt(r.el_err_rad),
-                    _fmt(r.dist_err_m),
-                    str(r.peaks_found),
-                ]
-            )
-        )
+    names = [f.name for f in dataclasses.fields(record_type)]
+    lines = [",".join(names)]
+    lines += [",".join(_fmt(getattr(r, n)) for n in names) for r in records]
     path.write_text("\n".join(lines) + "\n")
     return path
+
+
+def write_trial_csv(records: Sequence[TrialRecord], path) -> Path:
+    return _write_records(records, TrialRecord, path)
 
 
 def write_aggregate_csv(aggregates: Sequence[AggregateRecord], path) -> Path:
-    path = Path(path)
-    lines = [AGGREGATE_CSV_HEADER]
-    for a in aggregates:
-        lines.append(
-            ",".join(
-                [
-                    a.method,
-                    _fmt(a.snr_db),
-                    _fmt(a.mean_nmse),
-                    _fmt(a.median_nmse),
-                    _fmt(a.mean_bf_gain),
-                    str(a.trials_ok),
-                    str(a.trials_failed),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return _write_records(aggregates, AggregateRecord, path)
 
 
 def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
@@ -751,22 +727,13 @@ def scenario_fig1(
     """
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0))
     g = flat.geometry()
-    locs = place_ues(flat, stream(flat.seed, 0, 0, ROLE_PLACEMENT))
-    a_true = channel_matrix(g, locs)
+    locs, a_true = _place_users(flat, g, (0, 0))
     truths_xz = [(loc.x, loc.z) for loc in locs]
     grid = flat.xz_grid()
 
     cases = []
     for l_pilots in l_values:
-        pilots = gen_pilots(flat.k_ues, l_pilots, stream(flat.seed, l_pilots, 0, ROLE_PILOTS))
-        noise_ref = None if flat.snr_ref == "relative" else 1.0
-        block = received_block(
-            a_true,
-            pilots,
-            snr_db,
-            stream(flat.seed, l_pilots, 0, ROLE_NOISE),
-            noise_ref=noise_ref,
-        )
+        block = _observe(flat, a_true, l_pilots, snr_db, (l_pilots, 0))
         cov = sample_covariance(block.received.T)
         un = noise_subspace(cov, flat.k_ues)
         spec = spectrum_3d(un, grid, g)
@@ -812,13 +779,8 @@ def dump_spectrum(
         )
     snr_index = cfg.snr_db_list.index(snr_db)
     g = cfg.geometry()
-    locs = place_ues(cfg, stream(cfg.seed, snr_index, trial, ROLE_PLACEMENT))
-    a_true = channel_matrix(g, locs)
-    pilots = gen_pilots(cfg.k_ues, cfg.l_pilots, stream(cfg.seed, snr_index, trial, ROLE_PILOTS))
-    noise_ref = None if cfg.snr_ref == "relative" else 1.0
-    block = received_block(
-        a_true, pilots, snr_db, stream(cfg.seed, snr_index, trial, ROLE_NOISE), noise_ref=noise_ref
-    )
+    _, a_true = _place_users(cfg, g, (snr_index, trial))
+    block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
 
     if kind == "xz":
         cov = sample_covariance(block.received.T)

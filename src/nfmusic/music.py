@@ -1,5 +1,10 @@
 """Spectral search: full-location, angular, and distance spectra plus peak picking.
 
+The steering vectors come from the models in :mod:`nfmusic.channel`, the same
+ones that synthesize and reconstruct channels: ``spectrum_3d`` steers with the
+exact response (unit-normalized), ``spectrum_2d_angular`` with the planar-wave
+response, and ``spectrum_1d_distance`` with the polar-phase response.
+
 Every spectrum value is ``1 / (a^H U_n U_n^H a + eps)`` for a steering vector
 ``a`` and a noise subspace ``U_n``; the guard ``eps = 1e-15 * ||a||**2`` keeps
 values finite at exact orthogonality.  The noise projection is computed in its
@@ -8,7 +13,7 @@ eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
 steering vector instead of M - K; the difference is clamped at zero, where
 rounding can push an exactly orthogonal vector below it.  The planar-wave
 angular steering bank does not depend on the data, so it is built once per
-(steering centers, wavelength, grid) and kept read-only in a small cache.  An
+(array geometry, subgrid side, grid) and kept read-only in a small cache.  An
 :class:`EvalCounter` can be threaded through to audit how many steering-vector
 quotients a search spends.
 """
@@ -20,7 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import ArrayGeometry, PolarLocation
+from .channel import array_response, farfield_response, polar_response
+from .geometry import ArrayGeometry, PolarLocation, build_geometry
 from .signal import SnapshotBlock
 from .subspace import NoiseSubspace, noise_subspace, smoothed_covariance
 
@@ -151,11 +157,6 @@ def _quotient_denominators(
     return np.maximum(norms - captured, 0.0) + EPS_SCALE * norms
 
 
-def _check_dim(un: NoiseSubspace, expected: int, what: str):
-    if un.dim != expected:
-        raise ValueError(f"noise subspace dimension {un.dim} does not match {what} ({expected})")
-
-
 def _subgrid_side(un: NoiseSubspace, g: ArrayGeometry) -> int:
     side = math.isqrt(un.dim)
     if side * side != un.dim or side > g.side:
@@ -175,32 +176,23 @@ def _steering_subgrid(g: ArrayGeometry, side: int) -> np.ndarray:
     the planar-wave angular scan the shift is only a constant phase and does
     not change the spectrum.
     """
-    centers = g.subgrid_centers(side)
     offset = (g.side - side) * g.spacing / 2.0
-    if offset:
-        centers = centers + np.array([offset, offset, 0.0])
-    return centers
+    return g.subgrid_centers(side) + np.array([offset, offset, 0.0])
 
 
 @functools.lru_cache(maxsize=4)
 def _angular_bank(
-    centers_xy: bytes, wavelength: float, grid: GridSpec
+    n_antennas: int, element_diag: float, wavelength: float, side: int, grid: GridSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Planar-wave steering vectors over an (azimuth, elevation) grid and their
-    squared norms, for steering centers given as the bytes of an (M, 2) float
-    array of (x, y) coordinates.
+    squared norms, on the ``side`` x ``side`` steering subgrid of the array that
+    ``build_geometry(n_antennas, element_diag, wavelength)`` lays out.
 
     Both arrays are read-only: every caller, pool workers included, shares them.
     """
-    centers = np.frombuffer(centers_xy).reshape(-1, 2)
-    az, el = grid.axis_points()
-    azg, elg = np.meshgrid(az, el, indexing="ij")
-    u = (np.cos(elg) * np.sin(azg)).ravel()
-    v = np.sin(elg).ravel()
-
-    k_wave = 2.0 * math.pi / wavelength
-    phase = k_wave * (centers[:, 0][:, None] * u[None, :] + centers[:, 1][:, None] * v[None, :])
-    steering = np.exp(1j * phase)
+    g = build_geometry(n_antennas, element_diag, wavelength)
+    az, el = (m.ravel() for m in np.meshgrid(*grid.axis_points(), indexing="ij"))
+    steering = farfield_response(g, az, el, _steering_subgrid(g, side))
     norms = _column_energy(steering)
     steering.flags.writeable = False
     norms.flags.writeable = False
@@ -229,29 +221,20 @@ def spectrum_3d(
         names, key=CARTESIAN_AXES.index
     ):
         raise ValueError(f"grid axes must be ordered from {CARTESIAN_AXES}, got {names}")
-    _check_dim(un, g.n_antennas, "the full array size")
+    if un.dim != g.n_antennas:
+        raise ValueError(
+            f"noise subspace dimension {un.dim} does not match the full array ({g.n_antennas})"
+        )
 
-    coords = dict.fromkeys(CARTESIAN_AXES, None)
-    for ax, pts in zip(grid.axes, grid.axis_points()):
-        coords[ax.name] = pts
-    mesh_axes = [coords[n] if coords[n] is not None else np.array([0.0]) for n in CARTESIAN_AXES]
+    coords = dict(zip(names, grid.axis_points()))
+    mesh_axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
     xg, yg, zg = np.meshgrid(*mesh_axes, indexing="ij")
     px, py, pz = xg.ravel(), yg.ravel(), zg.ravel()
-    if np.any(pz <= 0):
-        raise ValueError("grid z coordinates must be positive")
-
-    cx = g.centers[:, 0][:, None]
-    cy = g.centers[:, 1][:, None]
-    k_wave = 2.0 * math.pi / g.wavelength
-    amp_scale = g.element_diag / math.sqrt(8.0 * math.pi)
 
     values = np.empty(px.size)
     for start in range(0, px.size, _CHUNK):
         sl = slice(start, min(start + _CHUNK, px.size))
-        dx = cx - px[sl][None, :]
-        r = np.sqrt(dx**2 + (cy - py[sl][None, :]) ** 2 + pz[sl][None, :] ** 2)
-        amp = amp_scale * np.sqrt(pz[sl][None, :] * (dx**2 + pz[sl][None, :] ** 2)) / r**2.5
-        steering = amp * np.exp(-1j * k_wave * r)
+        steering = array_response(g, px[sl], py[sl], pz[sl])
         steering /= np.linalg.norm(steering, axis=0, keepdims=True)
         values[sl] = 1.0 / _quotient_denominators(un, steering, _column_energy(steering), counter)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
@@ -270,8 +253,9 @@ def spectrum_2d_angular(
     """
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
-    centers = _steering_subgrid(g, _subgrid_side(un, g))
-    steering, norms = _angular_bank(centers[:, :2].tobytes(), g.wavelength, grid)
+    steering, norms = _angular_bank(
+        g.n_antennas, g.element_diag, g.wavelength, _subgrid_side(un, g), grid
+    )
     values = 1.0 / _quotient_denominators(un, steering, norms, counter)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
@@ -284,17 +268,11 @@ def spectrum_1d_distance(
     g: ArrayGeometry,
     counter: Optional[EvalCounter] = None,
 ) -> SpectrumGrid:
-    """Spectrum over distance at fixed angles, using the expanded-phase response."""
+    """Spectrum over distance at fixed angles, using the polar-phase response."""
     if grid.names() != ("distance",):
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
-    side = _subgrid_side(un, g)
-    centers = _steering_subgrid(g, side)
-    x, y = centers[:, 0][:, None], centers[:, 1][:, None]
-    d = grid.axis_points()[0][None, :]
-    u = math.cos(elevation) * math.sin(azimuth)
-    v = math.sin(elevation)
-    r = np.sqrt(d * d + x * x + y * y - 2.0 * d * (u * x + v * y))
-    steering = np.exp(-2j * math.pi * r / g.wavelength)
+    centers = _steering_subgrid(g, _subgrid_side(un, g))
+    steering = polar_response(g, azimuth, elevation, grid.axis_points()[0], centers)
     values = 1.0 / _quotient_denominators(un, steering, _column_energy(steering), counter)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 

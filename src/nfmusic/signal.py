@@ -23,14 +23,12 @@ class SnapshotBlock:
         received: (N, L) received snapshots, column l = A @ pilots[:, l] + noise.
         noise_var: Per-entry complex noise variance used for synthesis.
         snr_db: Requested SNR in dB (math.inf means noiseless).
-        seed_info: Opaque tag recording how the random streams were keyed.
     """
 
     pilots: np.ndarray
     received: np.ndarray
     noise_var: float
     snr_db: float
-    seed_info: tuple = ()
 
     @property
     def n_pilots(self) -> int:
@@ -70,7 +68,6 @@ def received_block(
     snr_db: float,
     rng: Optional[np.random.Generator] = None,
     noise_ref: Optional[float] = None,
-    seed_info: tuple = (),
 ) -> SnapshotBlock:
     """Synthesize received snapshots Q = A @ S + W.
 
@@ -89,13 +86,7 @@ def received_block(
         )
     clean = entries @ pilots
     if math.isinf(snr_db):
-        return SnapshotBlock(
-            pilots=pilots,
-            received=clean,
-            noise_var=0.0,
-            snr_db=snr_db,
-            seed_info=seed_info,
-        )
+        return SnapshotBlock(pilots=pilots, received=clean, noise_var=0.0, snr_db=snr_db)
     if noise_ref is None:
         n_antennas = entries.shape[0]
         noise_ref = float(np.linalg.norm(entries) ** 2 / n_antennas)
@@ -104,9 +95,5 @@ def received_block(
         raise ValueError("rng is required when snr_db is finite")
     noise = _complex_noise(clean.shape, noise_var, rng)
     return SnapshotBlock(
-        pilots=pilots,
-        received=clean + noise,
-        noise_var=noise_var,
-        snr_db=snr_db,
-        seed_info=seed_info,
+        pilots=pilots, received=clean + noise, noise_var=noise_var, snr_db=snr_db
     )

@@ -2,7 +2,6 @@
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -12,21 +11,11 @@ HERMITIAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SmoothingInfo:
-    """Subarray bookkeeping: shift budget c_r, shifts per axis T, subarray side N_d."""
-
-    c_r: int
-    t_factor: int
-    n_d: int
-
-
-@dataclass(frozen=True)
 class CovarianceEstimate:
     """Hermitian PSD sample covariance with its effective snapshot count."""
 
     matrix: np.ndarray
     snapshot_count: int
-    smoothing: Optional[SmoothingInfo] = None
 
     @property
     def dim(self) -> int:
@@ -107,12 +96,7 @@ def smoothed_covariance(block: SnapshotBlock, c_r: int) -> CovarianceEstimate:
         extract_subarrays(block.received[:, l].reshape(side, side), c_r)
         for l in range(block.received.shape[1])
     ]
-    stacked = np.vstack(pieces)
-    base = sample_covariance(stacked)
-    info = SmoothingInfo(c_r=c_r, t_factor=c_r + 1, n_d=side - c_r)
-    return CovarianceEstimate(
-        matrix=base.matrix, snapshot_count=stacked.shape[0], smoothing=info
-    )
+    return sample_covariance(np.vstack(pieces))
 
 
 def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:

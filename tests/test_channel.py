@@ -64,13 +64,13 @@ class TestChannelCoefficient:
 
 class TestArrayResponse:
     def test_broadside_mirror_symmetry(self, geo):
-        a = array_response(geo, UeLocation(0.0, 0.0, 2.0)).reshape(geo.side, geo.side)
+        a = array_response(geo, 0.0, 0.0, 2.0).reshape(geo.side, geo.side)
         assert np.allclose(a, a[::-1, :], rtol=1e-9)
         assert np.allclose(a, a[:, ::-1], rtol=1e-9)
 
     def test_ordering_matches_coefficients(self, geo):
         loc = UeLocation(0.3, -0.2, 2.5)
-        a = array_response(geo, loc)
+        a = array_response(geo, loc.x, loc.y, loc.z)
         for n, m in ((1, 1), (1, geo.side), (2, 1), (geo.side, geo.side)):
             assert a[geo.index(n, m)] == pytest.approx(
                 channel_coefficient(geo, loc, n, m), rel=1e-12
@@ -78,7 +78,7 @@ class TestArrayResponse:
 
     def test_norm_matches_elementwise_loop(self, geo):
         loc = UeLocation(0.0, 0.0, 2.0)
-        a = array_response(geo, loc)
+        a = array_response(geo, loc.x, loc.y, loc.z)
         total = 0.0
         for n in range(1, geo.side + 1):
             for m in range(1, geo.side + 1):
@@ -86,8 +86,8 @@ class TestArrayResponse:
         assert np.linalg.norm(a) == pytest.approx(math.sqrt(total), rel=1e-12)
 
     def test_continuity_under_tiny_perturbation(self, geo):
-        base = array_response(geo, UeLocation(0.7, -0.4, 3.1))
-        moved = array_response(geo, UeLocation(0.7 + 1e-9, -0.4, 3.1))
+        base = array_response(geo, 0.7, -0.4, 3.1)
+        moved = array_response(geo, 0.7 + 1e-9, -0.4, 3.1)
         assert np.linalg.norm(moved - base) / np.linalg.norm(base) < 1e-6
 
 
@@ -109,7 +109,7 @@ class TestFarfieldResponse:
         assert np.allclose(a, expected, atol=1e-12)
 
     def test_subgrid_restriction(self, geo):
-        a = farfield_response(geo, 0.4, 0.1, n_d=6)
+        a = farfield_response(geo, 0.4, 0.1, geo.subgrid_centers(6))
         assert a.shape == (36,)
         full = farfield_response(geo, 0.4, 0.1).reshape(geo.side, geo.side)
         assert np.allclose(a.reshape(6, 6), full[:6, :6], atol=1e-12)
@@ -144,14 +144,94 @@ class TestPolarResponse:
 
         p = cart_to_polar(loc)
         unit = polar_response(geo, p.azimuth, p.elevation, p.distance)
-        exact = array_response(geo, loc)
+        exact = array_response(geo, loc.x, loc.y, loc.z)
         assert np.allclose(exact / np.abs(exact), unit, atol=1e-9)
+
+
+class TestBatchedResponses:
+    """Column j of a batched call equals the call at point j bit for bit; the
+    spectra build their steering matrices from batched calls."""
+
+    @pytest.fixture(scope="class")
+    def points(self):
+        rng = np.random.default_rng(21)
+        p = 7
+        return {
+            "x": rng.uniform(-2.0, 2.0, p),
+            "y": rng.uniform(-2.0, 2.0, p),
+            "z": rng.uniform(0.5, 8.0, p),
+            "az": rng.uniform(-1.4, 1.4, p),
+            "el": rng.uniform(-1.0, 1.0, p),
+            "d": rng.uniform(0.5, 12.0, p),
+        }
+
+    @staticmethod
+    def _assert_columns(batched, single, n_points, n_rows):
+        assert batched.shape == (n_rows, n_points)
+        for j in range(n_points):
+            column = single(j)
+            assert column.shape == (n_rows,)
+            assert np.array_equal(batched[:, j], column)
+
+    def test_exact(self, geo, points):
+        x, y, z = points["x"], points["y"], points["z"]
+        self._assert_columns(
+            array_response(geo, x, y, z),
+            lambda j: array_response(geo, x[j], y[j], z[j]),
+            len(x),
+            geo.n_antennas,
+        )
+
+    def test_channel_matrix_columns(self, geo, points):
+        x, y, z = points["x"], points["y"], points["z"]
+        cm = channel_matrix(geo, [UeLocation(*c) for c in zip(x, y, z)])
+        self._assert_columns(
+            cm.entries,
+            lambda j: array_response(geo, x[j], y[j], z[j]),
+            len(x),
+            geo.n_antennas,
+        )
+
+    def test_planar_wave(self, geo, points):
+        az, el = points["az"], points["el"]
+        sub = geo.subgrid_centers(6)
+        self._assert_columns(
+            farfield_response(geo, az, el, sub),
+            lambda j: farfield_response(geo, az[j], el[j], sub),
+            len(az),
+            36,
+        )
+
+    def test_polar_over_distance(self, geo, points):
+        d = points["d"]
+        self._assert_columns(
+            polar_response(geo, 0.3, -0.2, d),
+            lambda j: polar_response(geo, 0.3, -0.2, d[j]),
+            len(d),
+            geo.n_antennas,
+        )
+
+    def test_polar_over_all_coordinates(self, geo, points):
+        az, el, d = points["az"], points["el"], points["d"]
+        sub = geo.subgrid_centers(9)
+        self._assert_columns(
+            polar_response(geo, az, el, d, sub),
+            lambda j: polar_response(geo, az[j], el[j], d[j], sub),
+            len(d),
+            81,
+        )
+
+    def test_rejects_points_behind_the_array(self, geo):
+        with pytest.raises(ValueError):
+            array_response(geo, np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 2.0]))
+        with pytest.raises(ValueError):
+            polar_response(geo, 0.1, 0.1, np.array([1.0, -1.0]))
 
 
 class TestQuotientInvariance:
     def test_common_phase_invariance(self, geo):
         rng = np.random.default_rng(9)
-        a = array_response(geo, UeLocation(0.5, 0.2, 2.2))
+        a = array_response(geo, 0.5, 0.2, 2.2)
         basis, _ = np.linalg.qr(rng.standard_normal((100, 30)) + 1j * rng.standard_normal((100, 30)))
         q0 = np.linalg.norm(basis.conj().T @ a) ** 2
         for _ in range(5):
@@ -166,7 +246,8 @@ class TestChannelMatrix:
         cm = channel_matrix(geo, locs)
         assert cm.entries.shape == (100, 2)
         assert cm.provenance == ("true", "true")
-        assert np.allclose(cm.entries[:, 1], array_response(geo, locs[1]))
+        x, y, z = locs[1].x, locs[1].y, locs[1].z
+        assert np.allclose(cm.entries[:, 1], array_response(geo, x, y, z))
 
     def test_rejects_nonfinite(self, geo):
         bad = np.full((100, 1), np.nan, dtype=complex)

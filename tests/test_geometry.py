@@ -9,7 +9,6 @@ from nfmusic.geometry import (
     UeLocation,
     build_geometry,
     cart_to_polar,
-    fresnel_distance,
     near_field_bounds,
     polar_to_cart,
 )
@@ -97,53 +96,6 @@ class TestCoordinateTransforms:
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError):
             PolarLocation(0.1, 0.1, 0.0)
-
-
-class TestFresnelDistance:
-    def test_origin_center_returns_distance_exactly(self):
-        p = PolarLocation(0.7, -0.3, 3.3)
-        assert fresnel_distance(p, (0.0, 0.0, 0.0)) == p.distance
-
-    def test_broadside_offset_center(self):
-        # 5 + (0.01 + 0.01) / 10 = 5.002
-        p = PolarLocation(0.0, 0.0, 5.0)
-        assert fresnel_distance(p, (0.1, 0.1, 0.0)) == pytest.approx(5.002, abs=1e-12)
-
-    @staticmethod
-    def _exact(p, center):
-        loc = polar_to_cart(p)
-        return math.sqrt(
-            (center[0] - loc.x) ** 2 + (center[1] - loc.y) ** 2 + loc.z**2
-        )
-
-    def test_error_shrinks_with_distance(self):
-        center = (0.2, -0.15, 0.0)
-        errs = []
-        for d in (2.0, 4.0, 8.0, 16.0, 32.0):
-            p = PolarLocation(0.4, 0.2, d)
-            errs.append(abs(fresnel_distance(p, center) - self._exact(p, center)))
-        assert all(a > b for a, b in zip(errs, errs[1:]))
-
-    def test_error_within_second_order_remainder(self):
-        # Lagrange bound for sqrt(1+u) truncated after the linear term:
-        # |r - d(1 + u/2)| <= d u^2 / (8 (1 + min(u, 0))^{3/2})
-        g = build_geometry(100, 0.1 / math.sqrt(2), 0.1)
-        d_lower, _ = near_field_bounds(g)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            p = PolarLocation(
-                rng.uniform(-1.3, 1.3), rng.uniform(-1.0, 1.0), rng.uniform(d_lower, 12.0)
-            )
-            cx, cy, _ = g.centers[rng.integers(0, g.n_antennas)]
-            loc = polar_to_cart(p)
-            u = (
-                cx * cx
-                + cy * cy
-                - 2.0 * p.distance * (loc.x / p.distance * cx + loc.y / p.distance * cy)
-            ) / p.distance**2
-            bound = p.distance * u * u / (8.0 * (1.0 + min(u, 0.0)) ** 1.5)
-            err = abs(fresnel_distance(p, (cx, cy, 0.0)) - self._exact(p, (cx, cy, 0.0)))
-            assert err <= bound + 1e-12
 
 
 class TestNearFieldBounds:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,7 @@ from nfmusic.harness import (
     run_experiment,
     scenario_fig1,
 )
-from nfmusic.metrics import aggregate
+from nfmusic.metrics import AggregateRecord, TrialRecord, aggregate
 from nfmusic.signal import stream
 
 
@@ -82,6 +83,71 @@ class TestConfigParsing:
     def test_bad_value_reported_with_line(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config_text("trials=many\n")
+
+
+# One valid, non-default value per ExperimentConfig field, angles in radians.
+_SAMPLE = ExperimentConfig(
+    n_antennas=64,
+    k_ues=2,
+    l_pilots=5,
+    c_r=2,
+    wavelength=0.05,
+    element_diag=0.04,
+    snr_db_list=(3.0, 7.5),
+    trials=9,
+    seed=42,
+    azimuth_range=(math.radians(-30.0), math.radians(40.0)),
+    elevation_range=(math.radians(-20.0), math.radians(10.0)),
+    min_angular_separation=math.radians(2.5),
+    distance_range=(2.0, 6.0),
+    azimuth_grid_points=31,
+    elevation_grid_points=21,
+    distance_grid_points=11,
+    cart_grid_points=7,
+    distance_spacing="uniform",
+    methods=("ls", "rls"),
+    snr_ref="absolute",
+    out_dir="elsewhere",
+)
+_ANGULAR = ("azimuth_range", "elevation_range", "min_angular_separation")
+_FIELDS = dataclasses.fields(ExperimentConfig)
+
+
+def _config_text(name, value):
+    """``value`` written as the config file gives it: comma lists, degrees."""
+    items = value if isinstance(value, tuple) else (value,)
+    if name in _ANGULAR:
+        items = [math.degrees(x) for x in items]
+    return ",".join(str(x) for x in items)
+
+
+class TestConfigSchema:
+    """The parser reads each field's type from ExperimentConfig itself."""
+
+    @pytest.mark.parametrize("field", _FIELDS, ids=lambda f: f.name)
+    def test_every_field_parses_to_its_value(self, field):
+        want = getattr(_SAMPLE, field.name)
+        assert want != getattr(ExperimentConfig(), field.name)
+        cfg = parse_config_text(f"{field.name}={_config_text(field.name, want)}\n")
+        got = getattr(cfg, field.name)
+        assert type(got) is type(want)
+        if field.name in _ANGULAR:
+            assert got == pytest.approx(want, rel=1e-12)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in _FIELDS if f.type not in (str, tuple[str, ...])],
+        ids=lambda f: f.name,
+    )
+    def test_ill_typed_value_names_its_line(self, field):
+        with pytest.raises(ConfigError, match=f"line 3: bad value for '{field.name}'"):
+            parse_config_text(f"# header\n\n{field.name}=x\n")
+
+    def test_pair_needs_two_values(self):
+        with pytest.raises(ConfigError, match="line 1: .*expected 2"):
+            parse_config_text("distance_range=2,4,6\n")
 
 
 class TestPlaceUes:
@@ -186,6 +252,27 @@ class TestRunExperiment:
         recomputed = aggregate(report.records, cfg.methods, cfg.snr_db_list, cfg.k_ues)
         assert recomputed == report.aggregates
 
+    def test_programming_error_in_trial_propagates(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("estimator bug")
+
+        monkeypatch.setattr(harness, "two_step_estimate", broken)
+        with pytest.raises(TypeError, match="estimator bug"):
+            run_experiment(_tiny_config(methods=("proposed", "ls"), trials=1))
+
+    def test_estimation_failure_scores_failed_trial(self, monkeypatch):
+        def fails(*args, **kwargs):
+            raise ValueError("no usable subspace")
+
+        monkeypatch.setattr(harness, "two_step_estimate", fails)
+        report = run_experiment(_tiny_config(methods=("proposed", "ls"), trials=2))
+        proposed = [r for r in report.records if r.method == "proposed"]
+        assert len(proposed) == 2 * 2
+        assert all(math.isnan(r.nmse) and r.peaks_found == 0 for r in proposed)
+        by_method = {a.method: a for a in report.aggregates}
+        assert by_method["proposed"].trials_failed == 2
+        assert by_method["ls"].trials_failed == 0
+
 
 class TestDeterminism:
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
@@ -223,15 +310,13 @@ class TestDeterminism:
         cfg = _tiny_config()
         report = run_experiment(cfg, out_dir=tmp_path)
         lines = (tmp_path / "trials.csv").read_text().strip().splitlines()
-        assert lines[0] == harness.TRIAL_CSV_HEADER
+        assert lines[0] == ",".join(f.name for f in dataclasses.fields(TrialRecord))
         assert len(lines) == 1 + len(report.records)
         first = lines[1].split(",")
         assert first[0] == report.records[0].method
         assert float(first[4]) == pytest.approx(report.records[0].nmse, rel=1e-8)
 
     def test_aggregate_csv_recomputable_from_trial_csv(self, tmp_path):
-        from nfmusic.metrics import TrialRecord
-
         cfg = _tiny_config(methods=("proposed", "ls"), snr_db_list=(10.0, 20.0))
         run_experiment(cfg, out_dir=tmp_path)
         rows = []
@@ -253,7 +338,7 @@ class TestDeterminism:
             )
         recomputed = aggregate(rows, cfg.methods, cfg.snr_db_list, cfg.k_ues)
         agg_lines = (tmp_path / "aggregate.csv").read_text().strip().splitlines()
-        assert agg_lines[0] == harness.AGGREGATE_CSV_HEADER
+        assert agg_lines[0] == ",".join(f.name for f in dataclasses.fields(AggregateRecord))
         for line, agg in zip(agg_lines[1:], recomputed):
             f = line.split(",")
             assert f[0] == agg.method

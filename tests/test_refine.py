@@ -36,14 +36,14 @@ class TestReconstructChannels:
 
     def test_broadside_closed_form(self, geo):
         recon = reconstruct_channels([PolarLocation(0.0, 0.0, 2.0)], geo)
-        assert np.allclose(recon.entries[:, 0], array_response(geo, UeLocation(0.0, 0.0, 2.0)))
+        assert np.allclose(recon.entries[:, 0], array_response(geo, 0.0, 0.0, 2.0))
 
     def test_sensitivity_to_one_centimeter(self, geo):
         # regression value recorded at calibration: a 1 cm range error at 2 m
         # barely moves the direction (correlation 0.9999981) while the common
         # phase rotates by ~0.63 rad, which is what the corrector absorbs
-        a0 = array_response(geo, UeLocation(0.0, 0.0, 2.0))
-        a1 = array_response(geo, UeLocation(0.0, 0.0, 2.01))
+        a0 = array_response(geo, 0.0, 0.0, 2.0)
+        a1 = array_response(geo, 0.0, 0.0, 2.01)
         corr = abs(np.vdot(a1, a0)) / (np.linalg.norm(a0) * np.linalg.norm(a1))
         assert corr == pytest.approx(0.999998059506015, abs=1e-9)
         phase = np.angle(np.vdot(a0, a1))
