@@ -1,0 +1,72 @@
+"""Write a fixed set of nfmusic output CSVs and print their sha256 digests.
+
+Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
+(or without PYTHONPATH when nfmusic is installed)
+
+The set is the reference, ``music3d`` and ``large_array`` sweeps at seeds 1-3
+(``trials.csv`` and ``aggregate.csv`` each), the ``fig1`` plane-slice spectra
+at seeds 1-3, and one ``dump-spectrum`` CSV of each kind.  Each line printed
+is ``path sha256`` with the path relative to OUT_DIR, so diffing the output of
+two checkouts shows whether a change kept every output byte-identical.
+"""
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+from nfmusic.harness import ExperimentConfig, dump_spectrum, run_experiment, scenario_fig1
+
+SEEDS = (1, 2, 3)
+REFERENCE = ExperimentConfig(snr_db_list=(0.0, 10.0, 20.0), trials=3)
+SWEEPS = {
+    "reference": REFERENCE,
+    "music3d": dataclasses.replace(
+        REFERENCE,
+        methods=("proposed", "music3d", "ls"),
+        snr_db_list=(10.0, 20.0),
+        trials=2,
+        cart_grid_points=40,
+    ),
+    "large_array": dataclasses.replace(
+        REFERENCE,
+        n_antennas=400,
+        azimuth_grid_points=60,
+        elevation_grid_points=40,
+        distance_range=None,
+        trials=1,
+    ),
+}
+SPECTRUM_KINDS = ("angular", "distance", "xz")
+
+
+def write_outputs(out: Path) -> list[Path]:
+    """Write every CSV of the set under ``out`` and return their paths."""
+    paths = []
+    for name, cfg in SWEEPS.items():
+        for seed in SEEDS:
+            run_dir = out / f"{name}_seed{seed}"
+            run_experiment(dataclasses.replace(cfg, seed=seed), out_dir=run_dir)
+            paths += [run_dir / "trials.csv", run_dir / "aggregate.csv"]
+    for seed in SEEDS:
+        cfg = dataclasses.replace(REFERENCE, seed=seed)
+        report = scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}")
+        paths += [case.dump_path for case in report.cases]
+    for kind in SPECTRUM_KINDS:
+        paths.append(dump_spectrum(REFERENCE, kind, out / f"spectrum_{kind}.csv"))
+    return paths
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR", file=sys.stderr)
+        return 2
+    out = Path(argv[0])
+    for path in write_outputs(out):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{path.relative_to(out)} {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -29,7 +29,6 @@ from .harness import (
 )
 from .metrics import beamforming_gain, match_estimates, nmse
 from .music import (
-    EvalCounter,
     GridAxis,
     GridSpec,
     PeakSet,

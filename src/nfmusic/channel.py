@@ -33,31 +33,16 @@ from .geometry import ArrayGeometry, UeLocation
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """N x K matrix whose column k is an array response for one user.
-
-    Attributes:
-        entries: (N, K) complex matrix.
-        geometry: Array the responses were evaluated on.
-        provenance: Per-column tag, each "true" or "estimated".
-    """
+    """N x K channel matrix; ``entries`` column k is the exact array response
+    (:func:`array_response`) for user k, true or estimated."""
 
     entries: np.ndarray
-    geometry: ArrayGeometry
-    provenance: tuple[str, ...]
 
     def __post_init__(self):
         if self.entries.ndim != 2:
             raise ValueError("channel matrix must be 2-D")
-        if self.entries.shape[0] != self.geometry.n_antennas:
-            raise ValueError("row count must equal the antenna count")
-        if len(self.provenance) != self.entries.shape[1]:
-            raise ValueError("one provenance tag per column required")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("channel entries must be finite")
-
-    @property
-    def n_users(self) -> int:
-        return self.entries.shape[1]
 
 
 def _element_xy(centers: np.ndarray, *coords) -> tuple[np.ndarray, np.ndarray]:
@@ -147,16 +132,12 @@ def polar_response(
     return _spherical_phase(r, g.wavelength)
 
 
-def channel_matrix(
-    g: ArrayGeometry, locations: Sequence[UeLocation], provenance: str = "true"
-) -> ChannelMatrix:
+def channel_matrix(g: ArrayGeometry, locations: Sequence[UeLocation]) -> ChannelMatrix:
     """Stack exact array responses for several users into a channel matrix."""
     if not locations:
         raise ValueError("at least one user location required")
     x, y, z = np.array([(loc.x, loc.y, loc.z) for loc in locations]).T
-    return ChannelMatrix(
-        entries=array_response(g, x, y, z), geometry=g, provenance=(provenance,) * len(locations)
-    )
+    return ChannelMatrix(entries=array_response(g, x, y, z))
 
 
 class QuadratureResult(NamedTuple):

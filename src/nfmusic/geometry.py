@@ -62,9 +62,6 @@ class UeLocation:
         if not self.z > 0:
             raise ValueError(f"UE must lie in front of the array plane, got z={self.z}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
 
 @dataclass(frozen=True)
 class PolarLocation:

@@ -178,6 +178,11 @@ class ExperimentConfig:
         return build_geometry(self.n_antennas, self.element_diag, self.wavelength)
 
     def angular_grid(self) -> GridSpec:
+        """(azimuth, elevation) search grid; each range must span an interval."""
+        for name in ("azimuth_range", "elevation_range"):
+            lo, hi = getattr(self, name)
+            if not lo < hi:
+                raise ConfigError(f"{name} must satisfy lo < hi to be searched")
         return GridSpec(
             (
                 GridAxis("azimuth", *self.azimuth_range, self.azimuth_grid_points),
@@ -316,23 +321,44 @@ def place_ues(cfg: ExperimentConfig, rng: np.random.Generator) -> list[UeLocatio
     return [polar_to_cart(p) for p in accepted]
 
 
-def _nan_row(method: str, snr_db: float, trial: int, ue: int, peaks_found: int) -> TrialRecord:
+def _row(
+    method: str,
+    snr_db: float,
+    trial: int,
+    ue: int,
+    peaks_found: int,
+    channels: Optional[tuple[np.ndarray, np.ndarray]] = None,
+    locations: Optional[tuple[PolarLocation, PolarLocation]] = None,
+) -> TrialRecord:
+    """One user's record.  NMSE and beamforming gain come from the (true,
+    estimated) channel columns in ``channels``, the angle and distance errors
+    from the (true, estimated) ``locations``; each pair left out reads NaN."""
+    nmse_val = bf_gain = az_err = el_err = dist_err = math.nan
+    if channels is not None:
+        nmse_val, bf_gain = nmse(*channels), beamforming_gain(*channels)
+    if locations is not None:
+        truth, est = locations
+        az_err = abs(est.azimuth - truth.azimuth)
+        el_err = abs(est.elevation - truth.elevation)
+        dist_err = abs(est.distance - truth.distance)
     return TrialRecord(
         method=method,
         snr_db=snr_db,
         trial=trial,
         ue=ue,
-        nmse=math.nan,
-        bf_gain=math.nan,
-        az_err_rad=math.nan,
-        el_err_rad=math.nan,
-        dist_err_m=math.nan,
+        nmse=nmse_val,
+        bf_gain=bf_gain,
+        az_err_rad=az_err,
+        el_err_rad=el_err,
+        dist_err_m=dist_err,
         peaks_found=peaks_found,
     )
 
 
-def _nan_rows(method: str, snr_db: float, trial: int, k_ues: int, peaks_found: int):
-    return [_nan_row(method, snr_db, trial, k, peaks_found) for k in range(k_ues)]
+def _nan_rows(
+    methods: Sequence[str], snr_db: float, trial: int, k_ues: int, peaks_found: int
+) -> list[TrialRecord]:
+    return [_row(m, snr_db, trial, k, peaks_found) for m in methods for k in range(k_ues)]
 
 
 def _score_parametric(
@@ -359,11 +385,8 @@ def _score_parametric(
     ordered = [est_locs[p] if p is not None else None for p in perm]
     matched = [k for k in range(k_ues) if ordered[k] is not None]
 
-    rows: list[TrialRecord] = []
     if not matched:
-        for method in methods:
-            rows.extend(_nan_rows(method, snr_db, trial, k_ues, peaks_found))
-        return rows
+        return _nan_rows(methods, snr_db, trial, k_ues, peaks_found)
 
     recon = reconstruct_channels([ordered[k] for k in matched], g).entries
     full = np.zeros((a_true.shape[0], k_ues), dtype=complex)
@@ -382,30 +405,24 @@ def _score_parametric(
             logger.warning("trial %d at %.1f dB: corrector failed: %s", trial, snr_db, exc)
             corrected = None
 
+    rows: list[TrialRecord] = []
     for method in methods:
-        use_correction = method in ("proposed", "music3d")
-        estimate = corrected if use_correction else full
-        if use_correction and corrected is None:
-            rows.extend(_nan_rows(method, snr_db, trial, k_ues, peaks_found))
-            continue
+        estimate = corrected if method in ("proposed", "music3d") else full
         for k in range(k_ues):
-            if ordered[k] is None:
-                rows.append(_nan_row(method, snr_db, trial, k, peaks_found))
-                continue
-            rows.append(
-                TrialRecord(
-                    method=method,
-                    snr_db=snr_db,
-                    trial=trial,
-                    ue=k,
-                    nmse=nmse(a_true[:, k], estimate[:, k]),
-                    bf_gain=beamforming_gain(a_true[:, k], estimate[:, k]),
-                    az_err_rad=abs(ordered[k].azimuth - truth_polar[k].azimuth),
-                    el_err_rad=abs(ordered[k].elevation - truth_polar[k].elevation),
-                    dist_err_m=abs(ordered[k].distance - truth_polar[k].distance),
-                    peaks_found=peaks_found,
+            if estimate is None or ordered[k] is None:
+                rows.append(_row(method, snr_db, trial, k, peaks_found))
+            else:
+                rows.append(
+                    _row(
+                        method,
+                        snr_db,
+                        trial,
+                        k,
+                        peaks_found,
+                        channels=(a_true[:, k], estimate[:, k]),
+                        locations=(truth_polar[k], ordered[k]),
+                    )
                 )
-            )
     return rows
 
 
@@ -432,6 +449,16 @@ def _observe(
     return received_block(
         a_true, pilots, snr_db, stream(cfg.seed, *key, ROLE_NOISE), noise_ref=noise_ref
     )
+
+
+def _full_array_spectrum(
+    block: SnapshotBlock, k_ues: int, grid: GridSpec, g: ArrayGeometry
+) -> SpectrumGrid:
+    """Exact-model spectrum over ``grid`` from the unsmoothed full-array
+    covariance of ``block``; the search behind ``music3d``, ``fig1`` and the
+    ``xz`` spectrum dump."""
+    un = noise_subspace(sample_covariance(block.received.T), k_ues)
+    return spectrum_3d(un, grid, g)
 
 
 def _run_trial(
@@ -470,14 +497,11 @@ def _run_trial(
             )
         except ValueError as exc:
             logger.warning("two-step trial %d at %.1f dB aborted: %s", trial, snr_db, exc)
-            for method in two_step_methods:
-                rows.extend(_nan_rows(method, snr_db, trial, cfg.k_ues, 0))
+            rows.extend(_nan_rows(two_step_methods, snr_db, trial, cfg.k_ues, 0))
 
     if "music3d" in cfg.methods:
         try:
-            cov = sample_covariance(block.received.T)
-            un = noise_subspace(cov, cfg.k_ues)
-            spec = spectrum_3d(un, cfg.cartesian_grid(), g)
+            spec = _full_array_spectrum(block, cfg.k_ues, cfg.cartesian_grid(), g)
             peaks = find_peaks(spec, cfg.k_ues)
             est = [
                 cart_to_polar(UeLocation(x=c[0], y=c[1], z=c[2]))
@@ -500,24 +524,13 @@ def _run_trial(
             )
         except ValueError as exc:
             logger.warning("3-D search trial %d at %.1f dB aborted: %s", trial, snr_db, exc)
-            rows.extend(_nan_rows("music3d", snr_db, trial, cfg.k_ues, 0))
+            rows.extend(_nan_rows(["music3d"], snr_db, trial, cfg.k_ues, 0))
 
     for method, estimate in _baseline_estimates(cfg, block):
-        for k in range(cfg.k_ues):
-            rows.append(
-                TrialRecord(
-                    method=method,
-                    snr_db=snr_db,
-                    trial=trial,
-                    ue=k,
-                    nmse=nmse(a_true.entries[:, k], estimate[:, k]),
-                    bf_gain=beamforming_gain(a_true.entries[:, k], estimate[:, k]),
-                    az_err_rad=math.nan,
-                    el_err_rad=math.nan,
-                    dist_err_m=math.nan,
-                    peaks_found=cfg.k_ues,
-                )
-            )
+        rows.extend(
+            _row(method, snr_db, trial, k, cfg.k_ues, (a_true.entries[:, k], estimate[:, k]))
+            for k in range(cfg.k_ues)
+        )
     return rows
 
 
@@ -722,7 +735,7 @@ def scenario_fig1(
 
     Users are placed at zero elevation, so the Cartesian spectrum degenerates
     to an (x, z) slice.  For each pilot length the spectrum is scanned for
-    the K tallest strict peaks and compared against the true positions; with
+    the K tallest peaks and compared against the true positions; with
     enough snapshots all users appear, with fewer than K they conflate.
     """
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0))
@@ -734,9 +747,7 @@ def scenario_fig1(
     cases = []
     for l_pilots in l_values:
         block = _observe(flat, a_true, l_pilots, snr_db, (l_pilots, 0))
-        cov = sample_covariance(block.received.T)
-        un = noise_subspace(cov, flat.k_ues)
-        spec = spectrum_3d(un, grid, g)
+        spec = _full_array_spectrum(block, flat.k_ues, grid, g)
         peaks = find_peaks(spec, flat.k_ues)
         matched = _match_peaks_to_truth(peaks, truths_xz, grid, match_cells)
         dump_path = None
@@ -783,10 +794,7 @@ def dump_spectrum(
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
 
     if kind == "xz":
-        cov = sample_covariance(block.received.T)
-        un = noise_subspace(cov, cfg.k_ues)
-        spec = spectrum_3d(un, cfg.xz_grid(), g)
-        return dump_spectrum_csv(spec, out_path)
+        return dump_spectrum_csv(_full_array_spectrum(block, cfg.k_ues, cfg.xz_grid(), g), out_path)
 
     cov = smoothed_covariance(block, cfg.c_r)
     un = noise_subspace(cov, cfg.k_ues)

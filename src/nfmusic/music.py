@@ -13,15 +13,12 @@ eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
 steering vector instead of M - K; the difference is clamped at zero, where
 rounding can push an exactly orthogonal vector below it.  The planar-wave
 angular steering bank does not depend on the data, so it is built once per
-(array geometry, subgrid side, grid) and kept read-only in a small cache.  An
-:class:`EvalCounter` can be threaded through to audit how many steering-vector
-quotients a search spends.
+(array geometry, subgrid side, grid) and kept read-only in a small cache.
 """
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,16 +32,6 @@ _CHUNK = 16384
 
 CARTESIAN_AXES = ("x", "y", "z")
 ANGULAR_AXES = ("azimuth", "elevation")
-
-
-class EvalCounter:
-    """Counts steering-vector quotient evaluations."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
 
 
 @dataclass(frozen=True)
@@ -91,10 +78,6 @@ class GridSpec:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.count for ax in self.axes)
 
-    @property
-    def n_points(self) -> int:
-        return int(np.prod(self.shape))
-
     def axis_points(self) -> list[np.ndarray]:
         return [ax.points() for ax in self.axes]
 
@@ -125,7 +108,7 @@ class Peak:
 
 @dataclass(frozen=True)
 class PeakSet:
-    """Up to ``requested`` tallest strict local maxima, sorted by height."""
+    """Up to ``requested`` tallest local maxima, sorted by height."""
 
     peaks: tuple[Peak, ...]
     requested: int
@@ -144,16 +127,11 @@ def _column_energy(x: np.ndarray) -> np.ndarray:
 
 
 def _quotient_denominators(
-    un: NoiseSubspace,
-    steering: np.ndarray,
-    norms: np.ndarray,
-    counter: Optional[EvalCounter],
+    un: NoiseSubspace, steering: np.ndarray, norms: np.ndarray
 ) -> np.ndarray:
     """||U_n^H a||**2 + eps for each column ``a`` of ``steering``, whose squared
     norms are ``norms``, as max(||a||**2 - ||U_s^H a||**2, 0) + eps."""
     captured = _column_energy(un.signal.conj().T @ steering)
-    if counter is not None:
-        counter.add(steering.shape[1])
     return np.maximum(norms - captured, 0.0) + EPS_SCALE * norms
 
 
@@ -199,12 +177,7 @@ def _angular_bank(
     return steering, norms
 
 
-def spectrum_3d(
-    un: NoiseSubspace,
-    grid: GridSpec,
-    g: ArrayGeometry,
-    counter: Optional[EvalCounter] = None,
-) -> SpectrumGrid:
+def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> SpectrumGrid:
     """Spectrum over Cartesian locations using the exact array response.
 
     The grid axes must be named among x/y/z (in that relative order); an
@@ -236,16 +209,11 @@ def spectrum_3d(
         sl = slice(start, min(start + _CHUNK, px.size))
         steering = array_response(g, px[sl], py[sl], pz[sl])
         steering /= np.linalg.norm(steering, axis=0, keepdims=True)
-        values[sl] = 1.0 / _quotient_denominators(un, steering, _column_energy(steering), counter)
+        values[sl] = 1.0 / _quotient_denominators(un, steering, _column_energy(steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
-def spectrum_2d_angular(
-    un: NoiseSubspace,
-    grid: GridSpec,
-    g: ArrayGeometry,
-    counter: Optional[EvalCounter] = None,
-) -> SpectrumGrid:
+def spectrum_2d_angular(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> SpectrumGrid:
     """Spectrum over (azimuth, elevation) using the planar-wave response.
 
     The steering vectors live on the leading square subgrid matching the
@@ -256,7 +224,7 @@ def spectrum_2d_angular(
     steering, norms = _angular_bank(
         g.n_antennas, g.element_diag, g.wavelength, _subgrid_side(un, g), grid
     )
-    values = 1.0 / _quotient_denominators(un, steering, norms, counter)
+    values = 1.0 / _quotient_denominators(un, steering, norms)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
@@ -266,18 +234,19 @@ def spectrum_1d_distance(
     elevation: float,
     grid: GridSpec,
     g: ArrayGeometry,
-    counter: Optional[EvalCounter] = None,
 ) -> SpectrumGrid:
     """Spectrum over distance at fixed angles, using the polar-phase response."""
     if grid.names() != ("distance",):
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
     centers = _steering_subgrid(g, _subgrid_side(un, g))
     steering = polar_response(g, azimuth, elevation, grid.axis_points()[0], centers)
-    values = 1.0 / _quotient_denominators(un, steering, _column_energy(steering), counter)
+    values = 1.0 / _quotient_denominators(un, steering, _column_energy(steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
-def _strict_interior_maxima(values: np.ndarray) -> np.ndarray:
+def _interior_maxima(values: np.ndarray) -> np.ndarray:
+    """Interior cells above their lower neighbour and at least their upper one
+    on every axis; a flat top of equal cells keeps only its lowest-index cell."""
     mask = np.ones(values.shape, dtype=bool)
     nd = values.ndim
     for ax in range(nd):
@@ -288,21 +257,23 @@ def _strict_interior_maxima(values: np.ndarray) -> np.ndarray:
         mask[tuple(edge)] = False
     for ax in range(nd):
         mask &= values > np.roll(values, 1, axis=ax)
-        mask &= values > np.roll(values, -1, axis=ax)
+        mask &= values >= np.roll(values, -1, axis=ax)
     return mask
 
 
 def find_peaks(spectrum: SpectrumGrid, k: int) -> PeakSet:
-    """Top-k strict local maxima of a spectrum.
+    """Top-k local maxima of a spectrum.
 
-    A peak must strictly exceed its immediate axis neighbors (2 in 1-D, 4 in
-    2-D, 6 in 3-D) and cannot sit on the grid boundary.  Ties break toward
-    the lower linear index.  Fewer than k maxima is reported, not raised.
+    Along each axis a peak must exceed its lower neighbor and equal or exceed
+    its upper one (2 neighbors in 1-D, 4 in 2-D, 6 in 3-D), so a flat top of
+    equal cells gives one peak, at its lowest-index cell; a peak cannot sit on
+    the grid boundary.  Ties between peaks break toward the lower linear
+    index.  Fewer than k maxima is reported, not raised.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     values = spectrum.values
-    mask = _strict_interior_maxima(values)
+    mask = _interior_maxima(values)
     idx = np.argwhere(mask)
     if idx.size == 0:
         return PeakSet(peaks=(), requested=k)
@@ -332,16 +303,10 @@ class TwoStepResult:
 
     locations: tuple[PolarLocation, ...]
     angular_peaks: PeakSet
-    distance_peaks: tuple[PeakSet, ...]
     angular_spectrum: SpectrumGrid
     distance_spectra: tuple[SpectrumGrid, ...]
-    eval_count: int
     boundary_fallbacks: int
     warnings: tuple[str, ...] = ()
-
-    @property
-    def complete(self) -> bool:
-        return self.angular_peaks.complete and len(self.locations) == self.angular_peaks.requested
 
 
 def two_step_estimate(
@@ -351,7 +316,6 @@ def two_step_estimate(
     c_r: int,
     angle_grid: GridSpec,
     distance_grid: GridSpec,
-    counter: Optional[EvalCounter] = None,
 ) -> TwoStepResult:
     """Estimate up to ``k_sources`` polar locations from one snapshot block.
 
@@ -379,11 +343,10 @@ def two_step_estimate(
             f"{k_sources}; covariance rank may be deficient"
         )
 
-    counter = counter if counter is not None else EvalCounter()
     cov = smoothed_covariance(block, c_r)
     un = noise_subspace(cov, k_sources)
 
-    angular_spectrum = spectrum_2d_angular(un, angle_grid, g, counter)
+    angular_spectrum = spectrum_2d_angular(un, angle_grid, g)
     angular_peaks = find_peaks(angular_spectrum, k_sources)
 
     if not angular_peaks.complete:
@@ -392,12 +355,11 @@ def two_step_estimate(
         )
 
     locations: list[PolarLocation] = []
-    dist_peaksets: list[PeakSet] = []
     dist_spectra: list[SpectrumGrid] = []
     fallbacks = 0
     for peak in angular_peaks.peaks:
         az, el = peak.coords
-        spec_d = spectrum_1d_distance(un, az, el, distance_grid, g, counter)
+        spec_d = spectrum_1d_distance(un, az, el, distance_grid, g)
         pset = find_peaks(spec_d, 1)
         if pset.found:
             d_hat = pset.peaks[0].coords[0]
@@ -406,16 +368,13 @@ def two_step_estimate(
             d_hat = float(distance_grid.axis_points()[0][arg])
             fallbacks += 1
         locations.append(PolarLocation(azimuth=az, elevation=el, distance=d_hat))
-        dist_peaksets.append(pset)
         dist_spectra.append(spec_d)
 
     return TwoStepResult(
         locations=tuple(locations),
         angular_peaks=angular_peaks,
-        distance_peaks=tuple(dist_peaksets),
         angular_spectrum=angular_spectrum,
         distance_spectra=tuple(dist_spectra),
-        eval_count=counter.count,
         boundary_fallbacks=fallbacks,
         warnings=tuple(warnings),
     )

@@ -7,7 +7,7 @@ quantization but also fixes amplitude mismatch.
 """
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +36,6 @@ class CorrectionProblem:
     time order.
     """
 
-    a_hat: np.ndarray
-    pilots: np.ndarray
     stacked_channel: np.ndarray
     stacked_received: np.ndarray
 
@@ -58,14 +56,12 @@ def reconstruct_channels(
 ) -> ChannelMatrix:
     """Exact-model channel matrix evaluated at estimated polar locations."""
     carts = [polar_to_cart(p) for p in locations]
-    return channel_matrix(g, carts, provenance="estimated")
+    return channel_matrix(g, carts)
 
 
-def build_stacked(
-    a_hat: Union[ChannelMatrix, np.ndarray], pilots: np.ndarray, received: np.ndarray
-) -> CorrectionProblem:
-    """Assemble the stacked correction model from a block of L transmissions."""
-    a = np.asarray(a_hat.entries if isinstance(a_hat, ChannelMatrix) else a_hat)
+def build_stacked(a: np.ndarray, pilots: np.ndarray, received: np.ndarray) -> CorrectionProblem:
+    """Assemble the stacked correction model from the (N, K) channel estimate
+    ``a`` and a block of L transmissions."""
     k = a.shape[1]
     n, l = received.shape
     if pilots.shape != (k, l) or a.shape[0] != n:
@@ -75,12 +71,7 @@ def build_stacked(
         )
     stacked_channel = np.vstack([a * pilots[:, col][None, :] for col in range(l)])
     stacked_received = received.reshape(-1, order="F")
-    return CorrectionProblem(
-        a_hat=a,
-        pilots=pilots,
-        stacked_channel=stacked_channel,
-        stacked_received=stacked_received,
-    )
+    return CorrectionProblem(stacked_channel=stacked_channel, stacked_received=stacked_received)
 
 
 def estimate_correctors(problem: CorrectionProblem) -> CorrectorVector:
@@ -101,17 +92,9 @@ def estimate_correctors(problem: CorrectionProblem) -> CorrectorVector:
     return CorrectorVector(alpha=alpha)
 
 
-def apply_correction(
-    a_hat: Union[ChannelMatrix, np.ndarray], corrector: CorrectorVector
-) -> Union[ChannelMatrix, np.ndarray]:
-    """Scale column k of the channel estimate by alpha_k."""
-    if isinstance(a_hat, ChannelMatrix):
-        return ChannelMatrix(
-            entries=a_hat.entries * corrector.alpha[None, :],
-            geometry=a_hat.geometry,
-            provenance=a_hat.provenance,
-        )
-    return np.asarray(a_hat) * corrector.alpha[None, :]
+def apply_correction(a_hat: np.ndarray, corrector: CorrectorVector) -> np.ndarray:
+    """Scale column k of the (N, K) channel estimate by alpha_k."""
+    return a_hat * corrector.alpha[None, :]
 
 
 def ls_baseline(received: np.ndarray, pilots: np.ndarray) -> np.ndarray:

@@ -22,13 +22,11 @@ class SnapshotBlock:
         pilots: (K, L) transmitted pilot symbols.
         received: (N, L) received snapshots, column l = A @ pilots[:, l] + noise.
         noise_var: Per-entry complex noise variance used for synthesis.
-        snr_db: Requested SNR in dB (math.inf means noiseless).
     """
 
     pilots: np.ndarray
     received: np.ndarray
     noise_var: float
-    snr_db: float
 
     @property
     def n_pilots(self) -> int:
@@ -86,7 +84,7 @@ def received_block(
         )
     clean = entries @ pilots
     if math.isinf(snr_db):
-        return SnapshotBlock(pilots=pilots, received=clean, noise_var=0.0, snr_db=snr_db)
+        return SnapshotBlock(pilots=pilots, received=clean, noise_var=0.0)
     if noise_ref is None:
         n_antennas = entries.shape[0]
         noise_ref = float(np.linalg.norm(entries) ** 2 / n_antennas)
@@ -94,6 +92,4 @@ def received_block(
     if rng is None:
         raise ValueError("rng is required when snr_db is finite")
     noise = _complex_noise(clean.shape, noise_var, rng)
-    return SnapshotBlock(
-        pilots=pilots, received=clean + noise, noise_var=noise_var, snr_db=snr_db
-    )
+    return SnapshotBlock(pilots=pilots, received=clean + noise, noise_var=noise_var)

@@ -12,10 +12,9 @@ HERMITIAN_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class CovarianceEstimate:
-    """Hermitian PSD sample covariance with its effective snapshot count."""
+    """Hermitian PSD sample covariance."""
 
     matrix: np.ndarray
-    snapshot_count: int
 
     @property
     def dim(self) -> int:
@@ -26,15 +25,14 @@ class CovarianceEstimate:
 class NoiseSubspace:
     """Orthonormal eigenvectors spanning the smallest-eigenvalue subspace.
 
-    ``matrix`` is M x (M - k_sources); its columns are the eigenvectors of the
-    covariance associated with the M - K smallest eigenvalues.  ``signal`` is
-    M x k_sources and holds the remaining K eigenvectors, the orthogonal
+    ``matrix`` is M x (M - K) for K sources; its columns are the eigenvectors of
+    the covariance associated with the M - K smallest eigenvalues.  ``signal`` is
+    M x K and holds the remaining K eigenvectors, the orthogonal
     complement of ``matrix``; the spectra read it, because
     ``||U_n^H a||**2 = ||a||**2 - ||U_s^H a||**2`` costs K projections, not M - K.
     """
 
     matrix: np.ndarray
-    k_sources: int
     signal: np.ndarray
 
     @property
@@ -52,10 +50,9 @@ def sample_covariance(snapshots) -> CovarianceEstimate:
     x = np.atleast_2d(np.asarray(snapshots, dtype=complex))
     if x.size == 0:
         raise ValueError("at least one snapshot required")
-    count = x.shape[0]
-    r = x.T @ x.conj() / count
+    r = x.T @ x.conj() / x.shape[0]
     r = 0.5 * (r + r.conj().T)
-    return CovarianceEstimate(matrix=r, snapshot_count=count)
+    return CovarianceEstimate(matrix=r)
 
 
 def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
@@ -111,9 +108,7 @@ def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
     scale = np.linalg.norm(m)
     if scale > 0 and np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    order = np.argsort(vals, kind="stable")
-    return vals[order], vecs[:, order]
+    return np.linalg.eigh(0.5 * (m + m.conj().T))
 
 
 def noise_subspace(r: CovarianceEstimate, k_sources: int) -> NoiseSubspace:
@@ -123,8 +118,4 @@ def noise_subspace(r: CovarianceEstimate, k_sources: int) -> NoiseSubspace:
     if not 0 < k_sources < m:
         raise ValueError(f"source count must lie in (0, {m}), got {k_sources}")
     _, vecs = hermitian_eig(r)
-    return NoiseSubspace(
-        matrix=vecs[:, : m - k_sources],
-        k_sources=k_sources,
-        signal=vecs[:, m - k_sources :],
-    )
+    return NoiseSubspace(matrix=vecs[:, : m - k_sources], signal=vecs[:, m - k_sources :])

@@ -14,7 +14,7 @@ import pytest
 import nfmusic as nf
 from nfmusic.harness import ExperimentConfig, place_ues, run_experiment, scenario_fig1
 from nfmusic.metrics import match_estimates
-from nfmusic.music import EvalCounter, GridAxis, GridSpec, find_peaks, spectrum_3d, two_step_estimate
+from nfmusic.music import GridAxis, GridSpec, find_peaks, spectrum_3d, two_step_estimate
 from nfmusic.refine import build_stacked, estimate_correctors, ls_baseline, rls_baseline
 from nfmusic.signal import ROLE_NOISE, ROLE_PILOTS, ROLE_PLACEMENT, gen_pilots, received_block, stream
 from nfmusic.subspace import extract_subarrays, hermitian_eig, noise_subspace, sample_covariance
@@ -191,7 +191,9 @@ def test_criterion_6_complexity_counts():
     a = nf.channel_matrix(g, [loc])
     block = received_block(a, gen_pilots(1, 2, stream(6, 0)), 20.0, stream(6, 1))
     res = two_step_estimate(block, g, 1, 0, angle_grid, dist_grid)
-    two_step_count = res.eval_count
+    two_step_count = res.angular_spectrum.values.size + sum(
+        d.values.size for d in res.distance_spectra
+    )
 
     grid3 = GridSpec(
         (
@@ -200,18 +202,17 @@ def test_criterion_6_complexity_counts():
             GridAxis("z", 0.5, 3.0, 100),
         )
     )
-    counter = EvalCounter()
     un = noise_subspace(sample_covariance(block.received.T), 1)
-    spectrum_3d(un, grid3, g, counter)
-    ok = two_step_count == 10_100 and counter.count == 1_000_000
+    full_count = spectrum_3d(un, grid3, g).values.size
+    ok = two_step_count == 10_100 and full_count == 1_000_000
     _report(
         6,
         "search complexity: 10100 two-step vs 1e6 full-grid evaluations",
         ok,
-        f"(two-step {two_step_count}, full {counter.count})",
+        f"(two-step {two_step_count}, full {full_count})",
     )
     assert two_step_count == 10_100
-    assert counter.count == 1_000_000
+    assert full_count == 1_000_000
 
 
 def test_criterion_7_oracle_equivalences():

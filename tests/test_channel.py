@@ -245,14 +245,13 @@ class TestChannelMatrix:
         locs = [UeLocation(0.1, 0.2, 2.0), UeLocation(-0.5, 0.0, 4.0)]
         cm = channel_matrix(geo, locs)
         assert cm.entries.shape == (100, 2)
-        assert cm.provenance == ("true", "true")
         x, y, z = locs[1].x, locs[1].y, locs[1].z
         assert np.allclose(cm.entries[:, 1], array_response(geo, x, y, z))
 
     def test_rejects_nonfinite(self, geo):
         bad = np.full((100, 1), np.nan, dtype=complex)
         with pytest.raises(ValueError):
-            ChannelMatrix(entries=bad, geometry=geo, provenance=("true",))
+            ChannelMatrix(entries=bad)
 
 
 class TestExactIntegral:

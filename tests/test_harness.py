@@ -3,11 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nfmusic.harness as harness
 from nfmusic.cli import main as cli_main
 from nfmusic.geometry import PolarLocation, cart_to_polar, polar_to_cart
 from nfmusic.harness import (
+    KNOWN_METHODS,
     ConfigError,
     ExperimentConfig,
     parse_config_text,
@@ -429,9 +432,58 @@ class TestCli:
         assert "[0.0, 10.0, 20.0]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("field", ["azimuth_range", "elevation_range"])
+    def test_point_angular_range_returns_error_code(self, field, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"n_antennas=16\nk_ues=1\ntrials=1\nsnr_db_list=20\n{field}=0,0\n")
+        rc = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trials.csv").exists()
+
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("nonsense_key=1\n")
         rc = cli_main(["run", "--config", str(cfg_path)])
         assert rc == 2
         assert "config error" in capsys.readouterr().err
+
+
+@st.composite
+def _tiny_config_texts(draw):
+    """Config text for a 16-element array with 1-3 users, 2-6 points per grid
+    axis and angular ranges in degrees, some empty (lo == hi) or out of range."""
+
+    def degree_range():
+        lo = draw(st.integers(-95, 95))
+        hi = draw(st.one_of(st.just(lo), st.integers(lo, 95)))
+        return f"{lo},{hi}"
+
+    lines = {
+        "n_antennas": 16,
+        "k_ues": draw(st.integers(1, 3)),
+        "l_pilots": draw(st.integers(1, 4)),
+        "trials": 1,
+        "seed": draw(st.integers(0, 1000)),
+        "snr_db_list": draw(st.sampled_from([0, 20])),
+        "azimuth_range": degree_range(),
+        "elevation_range": degree_range(),
+        "min_angular_separation": draw(st.floats(0.0, 30.0)),
+        "methods": ",".join(
+            draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, unique=True))
+        ),
+    }
+    for name in ("azimuth", "elevation", "distance", "cart"):
+        lines[f"{name}_grid_points"] = draw(st.integers(2, 6))
+    return "\n".join(f"{k}={v}" for k, v in lines.items())
+
+
+class TestConfigProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_tiny_config_texts())
+    def test_config_runs_or_raises_config_error(self, text):
+        try:
+            report = run_experiment(parse_config_text(text))
+        except ConfigError:
+            return
+        assert report.records

@@ -11,7 +11,6 @@ from nfmusic.harness import ExperimentConfig, place_ues
 from nfmusic.metrics import match_estimates
 from nfmusic.music import (
     EPS_SCALE,
-    EvalCounter,
     GridAxis,
     GridSpec,
     SpectrumGrid,
@@ -95,9 +94,9 @@ class TestSpectrum3d:
             (GridAxis("x", -0.5, 0.5, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 1.0, 2.0, 3))
         )
         cov = sample_covariance(np.eye(16))
-        counter = EvalCounter()
-        spectrum_3d(noise_subspace(cov, 1), grid, geo16, counter)
-        assert counter.count == 7 * 5 * 3
+        spec = spectrum_3d(noise_subspace(cov, 1), grid, geo16)
+        assert spec.values.shape == (7, 5, 3)
+        assert spec.values.size == 7 * 5 * 3
 
     def test_rejects_nonpositive_z(self, geo16):
         grid = GridSpec((GridAxis("x", -1.0, 1.0, 3), GridAxis("z", -1.0, 1.0, 3)))
@@ -290,6 +289,23 @@ class TestFindPeaks:
         peaks = find_peaks(SpectrumGrid(self._grid1d(11), vals), 2)
         assert [p.indices[0] for p in peaks.peaks] == [3, 8]
 
+    def test_two_cell_plateau_keeps_its_lower_cell(self):
+        vals = np.array([1.0, 2.0, 5.0, 5.0, 2.0, 1.0])
+        peaks = find_peaks(SpectrumGrid(self._grid1d(6), vals), 2)
+        assert [p.indices for p in peaks.peaks] == [(2,)]
+
+    def test_three_cell_plateau_keeps_its_first_cell(self):
+        vals = np.array([1.0, 2.0, 5.0, 5.0, 5.0, 2.0, 1.0])
+        peaks = find_peaks(SpectrumGrid(self._grid1d(7), vals), 2)
+        assert [p.indices for p in peaks.peaks] == [(2,)]
+
+    def test_two_dimensional_plateau_keeps_its_lower_index_cell(self):
+        grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 6), GridAxis("elevation", -1.0, 1.0, 5)))
+        vals = np.ones((6, 5))
+        vals[2, 2] = vals[3, 2] = 4.0
+        peaks = find_peaks(SpectrumGrid(grid, vals), 2)
+        assert [p.indices for p in peaks.peaks] == [(2, 2)]
+
 
 class TestTwoStep:
     def test_noiseless_two_on_grid_sources_recovered_exactly(self):
@@ -307,7 +323,7 @@ class TestTwoStep:
         a = channel_matrix(g, [polar_to_cart(p) for p in truths])
         block = received_block(a, gen_pilots(2, 2, stream(5, 0)), math.inf)
         res = two_step_estimate(block, g, 2, 1, angle_grid, dist_grid)
-        assert res.complete
+        assert res.angular_peaks.complete and len(res.locations) == 2
         got = sorted(res.locations, key=lambda p: p.azimuth)
         want = sorted(truths, key=lambda p: p.azimuth)
         for e, t in zip(got, want):
@@ -324,7 +340,8 @@ class TestTwoStep:
         a = channel_matrix(geo16, locs)
         block = received_block(a, gen_pilots(2, 3, stream(6, 0)), 20.0, stream(6, 1))
         res = two_step_estimate(block, geo16, 2, 1, angle_grid, dist_grid)
-        assert res.eval_count == 18 * 11 + res.angular_peaks.found * 13
+        evals = res.angular_spectrum.values.size + sum(d.values.size for d in res.distance_spectra)
+        assert evals == 18 * 11 + res.angular_peaks.found * 13
 
     def test_scaling_snapshots_leaves_peaks_unchanged(self, geo16):
         angle_grid = GridSpec(
