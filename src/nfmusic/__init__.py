@@ -41,8 +41,6 @@ from .music import (
 )
 from .refine import (
     IllConditionedError,
-    apply_correction,
-    build_stacked,
     estimate_correctors,
     ls_baseline,
     reconstruct_channels,
@@ -50,7 +48,6 @@ from .refine import (
 )
 from .signal import SnapshotBlock, gen_pilots, received_block, stream
 from .subspace import (
-    CovarianceEstimate,
     NoiseSubspace,
     extract_subarrays,
     hermitian_eig,

@@ -57,8 +57,6 @@ from .music import (
 )
 from .refine import (
     IllConditionedError,
-    apply_correction,
-    build_stacked,
     estimate_correctors,
     ls_baseline,
     reconstruct_channels,
@@ -78,7 +76,10 @@ from .subspace import noise_subspace, sample_covariance, smoothed_covariance
 logger = logging.getLogger(__name__)
 
 KNOWN_METHODS = ("proposed", "proposed_nocorrect", "ls", "rls", "music3d")
-PARAMETRIC_TWO_STEP = ("proposed", "proposed_nocorrect")
+# Each parametric search and the methods that score its estimates.
+SEARCHES = (("two-step", ("proposed", "proposed_nocorrect")), ("full-array", ("music3d",)))
+# Methods that rescale the reconstructed channels with the LS corrector.
+CORRECTED = ("proposed", "music3d")
 PLACEMENT_BUDGET = 100_000
 
 
@@ -130,6 +131,11 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 1")
         if self.c_r < 0 or self.c_r >= side:
             raise ConfigError(f"c_r must lie in [0, {side - 1}]")
+        if self.k_ues >= (side - self.c_r) ** 2:
+            raise ConfigError(
+                f"k_ues must be below {(side - self.c_r) ** 2}, the element count of the "
+                f"{side - self.c_r}x{side - self.c_r} subarray, for a noise subspace to remain"
+            )
         if self.wavelength <= 0 or self.element_diag <= 0:
             raise ConfigError("wavelength and element_diag must be positive")
         if not self.snr_db_list:
@@ -173,6 +179,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {unknown}; known: {KNOWN_METHODS}")
         if not self.methods:
             raise ConfigError("methods must be nonempty")
+        if len(set(self.methods)) != len(self.methods):
+            raise ConfigError("methods entries must be distinct")
 
     def geometry(self) -> ArrayGeometry:
         return build_geometry(self.n_antennas, self.element_diag, self.wavelength)
@@ -355,77 +363,6 @@ def _row(
     )
 
 
-def _nan_rows(
-    methods: Sequence[str], snr_db: float, trial: int, k_ues: int, peaks_found: int
-) -> list[TrialRecord]:
-    return [_row(m, snr_db, trial, k, peaks_found) for m in methods for k in range(k_ues)]
-
-
-def _score_parametric(
-    methods: Sequence[str],
-    est_locs: Sequence[PolarLocation],
-    peaks_found: int,
-    truth_polar: Sequence[PolarLocation],
-    a_true: np.ndarray,
-    pilots: np.ndarray,
-    received: np.ndarray,
-    g: ArrayGeometry,
-    d_fa: float,
-    snr_db: float,
-    trial: int,
-) -> list[TrialRecord]:
-    """Score one or both parametric variants from a shared set of locations.
-
-    Estimates are matched to true users before reconstruction so the pilot
-    pairing inside the corrector is consistent; unmatched users produce NaN
-    rows and mark the trial as failed.
-    """
-    k_ues = len(truth_polar)
-    perm = match_estimates(truth_polar, est_locs, d_fa)
-    ordered = [est_locs[p] if p is not None else None for p in perm]
-    matched = [k for k in range(k_ues) if ordered[k] is not None]
-
-    if not matched:
-        return _nan_rows(methods, snr_db, trial, k_ues, peaks_found)
-
-    recon = reconstruct_channels([ordered[k] for k in matched], g).entries
-    full = np.zeros((a_true.shape[0], k_ues), dtype=complex)
-    for j, k in enumerate(matched):
-        full[:, k] = recon[:, j]
-
-    corrected = None
-    if any(m in ("proposed", "music3d") for m in methods):
-        try:
-            problem = build_stacked(recon, pilots[matched, :], received)
-            corrected_cols = apply_correction(recon, estimate_correctors(problem))
-            corrected = np.zeros_like(full)
-            for j, k in enumerate(matched):
-                corrected[:, k] = corrected_cols[:, j]
-        except IllConditionedError as exc:
-            logger.warning("trial %d at %.1f dB: corrector failed: %s", trial, snr_db, exc)
-            corrected = None
-
-    rows: list[TrialRecord] = []
-    for method in methods:
-        estimate = corrected if method in ("proposed", "music3d") else full
-        for k in range(k_ues):
-            if estimate is None or ordered[k] is None:
-                rows.append(_row(method, snr_db, trial, k, peaks_found))
-            else:
-                rows.append(
-                    _row(
-                        method,
-                        snr_db,
-                        trial,
-                        k,
-                        peaks_found,
-                        channels=(a_true[:, k], estimate[:, k]),
-                        locations=(truth_polar[k], ordered[k]),
-                    )
-                )
-    return rows
-
-
 def _place_users(
     cfg: ExperimentConfig, g: ArrayGeometry, key: tuple[int, int]
 ) -> tuple[list[UeLocation], ChannelMatrix]:
@@ -461,6 +398,24 @@ def _full_array_spectrum(
     return spectrum_3d(un, grid, g)
 
 
+def _search(
+    search: str,
+    cfg: ExperimentConfig,
+    g: ArrayGeometry,
+    block: SnapshotBlock,
+    angle_grid: GridSpec,
+    dist_grid: GridSpec,
+) -> tuple[Sequence[PolarLocation], int]:
+    """Estimated user locations, in peak order, and the number of peaks found
+    by the ``two-step`` or the ``full-array`` search."""
+    if search == "two-step":
+        result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
+        return result.locations, result.angular_peaks.found
+    spec = _full_array_spectrum(block, cfg.k_ues, cfg.cartesian_grid(), g)
+    peaks = find_peaks(spec, cfg.k_ues)
+    return [cart_to_polar(UeLocation(*p.coords)) for p in peaks.peaks], peaks.found
+
+
 def _run_trial(
     cfg: ExperimentConfig,
     g: ArrayGeometry,
@@ -469,6 +424,14 @@ def _run_trial(
     snr_index: int,
     trial: int,
 ) -> list[TrialRecord]:
+    """One row per (method, user) for one synthesized trial.
+
+    Each parametric search runs once for the methods it serves.  Its
+    estimates are matched to the true users before reconstruction, so the
+    pilot pairing inside the corrector is consistent; a user left unmatched,
+    a failed search and a failed corrector give NaN rows, which mark the
+    trial as failed for that method.
+    """
     snr_db = cfg.snr_db_list[snr_index]
     locs, a_true = _place_users(cfg, g, (snr_index, trial))
     truth_polar = [cart_to_polar(l) for l in locs]
@@ -476,71 +439,63 @@ def _run_trial(
     _, d_fa = near_field_bounds(g)
 
     rows: list[TrialRecord] = []
-    two_step_methods = [m for m in cfg.methods if m in PARAMETRIC_TWO_STEP]
-    if two_step_methods:
+    for search, served in SEARCHES:
+        methods = [m for m in cfg.methods if m in served]
+        if not methods:
+            continue
+        estimates: dict[str, np.ndarray] = {}  # method -> columns of the matched users
         try:
-            result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
+            found, peaks_found = _search(search, cfg, g, block, angle_grid, dist_grid)
+            perm = match_estimates(truth_polar, found, d_fa)
+            # user -> its matched estimate, in user order
+            matched = {k: found[p] for k, p in enumerate(perm) if p is not None}
+            if matched:
+                a_hat = reconstruct_channels(list(matched.values()), g).entries
+                for method in methods:
+                    if method not in CORRECTED:
+                        estimates[method] = a_hat
+                        continue
+                    pilots = block.pilots[list(matched), :]
+                    try:
+                        estimates[method] = a_hat * estimate_correctors(
+                            a_hat, pilots, block.received
+                        )
+                    except IllConditionedError as exc:
+                        logger.warning(
+                            "trial %d at %.1f dB: corrector failed: %s", trial, snr_db, exc
+                        )
+        except ValueError as exc:
+            logger.warning("%s trial %d at %.1f dB aborted: %s", search, trial, snr_db, exc)
+            matched, estimates, peaks_found = {}, {}, 0
+        for method in methods:
+            columns = dict(zip(matched, estimates[method].T)) if method in estimates else {}
             rows.extend(
-                _score_parametric(
-                    two_step_methods,
-                    result.locations,
-                    result.angular_peaks.found,
-                    truth_polar,
-                    a_true.entries,
-                    block.pilots,
-                    block.received,
-                    g,
-                    d_fa,
+                _row(
+                    method,
                     snr_db,
                     trial,
+                    k,
+                    peaks_found,
+                    channels=(a_true.entries[:, k], columns[k]),
+                    locations=(truth_polar[k], matched[k]),
                 )
+                if k in columns
+                else _row(method, snr_db, trial, k, peaks_found)
+                for k in range(cfg.k_ues)
             )
-        except ValueError as exc:
-            logger.warning("two-step trial %d at %.1f dB aborted: %s", trial, snr_db, exc)
-            rows.extend(_nan_rows(two_step_methods, snr_db, trial, cfg.k_ues, 0))
 
-    if "music3d" in cfg.methods:
-        try:
-            spec = _full_array_spectrum(block, cfg.k_ues, cfg.cartesian_grid(), g)
-            peaks = find_peaks(spec, cfg.k_ues)
-            est = [
-                cart_to_polar(UeLocation(x=c[0], y=c[1], z=c[2]))
-                for c in (p.coords for p in peaks.peaks)
-            ]
-            rows.extend(
-                _score_parametric(
-                    ["music3d"],
-                    est,
-                    peaks.found,
-                    truth_polar,
-                    a_true.entries,
-                    block.pilots,
-                    block.received,
-                    g,
-                    d_fa,
-                    snr_db,
-                    trial,
-                )
-            )
-        except ValueError as exc:
-            logger.warning("3-D search trial %d at %.1f dB aborted: %s", trial, snr_db, exc)
-            rows.extend(_nan_rows(["music3d"], snr_db, trial, cfg.k_ues, 0))
-
-    for method, estimate in _baseline_estimates(cfg, block):
+    for method in cfg.methods:
+        if method == "ls":
+            estimate = ls_baseline(block.received, block.pilots)
+        elif method == "rls":
+            estimate = rls_baseline(block.received, block.pilots, block.noise_var)
+        else:
+            continue
         rows.extend(
             _row(method, snr_db, trial, k, cfg.k_ues, (a_true.entries[:, k], estimate[:, k]))
             for k in range(cfg.k_ues)
         )
     return rows
-
-
-def _baseline_estimates(cfg, block):
-    out = []
-    if "ls" in cfg.methods:
-        out.append(("ls", ls_baseline(block.received, block.pilots)))
-    if "rls" in cfg.methods:
-        out.append(("rls", rls_baseline(block.received, block.pilots, block.noise_var)))
-    return out
 
 
 @functools.lru_cache(maxsize=1)
@@ -788,6 +743,8 @@ def dump_spectrum(
             f"snr_db {snr_db:g} is not in snr_db_list {list(cfg.snr_db_list)}; "
             "its random streams are keyed by the list position"
         )
+    if trial < 0:
+        raise ConfigError(f"trial must be >= 0, got {trial}")
     snr_index = cfg.snr_db_list.index(snr_db)
     g = cfg.geometry()
     _, a_true = _place_users(cfg, g, (snr_index, trial))
@@ -806,7 +763,7 @@ def dump_spectrum(
             angular = spectrum_2d_angular(un, cfg.angular_grid(), g)
             peaks = find_peaks(angular, 1)
             if not peaks.found:
-                raise ValueError("no angular peak found; pass azimuth/elevation explicitly")
+                raise ConfigError("no angular peak found; pass azimuth/elevation explicitly")
             azimuth, elevation = peaks.peaks[0].coords
         spec = spectrum_1d_distance(un, azimuth, elevation, cfg.distance_grid(), g)
         return dump_spectrum_csv(spec, out_path)

@@ -6,7 +6,6 @@ channel columns.  It mostly compensates phase error from location-parameter
 quantization but also fixes amplitude mismatch.
 """
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,30 +26,6 @@ class IllConditionedError(ValueError):
         self.condition = condition
 
 
-@dataclass(frozen=True)
-class CorrectionProblem:
-    """Stacked linear model relating per-user scales to the received block.
-
-    ``stacked_channel`` has block row l equal to A_hat @ diag(pilots[:, l]);
-    ``stacked_received`` is the received matrix flattened column by column in
-    time order.
-    """
-
-    stacked_channel: np.ndarray
-    stacked_received: np.ndarray
-
-
-@dataclass(frozen=True)
-class CorrectorVector:
-    """One complex correction factor per user."""
-
-    alpha: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.alpha)):
-            raise ValueError("corrector entries must be finite")
-
-
 def reconstruct_channels(
     locations: Sequence[PolarLocation], g: ArrayGeometry
 ) -> ChannelMatrix:
@@ -59,42 +34,37 @@ def reconstruct_channels(
     return channel_matrix(g, carts)
 
 
-def build_stacked(a: np.ndarray, pilots: np.ndarray, received: np.ndarray) -> CorrectionProblem:
-    """Assemble the stacked correction model from the (N, K) channel estimate
-    ``a`` and a block of L transmissions."""
-    k = a.shape[1]
+def estimate_correctors(
+    a_hat: np.ndarray, pilots: np.ndarray, received: np.ndarray
+) -> np.ndarray:
+    """Least-squares per-user scales ``alpha`` for the (N, K) channel estimate
+    ``a_hat`` and a block of L transmissions; the corrected estimate is
+    ``a_hat * alpha``.
+
+    The stacked model has block row l equal to ``a_hat @ diag(pilots[:, l])``
+    against column l of ``received``.  It is solved through an orthogonal
+    factorization rather than the normal equations; raises
+    :class:`IllConditionedError` when the normal-matrix condition number
+    exceeds ``NORMAL_COND_LIMIT``.
+    """
+    k = a_hat.shape[1]
     n, l = received.shape
-    if pilots.shape != (k, l) or a.shape[0] != n:
+    if pilots.shape != (k, l) or a_hat.shape[0] != n:
         raise ValueError(
-            f"dimension mismatch: channel {a.shape}, pilots {pilots.shape}, "
+            f"dimension mismatch: channel {a_hat.shape}, pilots {pilots.shape}, "
             f"received {received.shape}"
         )
-    stacked_channel = np.vstack([a * pilots[:, col][None, :] for col in range(l)])
-    stacked_received = received.reshape(-1, order="F")
-    return CorrectionProblem(stacked_channel=stacked_channel, stacked_received=stacked_received)
-
-
-def estimate_correctors(problem: CorrectionProblem) -> CorrectorVector:
-    """Least-squares per-user scales for the stacked model.
-
-    Solved through an orthogonal factorization rather than the normal
-    equations; raises :class:`IllConditionedError` when the normal-matrix
-    condition number exceeds ``NORMAL_COND_LIMIT``.
-    """
-    a = problem.stacked_channel
-    sing = np.linalg.svd(a, compute_uv=False)
+    stacked = np.vstack([a_hat * pilots[:, col][None, :] for col in range(l)])
+    sing = np.linalg.svd(stacked, compute_uv=False)
     if sing[-1] == 0.0:
         raise IllConditionedError(np.inf)
     cond_normal = (sing[0] / sing[-1]) ** 2
     if cond_normal > NORMAL_COND_LIMIT:
         raise IllConditionedError(float(cond_normal))
-    alpha, *_ = np.linalg.lstsq(a, problem.stacked_received, rcond=None)
-    return CorrectorVector(alpha=alpha)
-
-
-def apply_correction(a_hat: np.ndarray, corrector: CorrectorVector) -> np.ndarray:
-    """Scale column k of the (N, K) channel estimate by alpha_k."""
-    return a_hat * corrector.alpha[None, :]
+    alpha, *_ = np.linalg.lstsq(stacked, received.reshape(-1, order="F"), rcond=None)
+    if not np.all(np.isfinite(alpha)):
+        raise ValueError("corrector entries must be finite")
+    return alpha
 
 
 def ls_baseline(received: np.ndarray, pilots: np.ndarray) -> np.ndarray:

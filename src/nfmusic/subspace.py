@@ -11,17 +11,6 @@ HERMITIAN_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
-class CovarianceEstimate:
-    """Hermitian PSD sample covariance."""
-
-    matrix: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
 class NoiseSubspace:
     """Orthonormal eigenvectors spanning the smallest-eigenvalue subspace.
 
@@ -40,8 +29,8 @@ class NoiseSubspace:
         return self.matrix.shape[0]
 
 
-def sample_covariance(snapshots) -> CovarianceEstimate:
-    """Average outer products (1/L) sum_l q_l q_l^H.
+def sample_covariance(snapshots) -> np.ndarray:
+    """Hermitian M x M average of outer products (1/L) sum_l q_l q_l^H.
 
     Args:
         snapshots: Sequence of length-M vectors, or an (L, M) array with one
@@ -51,8 +40,7 @@ def sample_covariance(snapshots) -> CovarianceEstimate:
     if x.size == 0:
         raise ValueError("at least one snapshot required")
     r = x.T @ x.conj() / x.shape[0]
-    r = 0.5 * (r + r.conj().T)
-    return CovarianceEstimate(matrix=r)
+    return 0.5 * (r + r.conj().T)
 
 
 def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
@@ -83,7 +71,7 @@ def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
     return out
 
 
-def smoothed_covariance(block: SnapshotBlock, c_r: int) -> CovarianceEstimate:
+def smoothed_covariance(block: SnapshotBlock, c_r: int) -> np.ndarray:
     """Sample covariance over all L * T**2 subarray snapshots of a block."""
     n = block.n_antennas
     side = math.isqrt(n)
@@ -99,10 +87,10 @@ def smoothed_covariance(block: SnapshotBlock, c_r: int) -> CovarianceEstimate:
 def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    Accepts a CovarianceEstimate or a raw matrix.  Rejects inputs whose
-    Hermitian defect exceeds ``HERMITIAN_RTOL`` relative to the matrix norm.
+    Rejects inputs whose Hermitian defect exceeds ``HERMITIAN_RTOL`` relative
+    to the matrix norm.
     """
-    m = np.asarray(r.matrix if isinstance(r, CovarianceEstimate) else r)
+    m = np.asarray(r)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     scale = np.linalg.norm(m)
@@ -111,10 +99,10 @@ def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.eigh(0.5 * (m + m.conj().T))
 
 
-def noise_subspace(r: CovarianceEstimate, k_sources: int) -> NoiseSubspace:
-    """Eigenvectors of the M - K smallest eigenvalues of the covariance, with
-    the K signal eigenvectors of the same decomposition."""
-    m = r.dim
+def noise_subspace(r: np.ndarray, k_sources: int) -> NoiseSubspace:
+    """Eigenvectors of the M - K smallest eigenvalues of the M x M covariance
+    ``r``, with the K signal eigenvectors of the same decomposition."""
+    m = r.shape[0]
     if not 0 < k_sources < m:
         raise ValueError(f"source count must lie in (0, {m}), got {k_sources}")
     _, vecs = hermitian_eig(r)

@@ -1,5 +1,9 @@
+import contextlib
 import dataclasses
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +23,7 @@ from nfmusic.harness import (
     scenario_fig1,
 )
 from nfmusic.metrics import AggregateRecord, TrialRecord, aggregate
+from nfmusic.refine import IllConditionedError
 from nfmusic.signal import stream
 
 
@@ -42,6 +47,15 @@ class TestConfigDefaults:
             ExperimentConfig(snr_ref="sometimes")
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_db_list=(10.0, 10.0))
+        with pytest.raises(ConfigError, match="methods"):
+            ExperimentConfig(methods=("proposed", "proposed", "ls"))
+        for k_ues, c_r in ((9, 1), (16, 0), (17, 0)):
+            with pytest.raises(ConfigError, match="k_ues"):
+                ExperimentConfig(n_antennas=16, k_ues=k_ues, c_r=c_r)
+
+    @pytest.mark.parametrize("k_ues, c_r", [(8, 1), (15, 0)])
+    def test_users_below_the_subarray_size_accepted(self, k_ues, c_r):
+        assert ExperimentConfig(n_antennas=16, k_ues=k_ues, c_r=c_r).k_ues == k_ues
 
     def test_distance_below_near_field_limit_warns(self):
         with pytest.warns(UserWarning):
@@ -263,6 +277,26 @@ class TestRunExperiment:
         with pytest.raises(TypeError, match="estimator bug"):
             run_experiment(_tiny_config(methods=("proposed", "ls"), trials=1))
 
+    def test_corrector_failure_fails_only_corrected_method(self, monkeypatch):
+        def ill_conditioned(*args, **kwargs):
+            raise IllConditionedError(math.inf)
+
+        monkeypatch.setattr(harness, "estimate_correctors", ill_conditioned)
+        cfg = _tiny_config(methods=("proposed", "proposed_nocorrect", "ls", "rls"), trials=2)
+        report = run_experiment(cfg)
+        rows = {m: [r for r in report.records if r.method == m] for m in cfg.methods}
+        assert all(len(v) == 2 * 2 for v in rows.values())
+        assert all(math.isnan(r.nmse) and math.isnan(r.az_err_rad) for r in rows["proposed"])
+        # the search still ran: both variants report the peaks it found
+        found = [r.peaks_found for r in rows["proposed_nocorrect"]]
+        assert [r.peaks_found for r in rows["proposed"]] == found
+        assert all(f == cfg.k_ues for f in found)
+        for method in ("proposed_nocorrect", "ls", "rls"):
+            assert all(math.isfinite(r.nmse) for r in rows[method])
+        assert all(math.isfinite(r.az_err_rad) for r in rows["proposed_nocorrect"])
+        failed = {a.method: a.trials_failed for a in report.aggregates}
+        assert failed == {"proposed": 2, "proposed_nocorrect": 0, "ls": 0, "rls": 0}
+
     def test_estimation_failure_scores_failed_trial(self, monkeypatch):
         def fails(*args, **kwargs):
             raise ValueError("no usable subspace")
@@ -379,6 +413,13 @@ class TestDumpSpectrum:
         assert lines[0] == "axis1,axis2,value"
         assert len(lines) == 1 + 40 * 30
 
+    def test_distance_dump_without_angular_peak_rejected(self, tmp_path):
+        # a 2x2 angular grid has no interior cell, so no peak to take angles from
+        cfg = _tiny_config(azimuth_grid_points=2, elevation_grid_points=2)
+        with pytest.raises(ConfigError, match="azimuth/elevation"):
+            harness.dump_spectrum(cfg, "distance", tmp_path / "dist.csv")
+        assert not (tmp_path / "dist.csv").exists()
+
     def test_distance_dump_with_explicit_angles(self, tmp_path):
         cfg = _tiny_config()
         out = harness.dump_spectrum(
@@ -441,6 +482,28 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["fig1"], ["dump-spectrum", "--kind", "xz", "--out", "spec.csv"]]
+    )
+    def test_too_many_users_returns_error_code(self, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=16\nk_ues=17\ntrials=1\nsnr_db_list=20\n")
+        rc = cli_main([*argv, "--config", str(cfg_path)])
+        assert rc == 2
+        assert "k_ues" in capsys.readouterr().err
+
+    def test_dump_spectrum_negative_trial_returns_error_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n")
+        out = tmp_path / "spec.csv"
+        rc = cli_main(
+            ["dump-spectrum", "--config", str(cfg_path), "--kind", "angular", "--out", str(out),
+             "--trial", "-1"]
+        )
+        assert rc == 2
+        assert "trial" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("nonsense_key=1\n")
@@ -451,17 +514,17 @@ class TestCli:
 
 @st.composite
 def _tiny_config_texts(draw):
-    """Config text for a 16-element array with 1-3 users, 2-6 points per grid
-    axis and angular ranges in degrees, some empty (lo == hi) or out of range."""
+    """Config text for a 16-element array with 1-20 users, 2-6 points per grid
+    axis, angular ranges in degrees, some empty (lo == hi) or out of range, and
+    a method list that may repeat an entry."""
 
     def degree_range():
-        lo = draw(st.integers(-95, 95))
-        hi = draw(st.one_of(st.just(lo), st.integers(lo, 95)))
-        return f"{lo},{hi}"
+        lo = draw(st.integers(-92, 60))
+        return f"{lo},{lo + draw(st.sampled_from([20, 5, 40, 0]))}"
 
     lines = {
         "n_antennas": 16,
-        "k_ues": draw(st.integers(1, 3)),
+        "k_ues": draw(st.integers(1, 20)),
         "l_pilots": draw(st.integers(1, 4)),
         "trials": 1,
         "seed": draw(st.integers(0, 1000)),
@@ -469,9 +532,7 @@ def _tiny_config_texts(draw):
         "azimuth_range": degree_range(),
         "elevation_range": degree_range(),
         "min_angular_separation": draw(st.floats(0.0, 30.0)),
-        "methods": ",".join(
-            draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, unique=True))
-        ),
+        "methods": ",".join(draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, max_size=4))),
     }
     for name in ("azimuth", "elevation", "distance", "cart"):
         lines[f"{name}_grid_points"] = draw(st.integers(2, 6))
@@ -479,11 +540,27 @@ def _tiny_config_texts(draw):
 
 
 class TestConfigProperty:
-    @settings(max_examples=60, deadline=None)
-    @given(_tiny_config_texts())
-    def test_config_runs_or_raises_config_error(self, text):
+    @settings(max_examples=200, deadline=None)
+    @given(_tiny_config_texts(), st.sampled_from([-1, 0, 1]))
+    def test_config_runs_or_raises_config_error(self, text, trial):
+        """A sweep, the plane-slice scenario and every spectrum dump of an
+        accepted config either return or raise ConfigError, and a sweep has one
+        row per (method, SNR, trial, user)."""
         try:
-            report = run_experiment(parse_config_text(text))
+            cfg = parse_config_text(text)
         except ConfigError:
             return
-        assert report.records
+        # a hopeless placement raises ConfigError after PLACEMENT_BUDGET
+        # attempts either way; a small budget keeps such examples cheap
+        with mock.patch.object(harness, "PLACEMENT_BUDGET", 1000):
+            with contextlib.suppress(ConfigError):
+                report = run_experiment(cfg)
+                keys = {(r.method, r.snr_db, r.trial, r.ue) for r in report.records}
+                n_rows = len(cfg.methods) * len(cfg.snr_db_list) * cfg.trials * cfg.k_ues
+                assert len(keys) == len(report.records) == n_rows
+            with contextlib.suppress(ConfigError):
+                scenario_fig1(cfg)
+            with tempfile.TemporaryDirectory() as out:
+                for kind in ("angular", "distance", "xz"):
+                    with contextlib.suppress(ConfigError):
+                        harness.dump_spectrum(cfg, kind, Path(out) / f"{kind}.csv", trial=trial)

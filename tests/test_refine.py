@@ -7,8 +7,6 @@ from nfmusic.channel import array_response, channel_matrix
 from nfmusic.geometry import PolarLocation, UeLocation, build_geometry, cart_to_polar, polar_to_cart
 from nfmusic.refine import (
     IllConditionedError,
-    apply_correction,
-    build_stacked,
     estimate_correctors,
     ls_baseline,
     reconstruct_channels,
@@ -49,24 +47,41 @@ class TestReconstructChannels:
         assert abs(phase) == pytest.approx(2 * math.pi * 0.01 / geo.wavelength, rel=0.02)
 
 
+def stacked_oracle(a, s, q):
+    """The stacked correction model written out by index: row l*N + i holds
+    a[i, k] * s[k, l] in column k and q[i, l] on the right-hand side."""
+    n, k = a.shape
+    l = s.shape[1]
+    a_ds = np.empty((l * n, k), dtype=complex)
+    q_ds = np.empty(l * n, dtype=complex)
+    for ll in range(l):
+        for i in range(n):
+            for kk in range(k):
+                a_ds[ll * n + i, kk] = a[i, kk] * s[kk, ll]
+            q_ds[ll * n + i] = q[i, ll]
+    return a_ds, q_ds
+
+
 class TestBuildStacked:
+    """The corrector stacks the L transmissions in time order."""
+
     def test_single_transmission(self):
         rng = np.random.default_rng(1)
         a = random_complex(rng, (5, 3))
         s = random_complex(rng, (3, 1))
         q = random_complex(rng, (5, 1))
-        problem = build_stacked(a, s, q)
-        assert np.allclose(problem.stacked_channel, a * s[:, 0][None, :])
-        assert np.array_equal(problem.stacked_received, q[:, 0])
+        expected, *_ = np.linalg.lstsq(a * s[:, 0][None, :], q[:, 0], rcond=None)
+        assert np.allclose(estimate_correctors(a, s, q), expected, atol=1e-12)
 
     def test_single_user_column_structure(self):
         rng = np.random.default_rng(2)
         a = random_complex(rng, (4, 1))
         s = random_complex(rng, (1, 3))
         q = random_complex(rng, (4, 3))
-        problem = build_stacked(a, s, q)
-        expected = np.concatenate([s[0, l] * a[:, 0] for l in range(3)])
-        assert np.allclose(problem.stacked_channel[:, 0], expected)
+        column = np.concatenate([s[0, l] * a[:, 0] for l in range(3)])
+        received = np.concatenate([q[:, l] for l in range(3)])
+        expected = np.vdot(column, received) / np.vdot(column, column)
+        assert estimate_correctors(a, s, q) == pytest.approx([expected], abs=1e-12)
 
     def test_index_arithmetic_oracle(self):
         rng = np.random.default_rng(3)
@@ -74,19 +89,12 @@ class TestBuildStacked:
         a = random_complex(rng, (n, k))
         s = random_complex(rng, (k, l))
         q = random_complex(rng, (n, l))
-        problem = build_stacked(a, s, q)
-        assert problem.stacked_channel.shape == (l * n, k)
-        for ll in range(l):
-            for i in range(n):
-                for kk in range(k):
-                    assert problem.stacked_channel[ll * n + i, kk] == pytest.approx(
-                        a[i, kk] * s[kk, ll]
-                    )
-                assert problem.stacked_received[ll * n + i] == q[i, ll]
+        expected, *_ = np.linalg.lstsq(*stacked_oracle(a, s, q), rcond=None)
+        assert np.allclose(estimate_correctors(a, s, q), expected, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            build_stacked(np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((4, 2)))
+            estimate_correctors(np.zeros((4, 2)), np.zeros((3, 2)), np.zeros((4, 2)))
 
 
 class TestEstimateCorrectors:
@@ -95,7 +103,7 @@ class TestEstimateCorrectors:
         a = channel_matrix(geo, locs)
         s = gen_pilots(2, 3, stream(4, 0))
         block = received_block(a, s, math.inf)
-        alpha = estimate_correctors(build_stacked(a.entries, s, block.received)).alpha
+        alpha = estimate_correctors(a.entries, s, block.received)
         assert np.allclose(alpha, 1.0, atol=1e-9)
 
     def test_recovers_per_column_scales(self, geo):
@@ -105,59 +113,53 @@ class TestEstimateCorrectors:
         q = a @ s
         scales = np.array([0.5 - 1.5j, 2.0 + 0.3j])
         a_scaled = a / scales[None, :]
-        alpha = estimate_correctors(build_stacked(a_scaled, s, q)).alpha
+        alpha = estimate_correctors(a_scaled, s, q)
         assert np.allclose(alpha, scales, atol=1e-9)
 
     def test_matches_normal_equation_closed_form(self):
         rng = np.random.default_rng(6)
-        a_ds = random_complex(rng, (30, 4))
-        q = random_complex(rng, 30)
-        from nfmusic.refine import CorrectionProblem
-
-        problem = CorrectionProblem(stacked_channel=a_ds, stacked_received=q)
-        got = estimate_correctors(problem).alpha
-        closed = np.linalg.inv(a_ds.conj().T @ a_ds) @ a_ds.conj().T @ q
-        assert np.allclose(got, closed, atol=1e-9)
+        a = random_complex(rng, (10, 4))
+        s = random_complex(rng, (4, 3))
+        q = random_complex(rng, (10, 3))
+        a_ds, q_ds = stacked_oracle(a, s, q)
+        closed = np.linalg.inv(a_ds.conj().T @ a_ds) @ a_ds.conj().T @ q_ds
+        assert np.allclose(estimate_correctors(a, s, q), closed, atol=1e-9)
 
     def test_residual_minimality(self):
         rng = np.random.default_rng(7)
-        a_ds = random_complex(rng, (24, 3))
-        q = random_complex(rng, 24)
-        from nfmusic.refine import CorrectionProblem
-
-        problem = CorrectionProblem(stacked_channel=a_ds, stacked_received=q)
-        alpha = estimate_correctors(problem).alpha
-        best = np.linalg.norm(q - a_ds @ alpha)
+        a = random_complex(rng, (8, 3))
+        s = random_complex(rng, (3, 3))
+        q = random_complex(rng, (8, 3))
+        a_ds, q_ds = stacked_oracle(a, s, q)
+        alpha = estimate_correctors(a, s, q)
+        best = np.linalg.norm(q_ds - a_ds @ alpha)
         for _ in range(100):
             v = alpha + 0.1 * random_complex(rng, 3)
-            assert best <= np.linalg.norm(q - a_ds @ v) + 1e-12
-        ones = np.linalg.norm(q - a_ds @ np.ones(3))
+            assert best <= np.linalg.norm(q_ds - a_ds @ v) + 1e-12
+        ones = np.linalg.norm(q_ds - a_ds @ np.ones(3))
         assert best <= ones + 1e-12
 
     def test_rank_deficient_raises(self):
         a = np.ones((6, 2), dtype=complex)  # identical columns
-        from nfmusic.refine import CorrectionProblem
-
-        problem = CorrectionProblem(stacked_channel=a, stacked_received=np.ones(6) + 0j)
         with pytest.raises(IllConditionedError):
-            estimate_correctors(problem)
+            estimate_correctors(a, np.ones((2, 1)), np.ones((6, 1)) + 0j)
 
 
 class TestApplyCorrection:
+    """Callers apply the correctors as ``a_hat * alpha``, one scale per column."""
+
     def test_unit_correctors_are_identity(self):
         rng = np.random.default_rng(8)
         a = random_complex(rng, (5, 3))
-        from nfmusic.refine import CorrectorVector
-
-        out = apply_correction(a, CorrectorVector(np.ones(3, dtype=complex)))
-        assert np.array_equal(out, a)
+        s = random_complex(rng, (3, 2))
+        alpha = estimate_correctors(a, s, a @ s)
+        assert np.allclose(a * alpha, a, atol=1e-12)
 
     def test_scaling_doubles_column_norms(self):
         rng = np.random.default_rng(9)
         a = random_complex(rng, (5, 2))
-        from nfmusic.refine import CorrectorVector
-
-        out = apply_correction(a, CorrectorVector(np.array([2.0, 2.0], dtype=complex)))
+        s = random_complex(rng, (2, 2))
+        out = a * estimate_correctors(a, s, 2 * a @ s)
         assert np.allclose(
             np.linalg.norm(out, axis=0), 2 * np.linalg.norm(a, axis=0), rtol=1e-12
         )
@@ -168,8 +170,7 @@ class TestApplyCorrection:
         s = gen_pilots(2, 4, stream(10, 0))
         q = a @ s
         a_scaled = a / np.array([1.5 + 0.5j, -2.0j])[None, :]
-        alpha = estimate_correctors(build_stacked(a_scaled, s, q))
-        restored = apply_correction(a_scaled, alpha)
+        restored = a_scaled * estimate_correctors(a_scaled, s, q)
         assert np.allclose(restored, a, atol=1e-8 * np.linalg.norm(a))
 
 

@@ -28,13 +28,13 @@ class TestSampleCovariance:
     def test_single_snapshot_rank_one(self):
         q = np.array([1.0 + 1j, 2.0, -1j])
         cov = sample_covariance([q])
-        assert np.allclose(cov.matrix, np.outer(q, q.conj()), atol=1e-14)
-        assert np.trace(cov.matrix).real == pytest.approx(np.linalg.norm(q) ** 2)
+        assert np.allclose(cov, np.outer(q, q.conj()), atol=1e-14)
+        assert np.trace(cov).real == pytest.approx(np.linalg.norm(q) ** 2)
 
     def test_basis_snapshots_give_scaled_identity(self):
         m = 6
         cov = sample_covariance(np.eye(m))
-        assert np.allclose(cov.matrix, np.eye(m) / m, atol=1e-14)
+        assert np.allclose(cov, np.eye(m) / m, atol=1e-14)
 
     def test_matches_brute_force_accumulation(self):
         rng = np.random.default_rng(1)
@@ -46,12 +46,11 @@ class TestSampleCovariance:
                 for j in range(9):
                     brute[i, j] += snaps[l, i] * np.conj(snaps[l, j])
         brute /= 5
-        assert np.allclose(cov.matrix, brute, atol=1e-12)
+        assert np.allclose(cov, brute, atol=1e-12)
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(2)
-        cov = sample_covariance(random_complex(rng, (4, 7)))
-        r = cov.matrix
+        r = sample_covariance(random_complex(rng, (4, 7)))
         assert np.linalg.norm(r - r.conj().T) < 1e-12 * np.linalg.norm(r)
         vals = np.linalg.eigvalsh(r)
         assert vals.min() >= -1e-10 * np.trace(r).real
@@ -59,7 +58,7 @@ class TestSampleCovariance:
     def test_rank_bounded_by_snapshot_count(self):
         rng = np.random.default_rng(3)
         cov = sample_covariance(random_complex(rng, (3, 10)))
-        vals = np.linalg.eigvalsh(cov.matrix)
+        vals = np.linalg.eigvalsh(cov)
         assert (vals > 1e-10 * vals.max()).sum() <= 3
 
     def test_rejects_empty(self):
@@ -112,8 +111,8 @@ class TestSmoothedCovariance:
         )
         assert snaps.shape == (12, 81)
         direct = snaps.T @ snaps.conj() / 12
-        assert np.allclose(cov.matrix, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
-        assert cov.dim == 81
+        assert np.allclose(cov, direct, rtol=0, atol=1e-12 * np.abs(direct).max())
+        assert cov.shape == (81, 81)
 
     def test_zero_shift_equals_sample_covariance(self, geo):
         locs = [UeLocation(0.1, 0.0, 2.0)]
@@ -121,7 +120,7 @@ class TestSmoothedCovariance:
         block = received_block(a, gen_pilots(1, 4, stream(2, 0)), math.inf)
         smoothed = smoothed_covariance(block, 0)
         plain = sample_covariance(block.received.T)
-        assert np.allclose(smoothed.matrix, plain.matrix, atol=1e-14)
+        assert np.allclose(smoothed, plain, atol=1e-14)
 
     def test_rank_covers_sources_when_budget_allows(self, geo):
         rng = np.random.default_rng(6)
@@ -133,7 +132,7 @@ class TestSmoothedCovariance:
             a = channel_matrix(geo, locs)
             block = received_block(a, gen_pilots(4, 3, stream(6, trial)), math.inf)
             cov = smoothed_covariance(block, 1)  # L T^2 = 12 >= 4
-            vals = np.linalg.eigvalsh(cov.matrix)
+            vals = np.linalg.eigvalsh(cov)
             assert (vals > 1e-8 * vals.max()).sum() >= 4
 
     def test_trace_equals_mean_subarray_energy(self, geo):
@@ -148,13 +147,13 @@ class TestSmoothedCovariance:
             for row in subs:
                 total += np.linalg.norm(row) ** 2
                 count += 1
-        assert np.trace(cov.matrix).real == pytest.approx(total / count, rel=1e-12)
+        assert np.trace(cov).real == pytest.approx(total / count, rel=1e-12)
 
     def test_hermitian_psd_preserved(self, geo):
         locs = [UeLocation(0.2, -0.1, 2.5)]
         a = channel_matrix(geo, locs)
         block = received_block(a, gen_pilots(1, 2, stream(8, 0)), 5.0, stream(8, 1))
-        r = smoothed_covariance(block, 1).matrix
+        r = smoothed_covariance(block, 1)
         assert np.linalg.norm(r - r.conj().T) < 1e-12 * np.linalg.norm(r)
         assert np.linalg.eigvalsh(r).min() >= -1e-10 * np.trace(r).real
 
@@ -194,10 +193,7 @@ class TestNoiseSubspace:
         assert np.linalg.norm(un.matrix.conj().T @ a) < 1e-8 * np.linalg.norm(a)
 
     def test_identity_covariance_orthonormal_columns(self):
-        from nfmusic.subspace import CovarianceEstimate
-
-        cov = CovarianceEstimate(matrix=np.eye(6, dtype=complex))
-        un = noise_subspace(cov, 1)
+        un = noise_subspace(np.eye(6, dtype=complex), 1)
         assert np.allclose(un.matrix.conj().T @ un.matrix, np.eye(5), atol=1e-10)
 
     def test_multi_source_noiseless_orthogonality(self):
@@ -222,8 +218,8 @@ class TestNoiseSubspace:
         full = np.hstack([un.matrix, un.signal])
         assert np.allclose(full.conj().T @ full, np.eye(10), atol=1e-10)
         # the signal columns carry the three nonzero eigenvalues
-        captured = np.trace(un.signal.conj().T @ cov.matrix @ un.signal).real
-        assert captured == pytest.approx(np.trace(cov.matrix).real, rel=1e-10)
+        captured = np.trace(un.signal.conj().T @ cov @ un.signal).real
+        assert captured == pytest.approx(np.trace(cov).real, rel=1e-10)
 
     def test_rejects_too_many_sources(self):
         cov = sample_covariance(np.eye(4))
