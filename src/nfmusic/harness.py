@@ -16,12 +16,13 @@ import dataclasses
 import functools
 import logging
 import math
+import operator
 import time
 import typing
 import warnings as _warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +82,10 @@ SEARCHES = (("two-step", ("proposed", "proposed_nocorrect")), ("full-array", ("m
 # Methods that rescale the reconstructed channels with the LS corrector.
 CORRECTED = ("proposed", "music3d")
 PLACEMENT_BUDGET = 100_000
+# fig1 counts a peak as a found user within these distances (m) in x and in z:
+# 3 cells of the reference config's 100-point xz grid, fixed so that a grid
+# change cannot move the gate.
+FIG1_MATCH_TOL = (0.5968531836437698, 0.2955886179412772)
 
 
 class ConfigError(ValueError):
@@ -140,6 +145,8 @@ class ExperimentConfig:
             raise ConfigError("wavelength and element_diag must be positive")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
+        if not all(snr > -math.inf for snr in self.snr_db_list):
+            raise ConfigError("snr_db_list entries must be numbers above -inf (inf is noiseless)")
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ConfigError("snr_db_list entries must be distinct")
         for lo, hi, what in (
@@ -148,8 +155,19 @@ class ExperimentConfig:
         ):
             if not (-math.pi / 2 < lo <= hi < math.pi / 2):
                 raise ConfigError(f"{what} must satisfy -pi/2 < lo <= hi < pi/2")
-        if self.min_angular_separation < 0:
+        sep = self.min_angular_separation
+        if sep < 0:
             raise ConfigError("min_angular_separation must be >= 0")
+        # two users closer than sep in both angles would share one sep x sep
+        # cell of the ranges, so at most one user fits per cell; the count is a
+        # float, which a tiny sep takes to inf instead of overflowing
+        ranges = (self.azimuth_range, self.elevation_range)
+        cells = math.prod((hi - lo) // sep + 1 for lo, hi in ranges) if sep > 0 else math.inf
+        if self.k_ues > cells:
+            raise ConfigError(
+                f"k_ues={self.k_ues} users cannot be placed: at most {cells:.0f} fit in the "
+                f"angular ranges at min_angular_separation {math.degrees(sep):g} deg"
+            )
         d_lower, d_upper = near_field_bounds(self.geometry())
         if self.distance_range is None:
             object.__setattr__(self, "distance_range", (d_lower, d_upper))
@@ -544,8 +562,9 @@ def run_experiment(
     """Run the full Monte-Carlo sweep and optionally write CSV outputs.
 
     Output is deterministic for a given config and seed regardless of
-    ``threads``: every trial draws from its own keyed random streams and rows
-    are emitted in (method, SNR, trial, user) order through a single sink.
+    ``threads``: every trial draws from its own keyed random streams, trials
+    finish in (SNR, trial) order on every path, and rows are emitted in
+    (method, SNR, trial, user) order through a single sink.
     With ``threads > 1`` numpy's bundled OpenBLAS runs one thread per worker
     while the pool runs, and gets its previous thread count back afterwards.
     """
@@ -553,29 +572,22 @@ def run_experiment(
     g = cfg.geometry()
     angle_grid = cfg.angular_grid()
     dist_grid = cfg.distance_grid()
-    items = [(si, t) for si in range(len(cfg.snr_db_list)) for t in range(cfg.trials)]
+    keys = [(si, t) for si in range(len(cfg.snr_db_list)) for t in range(cfg.trials)]
+    trial_rows = functools.partial(_run_trial, cfg, g, angle_grid, dist_grid)
 
-    results: dict[tuple[int, int], list[TrialRecord]] = {}
-    if threads > 1:
-        with _one_blas_thread(), concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(_run_trial, cfg, g, angle_grid, dist_grid, si, t): (si, t)
-                for si, t in items
-            }
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for si, t in items:
-            results[(si, t)] = _run_trial(cfg, g, angle_grid, dist_grid, si, t)
+    records: list[TrialRecord] = []
+    with contextlib.ExitStack() as stack:
+        map_trials = map
+        if threads > 1:
+            stack.enter_context(_one_blas_thread())
+            map_trials = stack.enter_context(concurrent.futures.ThreadPoolExecutor(threads)).map
+        for (si, t), rows in zip(keys, map_trials(trial_rows, *zip(*keys))):
+            records.extend(rows)
             if progress and (t + 1) % 25 == 0:
-                print(
-                    f"snr {cfg.snr_db_list[si]:g} dB: {t + 1}/{cfg.trials} trials",
-                    flush=True,
-                )
+                print(f"snr {cfg.snr_db_list[si]:g} dB: {t + 1}/{cfg.trials} trials", flush=True)
 
     method_order = {m: i for i, m in enumerate(cfg.methods)}
     snr_order = {snr: i for i, snr in enumerate(cfg.snr_db_list)}
-    records = [r for key in sorted(results) for r in results[key]]
     records.sort(key=lambda r: (method_order[r.method], snr_order[r.snr_db], r.trial, r.ue))
     aggregates = aggregate(records, cfg.methods, cfg.snr_db_list, cfg.k_ues)
     report = MetricReport(records=tuple(records), aggregates=tuple(aggregates))
@@ -595,49 +607,35 @@ def run_experiment(
     return report
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
-
-
-def _write_records(records: Sequence, record_type: type, path) -> Path:
-    """Write dataclass records as CSV: a header of ``record_type``'s field
-    names, then one line per record."""
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a header line, then one comma-separated line per row; floats
+    are printed with 9 significant digits."""
     path = Path(path)
-    names = [f.name for f in dataclasses.fields(record_type)]
-    lines = [",".join(names)]
-    lines += [",".join(_fmt(getattr(r, n)) for n in names) for r in records]
+    lines = [",".join(header)]
+    lines += [",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) for r in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
 def write_trial_csv(records: Sequence[TrialRecord], path) -> Path:
-    return _write_records(records, TrialRecord, path)
+    header = [f.name for f in dataclasses.fields(TrialRecord)]
+    return _write_csv(path, header, map(operator.attrgetter(*header), records))
 
 
 def write_aggregate_csv(aggregates: Sequence[AggregateRecord], path) -> Path:
-    return _write_records(aggregates, AggregateRecord, path)
+    header = [f.name for f in dataclasses.fields(AggregateRecord)]
+    return _write_csv(path, header, map(operator.attrgetter(*header), aggregates))
 
 
 def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
-    """Write a 1-D or 2-D spectrum as CSV (radians/meters, 9 significant digits)."""
-    path = Path(path)
-    pts = spectrum.grid.axis_points()
+    """Write a 1-D or 2-D spectrum as CSV, one line per grid point
+    (radians/meters, 9 significant digits)."""
     values = spectrum.values
-    if values.ndim == 1:
-        lines = ["axis,value"]
-        for i, v in enumerate(values):
-            lines.append(f"{pts[0][i]:.9g},{v:.9g}")
-    elif values.ndim == 2:
-        lines = ["axis1,axis2,value"]
-        for i in range(values.shape[0]):
-            for j in range(values.shape[1]):
-                lines.append(f"{pts[0][i]:.9g},{pts[1][j]:.9g},{values[i, j]:.9g}")
-    else:
+    if values.ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D spectra can be dumped")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    header = ["axis", "value"] if values.ndim == 1 else ["axis1", "axis2", "value"]
+    coords = np.meshgrid(*spectrum.grid.axis_points(), indexing="ij")
+    return _write_csv(path, header, zip(*(c.flat for c in (*coords, values))))
 
 
 @dataclass(frozen=True)
@@ -656,27 +654,19 @@ class Fig1Report:
     cases: tuple[Fig1Case, ...]
 
 
-def _match_peaks_to_truth(
-    peaks: PeakSet, truths: Sequence[tuple[float, float]], grid: GridSpec, match_cells: int
-) -> int:
-    """Count distinct truths claimed by peaks within a few grid cells."""
-    tol = []
-    for ax in grid.axes:
-        pts = ax.points()
-        tol.append(match_cells * float(np.max(np.diff(pts))))
+def _match_peaks_to_truth(peaks: PeakSet, truths: Sequence[tuple[float, float]]) -> int:
+    """Count distinct (x, z) truths claimed by peaks within ``FIG1_MATCH_TOL``;
+    each peak claims the nearest unclaimed truth, by summed offset."""
     remaining = list(range(len(truths)))
-    matched = 0
     for p in peaks.peaks:
-        best = None
+        near = []
         for idx in remaining:
-            if all(abs(p.coords[a] - truths[idx][a]) <= tol[a] for a in range(len(tol))):
-                gap = sum(abs(p.coords[a] - truths[idx][a]) for a in range(len(tol)))
-                if best is None or gap < best[0]:
-                    best = (gap, idx)
-        if best is not None:
-            matched += 1
-            remaining.remove(best[1])
-    return matched
+            offsets = [abs(c - t) for c, t in zip(p.coords, truths[idx])]
+            if all(o <= tol for o, tol in zip(offsets, FIG1_MATCH_TOL)):
+                near.append((sum(offsets), idx))
+        if near:
+            remaining.remove(min(near)[1])
+    return len(truths) - len(remaining)
 
 
 def scenario_fig1(
@@ -684,7 +674,6 @@ def scenario_fig1(
     out_dir=None,
     snr_db: float = 20.0,
     l_values: tuple[int, ...] = (10, 3),
-    match_cells: int = 3,
 ) -> Fig1Report:
     """Full-array plane-slice search with many vs few pilot transmissions.
 
@@ -693,7 +682,8 @@ def scenario_fig1(
     the K tallest peaks and compared against the true positions; with
     enough snapshots all users appear, with fewer than K they conflate.
     """
-    flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0))
+    # snr_db goes through the config so it is checked like a sweep's SNRs
+    flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
     g = flat.geometry()
     locs, a_true = _place_users(flat, g, (0, 0))
     truths_xz = [(loc.x, loc.z) for loc in locs]
@@ -704,7 +694,7 @@ def scenario_fig1(
         block = _observe(flat, a_true, l_pilots, snr_db, (l_pilots, 0))
         spec = _full_array_spectrum(block, flat.k_ues, grid, g)
         peaks = find_peaks(spec, flat.k_ues)
-        matched = _match_peaks_to_truth(peaks, truths_xz, grid, match_cells)
+        matched = _match_peaks_to_truth(peaks, truths_xz)
         dump_path = None
         if out_dir is not None:
             out = Path(out_dir)

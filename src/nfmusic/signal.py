@@ -75,15 +75,18 @@ def received_block(
     whose raw gains are far below one; pass ``noise_ref=1.0`` for the literal
     reading where the noise variance is 1/SNR.
 
-    ``snr_db=math.inf`` skips noise entirely (then ``rng`` may be None).
+    ``snr_db=math.inf`` skips noise entirely (then ``rng`` may be None);
+    ``-inf`` and NaN are rejected.
     """
     entries = np.asarray(a.entries if isinstance(a, ChannelMatrix) else a)
     if entries.ndim != 2 or pilots.ndim != 2 or entries.shape[1] != pilots.shape[0]:
         raise ValueError(
             f"dimension mismatch: channel {entries.shape} vs pilots {pilots.shape}"
         )
+    if not snr_db > -math.inf:
+        raise ValueError(f"snr_db must be a number above -inf, got {snr_db}")
     clean = entries @ pilots
-    if math.isinf(snr_db):
+    if snr_db == math.inf:
         return SnapshotBlock(pilots=pilots, received=clean, noise_var=0.0)
     if noise_ref is None:
         n_antennas = entries.shape[0]

@@ -47,41 +47,36 @@ def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
     """Vectorize every shifted square subarray of a received-signal matrix.
 
     Args:
-        q_matrix: (s, s) matrix of per-element samples, entry (n, m) being the
-            element in row n, column m of the planar array.
+        q_matrix: (..., s, s) stack of per-element sample matrices, entry
+            (n, m) of each being the element in row n, column m of the planar
+            array.
         c_r: Shift budget; the subarray side is N_d = s - c_r and there are
             T**2 = (c_r + 1)**2 subarrays.
 
     Returns:
-        (T**2, N_d**2) array; row index runs over (t_x, t_y) with t_y fastest,
-        and each row is the subarray flattened row-major.
+        (..., T**2, N_d**2) array; row index runs over (t_x, t_y) with t_y
+        fastest, and each row is the subarray flattened row-major.
     """
     q_matrix = np.asarray(q_matrix)
-    if q_matrix.ndim != 2 or q_matrix.shape[0] != q_matrix.shape[1]:
-        raise ValueError("expected a square per-element sample matrix")
-    side = q_matrix.shape[0]
+    if q_matrix.ndim < 2 or q_matrix.shape[-2] != q_matrix.shape[-1]:
+        raise ValueError("expected square per-element sample matrices")
+    side = q_matrix.shape[-1]
     if c_r < 0 or c_r >= side:
         raise ValueError(f"c_r must lie in [0, {side - 1}], got {c_r}")
     n_d = side - c_r
-    t = c_r + 1
-    out = np.empty((t * t, n_d * n_d), dtype=q_matrix.dtype)
-    for tx in range(t):
-        for ty in range(t):
-            out[tx * t + ty] = q_matrix[tx : tx + n_d, ty : ty + n_d].reshape(-1)
-    return out
+    windows = np.lib.stride_tricks.sliding_window_view(q_matrix, (n_d, n_d), axis=(-2, -1))
+    return windows.reshape(*q_matrix.shape[:-2], (c_r + 1) ** 2, n_d * n_d)
 
 
 def smoothed_covariance(block: SnapshotBlock, c_r: int) -> np.ndarray:
-    """Sample covariance over all L * T**2 subarray snapshots of a block."""
+    """Sample covariance over all L * T**2 subarray snapshots of a block,
+    stacked pilot by pilot."""
     n = block.n_antennas
     side = math.isqrt(n)
     if side * side != n:
         raise ValueError("snapshot length must be a perfect square")
-    pieces = [
-        extract_subarrays(block.received[:, l].reshape(side, side), c_r)
-        for l in range(block.received.shape[1])
-    ]
-    return sample_covariance(np.vstack(pieces))
+    subs = extract_subarrays(block.received.T.reshape(-1, side, side), c_r)
+    return sample_covariance(subs.reshape(-1, subs.shape[-1]))
 
 
 def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:

@@ -57,6 +57,36 @@ class TestConfigDefaults:
     def test_users_below_the_subarray_size_accepted(self, k_ues, c_r):
         assert ExperimentConfig(n_antennas=16, k_ues=k_ues, c_r=c_r).k_ues == k_ues
 
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_minus_inf_and_nan_snr_rejected(self, snr_db):
+        with pytest.raises(ConfigError, match="snr_db_list"):
+            ExperimentConfig(snr_db_list=(10.0, snr_db))
+        with pytest.raises(ConfigError, match="snr_db_list"):
+            parse_config_text(f"snr_db_list=10,{snr_db}\n")
+
+    def test_inf_snr_accepted(self):
+        assert parse_config_text("snr_db_list=20,inf\n").snr_db_list == (20.0, math.inf)
+
+    def test_unplaceable_user_count_rejected(self):
+        # pairs closer than sep in both angles are forbidden, so a range
+        # spanning 2.5 x 0.5 separations holds at most 3 x 1 users
+        sep = math.radians(2.0)
+        ranges = dict(azimuth_range=(0.0, 2.5 * sep), elevation_range=(0.0, 0.5 * sep))
+        assert ExperimentConfig(k_ues=3, min_angular_separation=sep, **ranges).k_ues == 3
+        with pytest.raises(ConfigError, match="min_angular_separation"):
+            ExperimentConfig(k_ues=4, min_angular_separation=sep, **ranges)
+        with pytest.raises(ConfigError, match="min_angular_separation"):
+            parse_config_text(
+                "n_antennas=16\nk_ues=3\nazimuth_range=0,5\nelevation_range=0,5\n"
+                "min_angular_separation=20\n"
+            )
+
+    def test_zero_separation_places_any_user_count(self):
+        cfg = ExperimentConfig(
+            k_ues=6, azimuth_range=(0.0, 0.0), elevation_range=(0.0, 0.0), min_angular_separation=0.0
+        )
+        assert len(place_ues(cfg, stream(1, 0))) == 6
+
     def test_distance_below_near_field_limit_warns(self):
         with pytest.warns(UserWarning):
             ExperimentConfig(distance_range=(0.5, 10.0))
@@ -195,9 +225,11 @@ class TestPlaceUes:
         assert a == b
 
     def test_budget_exhaustion_raises(self):
+        # 3 users fit only at spacings of almost exactly one separation, which
+        # rejection sampling practically never draws
         cfg = ExperimentConfig(
             k_ues=3,
-            azimuth_range=(-0.001, 0.001),
+            azimuth_range=(0.0, 2.05 * math.pi / 100),
             elevation_range=(-0.001, 0.001),
         )
         with pytest.raises(ConfigError, match="budget"):
@@ -296,6 +328,16 @@ class TestRunExperiment:
         assert all(math.isfinite(r.az_err_rad) for r in rows["proposed_nocorrect"])
         failed = {a.method: a.trials_failed for a in report.aggregates}
         assert failed == {"proposed": 2, "proposed_nocorrect": 0, "ls": 0, "rls": 0}
+
+    def test_progress_lines_match_across_thread_counts(self, capsys):
+        cfg = _tiny_config(methods=("ls",), trials=50, snr_db_list=(10.0, 20.0))
+        run_experiment(cfg, progress=True)
+        one_worker = capsys.readouterr().out
+        run_experiment(cfg, threads=2, progress=True)
+        assert capsys.readouterr().out == one_worker
+        assert one_worker.splitlines() == [
+            f"snr {snr} dB: {n}/50 trials" for snr in (10, 20) for n in (25, 50)
+        ]
 
     def test_estimation_failure_scores_failed_trial(self, monkeypatch):
         def fails(*args, **kwargs):
@@ -398,6 +440,10 @@ class TestScenarioFig1:
         assert dump[0] == "axis1,axis2,value"
         assert len(dump) == 1 + 60 * 60
 
+    def test_minus_inf_snr_rejected(self):
+        with pytest.raises(ConfigError, match="snr_db_list"):
+            scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=-math.inf)
+
     def test_elevation_forced_to_zero(self):
         cfg = _tiny_config(k_ues=2, l_pilots=3, cart_grid_points=30, seed=5)
         report = scenario_fig1(cfg, l_values=(6,))
@@ -447,6 +493,35 @@ class TestCli:
         assert (tmp_path / "out" / "trials.csv").exists()
         assert (tmp_path / "out" / "aggregate.csv").exists()
         assert "proposed" in capsys.readouterr().out
+
+    def test_snr_ref_option_matches_config_value(self, tmp_path):
+        text = (
+            "n_antennas=64\nk_ues=2\nl_pilots=2\ntrials=2\nsnr_db_list=10\n"
+            "azimuth_grid_points=40\nelevation_grid_points=30\ndistance_grid_points=30\n"
+        )
+        (tmp_path / "relative.cfg").write_text(text)
+        (tmp_path / "absolute.cfg").write_text(text + "snr_ref=absolute\n")
+        runs = {
+            "option": ["--config", str(tmp_path / "relative.cfg"), "--snr-ref", "absolute"],
+            "config": ["--config", str(tmp_path / "absolute.cfg")],
+            "relative": ["--config", str(tmp_path / "relative.cfg")],
+        }
+        for name, args in runs.items():
+            assert cli_main(["run", *args, "--out-dir", str(tmp_path / name)]) == 0
+        trials = {name: (tmp_path / name / "trials.csv").read_bytes() for name in runs}
+        assert trials["option"] == trials["config"] != trials["relative"]
+
+    def test_fig1_subcommand(self, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=64\nk_ues=2\ncart_grid_points=30\n")
+        rc = cli_main(["fig1", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+        for l_pilots in (10, 3):
+            lines = (tmp_path / "out" / f"fig1_L{l_pilots}.csv").read_text().splitlines()
+            assert lines[0] == "axis1,axis2,value"
+            assert len(lines) == 1 + 30 * 30
+        out = capsys.readouterr().out
+        assert "L=10:" in out and "L=3:" in out
 
     def test_dump_spectrum_subcommand(self, tmp_path):
         cfg_path = tmp_path / "exp.cfg"

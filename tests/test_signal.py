@@ -97,6 +97,11 @@ class TestReceivedBlock:
         with pytest.raises(ValueError):
             received_block(np.zeros((4, 3), dtype=complex), np.zeros((2, 5)), math.inf)
 
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan])
+    def test_minus_inf_and_nan_snr_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db"):
+            received_block(np.ones((2, 1), dtype=complex), np.ones((1, 1)), snr_db, stream(1, 0))
+
     def test_requires_rng_for_finite_snr(self):
         with pytest.raises(ValueError):
             received_block(np.ones((2, 1), dtype=complex), np.ones((1, 1)), 10.0)

@@ -95,6 +95,15 @@ class TestExtractSubarrays:
                 expected = [q[tx + i, ty + j] for i in range(n_d) for j in range(n_d)]
                 assert np.array_equal(subs[tx * t + ty], np.array(expected))
 
+    def test_leading_axes_match_per_matrix_calls(self):
+        rng = np.random.default_rng(9)
+        stack = random_complex(rng, (2, 3, 6, 6))
+        subs = extract_subarrays(stack, 2)
+        assert subs.shape == (2, 3, 9, 16)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(subs[i, j], extract_subarrays(stack[i, j], 2))
+
     def test_rejects_oversized_shift(self):
         with pytest.raises(ValueError):
             extract_subarrays(np.zeros((4, 4)), 4)
