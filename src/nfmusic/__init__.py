@@ -13,7 +13,6 @@ from .geometry import (
     ArrayGeometry,
     PolarLocation,
     UeLocation,
-    build_geometry,
     cart_to_polar,
     near_field_bounds,
     polar_to_cart,

@@ -6,6 +6,7 @@ m along y) maps to flat index ``(n-1)*sqrt(N) + (m-1)``; every vector-valued
 quantity in this package uses that row-major ordering.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,17 +17,31 @@ class ArrayGeometry:
     """Square uniform planar array of ``n_antennas`` elements.
 
     Attributes:
-        n_antennas: Total element count N (perfect square).
-        element_diag: Diagonal length D of one square element, meters.
-            Inter-element spacing along x and y is D/sqrt(2).
-        wavelength: Carrier wavelength in meters.
-        centers: (N, 3) element-center coordinates, row-major in (n, m).
+        n_antennas: Total element count N; a perfect square >= 4.
+        element_diag: Diagonal length D of one square element, meters, finite
+            and positive.  Inter-element spacing along x and y is D/sqrt(2).
+        wavelength: Carrier wavelength in meters, finite and positive.
     """
 
     n_antennas: int
     element_diag: float
     wavelength: float
-    centers: np.ndarray
+
+    def __post_init__(self):
+        if self.n_antennas < 4 or math.isqrt(self.n_antennas) ** 2 != self.n_antennas:
+            raise ValueError(f"n_antennas must be a perfect square >= 4, got {self.n_antennas}")
+        if not (0 < self.element_diag < math.inf and 0 < self.wavelength < math.inf):
+            raise ValueError("element_diag and wavelength must be finite and positive")
+
+    @functools.cached_property
+    def centers(self) -> np.ndarray:
+        """(N, 3) read-only element centers, row-major in (n, m), at
+        ((n - (sqrt(N)+1)/2) * D/sqrt(2), (m - (sqrt(N)+1)/2) * D/sqrt(2), 0)."""
+        offsets = (np.arange(1, self.side + 1) - (self.side + 1) / 2.0) * self.spacing
+        xs, ys = np.meshgrid(offsets, offsets, indexing="ij")  # n over x, m over y
+        centers = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(self.n_antennas)])
+        centers.flags.writeable = False
+        return centers
 
     @property
     def side(self) -> int:
@@ -80,36 +95,6 @@ class PolarLocation:
                 f"angles must lie in (-pi/2, pi/2), got azimuth={self.azimuth}, "
                 f"elevation={self.elevation}"
             )
-
-
-def build_geometry(n_antennas: int, element_diag: float, wavelength: float) -> ArrayGeometry:
-    """Build the element-center layout for a square UPA.
-
-    Args:
-        n_antennas: Element count N; must be a perfect square >= 4.
-        element_diag: Element diagonal D in meters.
-        wavelength: Carrier wavelength in meters.
-
-    Returns:
-        ArrayGeometry with centers at
-        ((n - (sqrt(N)+1)/2) * D/sqrt(2), (m - (sqrt(N)+1)/2) * D/sqrt(2), 0).
-    """
-    side = math.isqrt(int(n_antennas))
-    if n_antennas < 4 or side * side != n_antennas:
-        raise ValueError(f"n_antennas must be a perfect square >= 4, got {n_antennas}")
-    if element_diag <= 0 or wavelength <= 0:
-        raise ValueError("element_diag and wavelength must be positive")
-
-    spacing = element_diag / math.sqrt(2.0)
-    offsets = (np.arange(1, side + 1) - (side + 1) / 2.0) * spacing
-    xs, ys = np.meshgrid(offsets, offsets, indexing="ij")  # n over x, m over y
-    centers = np.column_stack([xs.ravel(), ys.ravel(), np.zeros(n_antennas)])
-    return ArrayGeometry(
-        n_antennas=int(n_antennas),
-        element_diag=float(element_diag),
-        wavelength=float(wavelength),
-        centers=centers,
-    )
 
 
 def cart_to_polar(loc: UeLocation) -> PolarLocation:

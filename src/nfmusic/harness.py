@@ -31,7 +31,6 @@ from .geometry import (
     ArrayGeometry,
     PolarLocation,
     UeLocation,
-    build_geometry,
     cart_to_polar,
     near_field_bounds,
     polar_to_cart,
@@ -98,7 +97,9 @@ class ExperimentConfig:
 
     Angles are stored in radians.  The text-config parser accepts the angular
     keys (azimuth_range, elevation_range, min_angular_separation) in degrees
-    and converts on load; everything else is SI units.
+    and converts on load; everything else is SI units.  The array and the
+    distance and Cartesian grids are built on construction, so their own
+    rules (``ArrayGeometry``, ``GridAxis``) reject a bad size or range.
     """
 
     n_antennas: int = 100
@@ -128,21 +129,11 @@ class ExperimentConfig:
             object.__setattr__(self, "element_diag", self.wavelength / math.sqrt(2.0))
         if self.c_r is None:
             object.__setattr__(self, "c_r", 0 if self.k_ues == 1 else 1)
-        side = math.isqrt(self.n_antennas)
-        if self.n_antennas < 4 or side * side != self.n_antennas:
-            raise ConfigError(f"n_antennas must be a perfect square >= 4, got {self.n_antennas}")
         for name in ("k_ues", "l_pilots", "trials"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        if self.c_r < 0 or self.c_r >= side:
-            raise ConfigError(f"c_r must lie in [0, {side - 1}]")
-        if self.k_ues >= (side - self.c_r) ** 2:
-            raise ConfigError(
-                f"k_ues must be below {(side - self.c_r) ** 2}, the element count of the "
-                f"{side - self.c_r}x{side - self.c_r} subarray, for a noise subspace to remain"
-            )
-        if self.wavelength <= 0 or self.element_diag <= 0:
-            raise ConfigError("wavelength and element_diag must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
         if not all(snr > -math.inf for snr in self.snr_db_list):
@@ -156,8 +147,8 @@ class ExperimentConfig:
             if not (-math.pi / 2 < lo <= hi < math.pi / 2):
                 raise ConfigError(f"{what} must satisfy -pi/2 < lo <= hi < pi/2")
         sep = self.min_angular_separation
-        if sep < 0:
-            raise ConfigError("min_angular_separation must be >= 0")
+        if not sep >= 0:
+            raise ConfigError("min_angular_separation must be a number >= 0")
         # two users closer than sep in both angles would share one sep x sep
         # cell of the ranges, so at most one user fits per cell; the count is a
         # float, which a tiny sep takes to inf instead of overflowing
@@ -168,28 +159,33 @@ class ExperimentConfig:
                 f"k_ues={self.k_ues} users cannot be placed: at most {cells:.0f} fit in the "
                 f"angular ranges at min_angular_separation {math.degrees(sep):g} deg"
             )
-        d_lower, d_upper = near_field_bounds(self.geometry())
-        if self.distance_range is None:
-            object.__setattr__(self, "distance_range", (d_lower, d_upper))
-        d_min, d_max = self.distance_range
-        if not 0 < d_min < d_max:
-            raise ConfigError("distance_range must satisfy 0 < d_min < d_max")
+        try:
+            g = self.geometry()
+            d_lower, d_upper = near_field_bounds(g)
+            if self.distance_range is None:
+                object.__setattr__(self, "distance_range", (d_lower, d_upper))
+            self.distance_grid()
+            self.cartesian_grid()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        side = g.side
+        if self.c_r < 0 or self.c_r >= side:
+            raise ConfigError(f"c_r must lie in [0, {side - 1}]")
+        if self.k_ues >= (side - self.c_r) ** 2:
+            raise ConfigError(
+                f"k_ues must be below {(side - self.c_r) ** 2}, the element count of the "
+                f"{side - self.c_r}x{side - self.c_r} subarray, for a noise subspace to remain"
+            )
+        d_min = self.distance_range[0]
         if d_min < d_lower:
             _warnings.warn(
                 f"distance_range starts at {d_min:.3g} m, inside the lower near-field "
                 f"limit {d_lower:.3g} m",
                 stacklevel=2,
             )
-        for name in (
-            "azimuth_grid_points",
-            "elevation_grid_points",
-            "distance_grid_points",
-            "cart_grid_points",
-        ):
+        for name in ("azimuth_grid_points", "elevation_grid_points"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2")
-        if self.distance_spacing not in ("inverse", "uniform"):
-            raise ConfigError("distance_spacing must be 'inverse' or 'uniform'")
         if self.snr_ref not in ("relative", "absolute"):
             raise ConfigError("snr_ref must be 'relative' or 'absolute'")
         unknown = [m for m in self.methods if m not in KNOWN_METHODS]
@@ -201,7 +197,7 @@ class ExperimentConfig:
             raise ConfigError("methods entries must be distinct")
 
     def geometry(self) -> ArrayGeometry:
-        return build_geometry(self.n_antennas, self.element_diag, self.wavelength)
+        return ArrayGeometry(self.n_antennas, self.element_diag, self.wavelength)
 
     def angular_grid(self) -> GridSpec:
         """(azimuth, elevation) search grid; each range must span an interval."""
@@ -217,37 +213,31 @@ class ExperimentConfig:
         )
 
     def distance_grid(self) -> GridSpec:
-        spacing = "inverse-distance" if self.distance_spacing == "inverse" else "uniform"
-        return GridSpec(
-            (GridAxis("distance", *self.distance_range, self.distance_grid_points, spacing),)
+        axis = GridAxis(
+            "distance", *self.distance_range, self.distance_grid_points, self.distance_spacing
         )
+        return GridSpec((axis,))
 
     def cartesian_grid(self) -> GridSpec:
         """Full (x, y, z) search grid covering the configured placement region."""
-        x_max, y_max, z_lo, z_hi = self._cartesian_extent()
-        n = self.cart_grid_points
-        return GridSpec(
-            (
-                GridAxis("x", -x_max, x_max, n),
-                GridAxis("y", -y_max, y_max, n),
-                GridAxis("z", z_lo, z_hi, n),
-            )
-        )
-
-    def xz_grid(self) -> GridSpec:
-        """(x, z) slice grid at y=0 for zero-elevation scenarios."""
-        x_max, _, z_lo, z_hi = self._cartesian_extent()
-        n = self.cart_grid_points
-        return GridSpec((GridAxis("x", -x_max, x_max, n), GridAxis("z", z_lo, z_hi, n)))
-
-    def _cartesian_extent(self) -> tuple[float, float, float, float]:
         d_min, d_max = self.distance_range
         az_abs = max(abs(self.azimuth_range[0]), abs(self.azimuth_range[1]))
         el_abs = max(abs(self.elevation_range[0]), abs(self.elevation_range[1]))
         x_max = d_max * math.sin(az_abs) if az_abs > 0 else 0.05 * d_max
         y_max = d_max * math.sin(el_abs) if el_abs > 0 else 0.05 * d_max
         z_lo = max(d_min * math.cos(az_abs) * math.cos(el_abs), 0.01 * d_max)
-        return x_max, y_max, z_lo, d_max
+        n = self.cart_grid_points
+        return GridSpec(
+            (
+                GridAxis("x", -x_max, x_max, n),
+                GridAxis("y", -y_max, y_max, n),
+                GridAxis("z", z_lo, d_max, n),
+            )
+        )
+
+    def xz_grid(self) -> GridSpec:
+        """(x, z) slice grid at y=0 for zero-elevation scenarios."""
+        return GridSpec(tuple(ax for ax in self.cartesian_grid().axes if ax.name != "y"))
 
 
 _ANGULAR_KEYS = ("azimuth_range", "elevation_range", "min_angular_separation")
@@ -567,7 +557,11 @@ def run_experiment(
     (method, SNR, trial, user) order through a single sink.
     With ``threads > 1`` numpy's bundled OpenBLAS runs one thread per worker
     while the pool runs, and gets its previous thread count back afterwards.
+    With ``progress``, a line is printed every 25 trials of an SNR point and
+    at its last trial.
     """
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     started = time.monotonic()
     g = cfg.geometry()
     angle_grid = cfg.angular_grid()
@@ -583,7 +577,7 @@ def run_experiment(
             map_trials = stack.enter_context(concurrent.futures.ThreadPoolExecutor(threads)).map
         for (si, t), rows in zip(keys, map_trials(trial_rows, *zip(*keys))):
             records.extend(rows)
-            if progress and (t + 1) % 25 == 0:
+            if progress and ((t + 1) % 25 == 0 or t + 1 == cfg.trials):
                 print(f"snr {cfg.snr_db_list[si]:g} dB: {t + 1}/{cfg.trials} trials", flush=True)
 
     method_order = {m: i for i, m in enumerate(cfg.methods)}

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import array_response, farfield_response, polar_response
-from .geometry import ArrayGeometry, PolarLocation, build_geometry
+from .geometry import ArrayGeometry, PolarLocation
 from .signal import SnapshotBlock
 from .subspace import NoiseSubspace, noise_subspace, smoothed_covariance
 
@@ -36,10 +36,10 @@ ANGULAR_AXES = ("azimuth", "elevation")
 
 @dataclass(frozen=True)
 class GridAxis:
-    """One search-grid axis.
+    """One search-grid axis with finite bounds ``lo < hi`` and ``count >= 2``.
 
-    ``spacing`` is "uniform" or, for distance axes, "inverse-distance"
-    (points uniform in 1/d, concentrating resolution at short range).
+    ``spacing`` is "uniform" or, for distance axes, "inverse" (points uniform
+    in 1/d, concentrating resolution at short range).
     """
 
     name: str
@@ -50,16 +50,16 @@ class GridAxis:
 
     def __post_init__(self):
         if self.count < 2:
-            raise ValueError(f"axis {self.name!r} needs at least 2 points")
-        if not self.lo < self.hi:
-            raise ValueError(f"axis {self.name!r} needs lo < hi")
-        if self.spacing not in ("uniform", "inverse-distance"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
-        if (self.name == "distance" or self.spacing == "inverse-distance") and self.lo <= 0:
+            raise ValueError(f"axis {self.name!r} needs at least 2 points, got {self.count}")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"axis {self.name!r} needs finite lo < hi, got {self.lo}, {self.hi}")
+        if self.spacing not in ("uniform", "inverse"):
+            raise ValueError(f"spacing must be 'uniform' or 'inverse', got {self.spacing!r}")
+        if (self.name == "distance" or self.spacing == "inverse") and self.lo <= 0:
             raise ValueError(f"axis {self.name!r} must be strictly positive")
 
     def points(self) -> np.ndarray:
-        if self.spacing == "inverse-distance":
+        if self.spacing == "inverse":
             return 1.0 / np.linspace(1.0 / self.lo, 1.0 / self.hi, self.count)
         return np.linspace(self.lo, self.hi, self.count)
 
@@ -159,16 +159,12 @@ def _steering_subgrid(g: ArrayGeometry, side: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _angular_bank(
-    n_antennas: int, element_diag: float, wavelength: float, side: int, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
+def _angular_bank(g: ArrayGeometry, side: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
     """Planar-wave steering vectors over an (azimuth, elevation) grid and their
-    squared norms, on the ``side`` x ``side`` steering subgrid of the array that
-    ``build_geometry(n_antennas, element_diag, wavelength)`` lays out.
+    squared norms, on the ``side`` x ``side`` steering subgrid of ``g``.
 
     Both arrays are read-only: every caller, pool workers included, shares them.
     """
-    g = build_geometry(n_antennas, element_diag, wavelength)
     az, el = (m.ravel() for m in np.meshgrid(*grid.axis_points(), indexing="ij"))
     steering = farfield_response(g, az, el, _steering_subgrid(g, side))
     norms = _column_energy(steering)
@@ -221,9 +217,7 @@ def spectrum_2d_angular(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> 
     """
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
-    steering, norms = _angular_bank(
-        g.n_antennas, g.element_diag, g.wavelength, _subgrid_side(un, g), grid
-    )
+    steering, norms = _angular_bank(g, _subgrid_side(un, g), grid)
     values = 1.0 / _quotient_denominators(un, steering, norms)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 

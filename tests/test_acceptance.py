@@ -182,7 +182,7 @@ def test_criterion_5_corrector_value(benchmark_report):
 
 
 def test_criterion_6_complexity_counts():
-    g = nf.build_geometry(16, 0.05 * math.sqrt(2), 0.1)
+    g = nf.ArrayGeometry(16, 0.05 * math.sqrt(2), 0.1)
     angle_grid = GridSpec(
         (GridAxis("azimuth", -1.2, 1.2, 100), GridAxis("elevation", -0.9, 0.9, 100))
     )
@@ -217,7 +217,7 @@ def test_criterion_6_complexity_counts():
 
 def test_criterion_7_oracle_equivalences():
     rng = np.random.default_rng(7)
-    g = nf.build_geometry(100, 0.1 / math.sqrt(2), 0.1)
+    g = nf.ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
     d_lower, _ = nf.near_field_bounds(g)
 
     # (a) aperture quadrature vs closed form at normal incidence, d >= d_B

@@ -14,9 +14,9 @@ from nfmusic.channel import (
     polar_response,
 )
 from nfmusic.geometry import (
+    ArrayGeometry,
     PolarLocation,
     UeLocation,
-    build_geometry,
     near_field_bounds,
     polar_to_cart,
 )
@@ -24,7 +24,7 @@ from nfmusic.geometry import (
 
 @pytest.fixture(scope="module")
 def geo():
-    return build_geometry(100, 0.1 / math.sqrt(2), 0.1)
+    return ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
 
 
 def brute_coefficient(g, loc, n, m):
@@ -102,7 +102,7 @@ class TestFarfieldResponse:
             assert np.allclose(np.abs(a), 1.0, atol=1e-12)
 
     def test_phases_at_zero_elevation(self):
-        g = build_geometry(16, 0.05 * math.sqrt(2), 0.1)
+        g = ArrayGeometry(16, 0.05 * math.sqrt(2), 0.1)
         a = farfield_response(g, math.pi / 6, 0.0)
         k = 2 * math.pi / g.wavelength
         expected = np.exp(1j * k * 0.5 * g.centers[:, 0])
@@ -286,8 +286,8 @@ class TestExactIntegral:
         assert all(a > b for a, b in zip(devs, devs[1:]))
 
     def test_smaller_elements_reduce_deviation(self):
-        big = build_geometry(100, 0.1 / math.sqrt(2), 0.1)
-        small = build_geometry(100, 0.1 / 8.0, 0.1)
+        big = ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
+        small = ArrayGeometry(100, 0.1 / 8.0, 0.1)
         loc = polar_to_cart(PolarLocation(0.4, 0.1, 3.0))
 
         def rel(g):

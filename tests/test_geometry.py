@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nfmusic.geometry import (
+    ArrayGeometry,
     PolarLocation,
     UeLocation,
-    build_geometry,
     cart_to_polar,
     near_field_bounds,
     polar_to_cart,
@@ -17,23 +18,23 @@ from nfmusic.geometry import (
 class TestBuildGeometry:
     def test_first_center_n100(self):
         # direct evaluation: (1 - 11/2) * 0.1/sqrt(2)/sqrt(2) = -4.5 * 0.05
-        g = build_geometry(100, 0.1 / math.sqrt(2), 0.1)
+        g = ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
         assert g.centers[0, 0] == pytest.approx(-0.225, abs=1e-12)
         assert g.centers[0, 1] == pytest.approx(-0.225, abs=1e-12)
 
     def test_middle_row_on_axis_for_odd_side(self):
-        g = build_geometry(81, 0.03, 0.1)  # side 9, middle n = 5
+        g = ArrayGeometry(81, 0.03, 0.1)  # side 9, middle n = 5
         mid = g.index(5, 5)
         assert g.centers[mid, 0] == 0.0
         assert g.centers[mid, 1] == 0.0
 
     def test_spacing_is_diag_over_sqrt2(self):
-        g = build_geometry(16, 0.07, 0.1)
+        g = ArrayGeometry(16, 0.07, 0.1)
         xs = g.centers.reshape(4, 4, 3)[:, 0, 0]
         assert np.allclose(np.diff(xs), 0.07 / math.sqrt(2), atol=1e-15)
 
     def test_centers_symmetric_about_origin(self):
-        g = build_geometry(49, 0.05, 0.1)
+        g = ArrayGeometry(49, 0.05, 0.1)
         xs = np.sort(g.centers[:, 0])
         assert np.allclose(xs, -xs[::-1], atol=1e-15)
         assert abs(g.centers[:, 0].sum()) < 1e-12
@@ -42,16 +43,32 @@ class TestBuildGeometry:
     @pytest.mark.parametrize("n", [5, 8, 12, 2])
     def test_rejects_non_square_count(self, n):
         with pytest.raises(ValueError):
-            build_geometry(n, 0.05, 0.1)
+            ArrayGeometry(n, 0.05, 0.1)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            build_geometry(16, -0.05, 0.1)
+            ArrayGeometry(16, -0.05, 0.1)
         with pytest.raises(ValueError):
-            build_geometry(16, 0.05, 0.0)
+            ArrayGeometry(16, 0.05, 0.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ArrayGeometry(16, bad, 0.1)
+            with pytest.raises(ValueError, match="finite"):
+                ArrayGeometry(16, 0.05, bad)
+
+    def test_value_type_with_read_only_cached_centers(self):
+        g = ArrayGeometry(16, 0.05, 0.1)
+        assert [f.name for f in dataclasses.fields(g)] == [
+            "n_antennas", "element_diag", "wavelength"
+        ]
+        assert g == ArrayGeometry(16, 0.05, 0.1)
+        assert hash(g) == hash(ArrayGeometry(16, 0.05, 0.1))
+        assert g.centers is g.centers
+        with pytest.raises(ValueError):
+            g.centers[0, 0] = 1.0
 
     def test_row_major_index(self):
-        g = build_geometry(16, 0.05, 0.1)
+        g = ArrayGeometry(16, 0.05, 0.1)
         assert g.index(1, 1) == 0
         assert g.index(1, 4) == 3
         assert g.index(2, 1) == 4
@@ -100,13 +117,13 @@ class TestCoordinateTransforms:
 
 class TestNearFieldBounds:
     def test_reference_setup_values(self):
-        g = build_geometry(100, 0.1 / math.sqrt(2), 0.1)
+        g = ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
         d_lower, d_upper = near_field_bounds(g)
         assert d_lower == pytest.approx(2.0 * (0.1 / math.sqrt(2)) * 10.0, rel=1e-12)
         assert d_lower == pytest.approx(1.414, abs=5e-4)
         assert d_upper == pytest.approx(10.0, rel=1e-12)
 
     def test_small_array(self):
-        g = build_geometry(4, 0.1, 0.1)
+        g = ArrayGeometry(4, 0.1, 0.1)
         d_lower, _ = near_field_bounds(g)
         assert d_lower == pytest.approx(4 * 0.1, rel=1e-12)

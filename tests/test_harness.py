@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import tempfile
+import warnings as _warnings
 from pathlib import Path
 from unittest import mock
 
@@ -52,6 +53,29 @@ class TestConfigDefaults:
         for k_ues, c_r in ((9, 1), (16, 0), (17, 0)):
             with pytest.raises(ConfigError, match="k_ues"):
                 ExperimentConfig(n_antennas=16, k_ues=k_ues, c_r=c_r)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            dict(seed=-1),
+            dict(min_angular_separation=math.nan),
+            dict(wavelength=math.nan, distance_range=(1.0, 5.0)),
+            dict(element_diag=math.inf),
+            dict(distance_range=(1.0, math.inf)),
+            dict(distance_range=(math.nan, 5.0)),
+            dict(distance_spacing="inverse-distance"),
+            dict(cart_grid_points=1),
+        ],
+    )
+    def test_nonfinite_and_out_of_range_values_rejected(self, fields):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(**fields)
+
+    def test_near_field_warning_follows_grid_validation(self):
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="distance"):
+                ExperimentConfig(distance_range=(0.5, 10.0), distance_grid_points=1)
 
     @pytest.mark.parametrize("k_ues, c_r", [(8, 1), (15, 0)])
     def test_users_below_the_subarray_size_accepted(self, k_ues, c_r):
@@ -339,6 +363,13 @@ class TestRunExperiment:
             f"snr {snr} dB: {n}/50 trials" for snr in (10, 20) for n in (25, 50)
         ]
 
+    @pytest.mark.parametrize("trials, counts", [(30, (25, 30)), (10, (10,))])
+    def test_progress_reports_the_last_trial(self, trials, counts, capsys):
+        run_experiment(_tiny_config(methods=("ls",), trials=trials), progress=True)
+        assert capsys.readouterr().out.splitlines() == [
+            f"snr 20 dB: {n}/{trials} trials" for n in counts
+        ]
+
     def test_estimation_failure_scores_failed_trial(self, monkeypatch):
         def fails(*args, **kwargs):
             raise ValueError("no usable subspace")
@@ -579,6 +610,37 @@ class TestCli:
         assert "trial" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("seed=-1\n", "seed"),
+            ("wavelength=nan\ndistance_range=1,5\n", "wavelength"),
+            ("distance_range=1,inf\n", "distance"),
+            ("min_angular_separation=nan\n", "min_angular_separation"),
+        ],
+    )
+    def test_invalid_value_returns_error_code(self, text, field, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n" + text)
+        rc = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trials.csv").exists()
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_below_one_returns_error_code(self, threads, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="threads"):
+            run_experiment(_tiny_config(trials=1), threads=threads)
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=16\nk_ues=1\ntrials=1\nsnr_db_list=20\n")
+        rc = cli_main(
+            ["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+             "--threads", str(threads)]
+        )
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trials.csv").exists()
+
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("nonsense_key=1\n")
@@ -590,8 +652,9 @@ class TestCli:
 @st.composite
 def _tiny_config_texts(draw):
     """Config text for a 16-element array with 1-20 users, 2-6 points per grid
-    axis, angular ranges in degrees, some empty (lo == hi) or out of range, and
-    a method list that may repeat an entry."""
+    axis, angular ranges in degrees, some empty (lo == hi) or out of range, a
+    method list that may repeat an entry, and sometimes a negative seed or a
+    non-finite wavelength or distance range."""
 
     def degree_range():
         lo = draw(st.integers(-92, 60))
@@ -602,7 +665,7 @@ def _tiny_config_texts(draw):
         "k_ues": draw(st.integers(1, 20)),
         "l_pilots": draw(st.integers(1, 4)),
         "trials": 1,
-        "seed": draw(st.integers(0, 1000)),
+        "seed": draw(st.one_of(st.just(-1), st.integers(0, 1000))),
         "snr_db_list": draw(st.sampled_from([0, 20])),
         "azimuth_range": degree_range(),
         "elevation_range": degree_range(),
@@ -611,6 +674,13 @@ def _tiny_config_texts(draw):
     }
     for name in ("azimuth", "elevation", "distance", "cart"):
         lines[f"{name}_grid_points"] = draw(st.integers(2, 6))
+    for name, values in (
+        ("wavelength", ["0.1", "nan", "inf"]),
+        ("distance_range", ["1,5", "1,inf", "nan,5"]),
+    ):
+        value = draw(st.sampled_from([None, *values]))
+        if value is not None:
+            lines[name] = value
     return "\n".join(f"{k}={v}" for k, v in lines.items())
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from nfmusic import music
 from nfmusic.channel import array_response, channel_matrix, farfield_response, polar_response
-from nfmusic.geometry import PolarLocation, UeLocation, build_geometry, cart_to_polar, polar_to_cart
+from nfmusic.geometry import ArrayGeometry, PolarLocation, UeLocation, cart_to_polar, polar_to_cart
 from nfmusic.harness import ExperimentConfig, place_ues
 from nfmusic.metrics import match_estimates
 from nfmusic.music import (
@@ -26,7 +26,7 @@ from nfmusic.subspace import noise_subspace, sample_covariance, smoothed_covaria
 
 @pytest.fixture(scope="module")
 def geo16():
-    return build_geometry(16, 0.05 * math.sqrt(2), 0.1)
+    return ArrayGeometry(16, 0.05 * math.sqrt(2), 0.1)
 
 
 def random_unitary(rng, n):
@@ -41,7 +41,7 @@ class TestGridAxis:
         assert np.allclose(ax.points(), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
     def test_inverse_distance_points(self):
-        ax = GridAxis("distance", 2.0, 10.0, 3, spacing="inverse-distance")
+        ax = GridAxis("distance", 2.0, 10.0, 3, spacing="inverse")
         pts = ax.points()
         assert pts[0] == pytest.approx(2.0)
         assert pts[-1] == pytest.approx(10.0)
@@ -57,6 +57,9 @@ class TestGridAxis:
             GridAxis("distance", 0.0, 4.0, 4)
         with pytest.raises(ValueError):
             GridAxis("distance", 1.0, 4.0, 4, spacing="log")
+        for lo, hi in ((1.0, math.inf), (math.nan, 4.0), (-math.inf, 1.0)):
+            with pytest.raises(ValueError, match="finite"):
+                GridAxis("azimuth", lo, hi, 4)
 
 
 class TestSpectrumPositivity:
@@ -138,9 +141,10 @@ class TestSpectrum2dAngular:
 
     def test_steering_bank_is_cached_read_only(self, geo16):
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 13), GridAxis("elevation", -0.7, 0.7, 9)))
-        key = (geo16.n_antennas, geo16.element_diag, geo16.wavelength, 3, grid)
-        first = music._angular_bank(*key)
-        assert music._angular_bank(*key) is first
+        first = music._angular_bank(geo16, 3, grid)
+        # keyed on the geometry's value: an equal array shares the entry
+        twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
+        assert music._angular_bank(twin, 3, grid) is first
         steering, norms = first
         with pytest.raises(ValueError):
             steering[0, 0] = 0.0
@@ -309,7 +313,7 @@ class TestFindPeaks:
 
 class TestTwoStep:
     def test_noiseless_two_on_grid_sources_recovered_exactly(self):
-        g = build_geometry(64, 0.1 / math.sqrt(2), 0.1)
+        g = ArrayGeometry(64, 0.1 / math.sqrt(2), 0.1)
         angle_grid = GridSpec(
             (GridAxis("azimuth", -1.2, 1.2, 49), GridAxis("elevation", -0.9, 0.9, 37))
         )

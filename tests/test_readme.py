@@ -1,7 +1,9 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its config example parses."""
 
 import re
 from pathlib import Path
+
+from nfmusic.harness import ExperimentConfig, parse_config_text
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -12,3 +14,14 @@ def test_library_example_runs():
     exec(compile(block, str(README), "exec"), namespace)
     final, matched = namespace["final"], namespace["matched"]
     assert final.shape == (namespace["cfg"].n_antennas, len(matched))
+
+
+def test_config_example_parses():
+    (block,) = re.findall(r"```ini\n(# exp\.cfg\n.*?)```", README.read_text(), flags=re.S)
+    cfg = parse_config_text(block)
+    assert cfg.distance_spacing == "inverse"
+    assert cfg == ExperimentConfig(
+        azimuth_range=cfg.azimuth_range,
+        elevation_range=cfg.elevation_range,
+        min_angular_separation=cfg.min_angular_separation,
+    )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfmusic.channel import array_response, channel_matrix
-from nfmusic.geometry import PolarLocation, UeLocation, build_geometry, cart_to_polar, polar_to_cart
+from nfmusic.geometry import ArrayGeometry, PolarLocation, UeLocation, cart_to_polar, polar_to_cart
 from nfmusic.refine import (
     IllConditionedError,
     estimate_correctors,
@@ -17,7 +17,7 @@ from nfmusic.signal import gen_pilots, received_block, stream
 
 @pytest.fixture(scope="module")
 def geo():
-    return build_geometry(100, 0.1 / math.sqrt(2), 0.1)
+    return ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
 
 
 def random_complex(rng, shape):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nfmusic.channel import array_response, channel_matrix
-from nfmusic.geometry import UeLocation, build_geometry
+from nfmusic.geometry import ArrayGeometry, UeLocation
 from nfmusic.signal import gen_pilots, received_block, stream
 from nfmusic.subspace import (
     extract_subarrays,
@@ -21,7 +21,7 @@ def random_complex(rng, shape):
 
 @pytest.fixture(scope="module")
 def geo():
-    return build_geometry(100, 0.1 / math.sqrt(2), 0.1)
+    return ArrayGeometry(100, 0.1 / math.sqrt(2), 0.1)
 
 
 class TestSampleCovariance:
@@ -206,7 +206,7 @@ class TestNoiseSubspace:
         assert np.allclose(un.matrix.conj().T @ un.matrix, np.eye(5), atol=1e-10)
 
     def test_multi_source_noiseless_orthogonality(self):
-        geo = build_geometry(64, 0.05, 0.1)
+        geo = ArrayGeometry(64, 0.05, 0.1)
         locs = [
             UeLocation(0.5, 0.2, 2.0),
             UeLocation(-0.8, -0.1, 3.0),
