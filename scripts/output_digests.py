@@ -3,9 +3,10 @@
 Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 (or without PYTHONPATH when nfmusic is installed)
 
-The set is the reference, ``music3d`` and ``large_array`` sweeps at seeds 1-3
-(``trials.csv`` and ``aggregate.csv`` each), the ``fig1`` plane-slice spectra
-at seeds 1-3, and one ``dump-spectrum`` CSV of each kind.  Each line printed
+The set is the reference, ``music3d``, ``large_array`` and ``all_methods``
+sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
+plane-slice spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each kind:
+33 files.  Each line printed
 is ``path sha256`` with the path relative to OUT_DIR, so diffing the output of
 two checkouts shows whether a change kept every output byte-identical.
 """
@@ -35,6 +36,14 @@ SWEEPS = {
         elevation_grid_points=40,
         distance_range=None,
         trials=1,
+    ),
+    # every method in one trial, listed out of the default order
+    "all_methods": dataclasses.replace(
+        REFERENCE,
+        methods=("ls", "music3d", "rls", "proposed_nocorrect", "proposed"),
+        snr_db_list=(10.0, 20.0),
+        trials=2,
+        cart_grid_points=20,
     ),
 }
 SPECTRUM_KINDS = ("angular", "distance", "xz")

@@ -75,11 +75,6 @@ from .subspace import noise_subspace, sample_covariance, smoothed_covariance
 
 logger = logging.getLogger(__name__)
 
-KNOWN_METHODS = ("proposed", "proposed_nocorrect", "ls", "rls", "music3d")
-# Each parametric search and the methods that score its estimates.
-SEARCHES = (("two-step", ("proposed", "proposed_nocorrect")), ("full-array", ("music3d",)))
-# Methods that rescale the reconstructed channels with the LS corrector.
-CORRECTED = ("proposed", "music3d")
 PLACEMENT_BUDGET = 100_000
 # fig1 counts a peak as a found user within these distances (m) in x and in z:
 # 3 cells of the reference config's 100-point xz grid, fixed so that a grid
@@ -160,14 +155,25 @@ class ExperimentConfig:
                 f"angular ranges at min_angular_separation {math.degrees(sep):g} deg"
             )
         try:
-            g = self.geometry()
-            d_lower, d_upper = near_field_bounds(g)
-            if self.distance_range is None:
-                object.__setattr__(self, "distance_range", (d_lower, d_upper))
-            self.distance_grid()
-            self.cartesian_grid()
+            g = self.geometry()  # its errors name the fields, which are the config keys
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        d_lower, d_upper = near_field_bounds(g)
+        if self.distance_range is None:
+            if not d_lower < d_upper:
+                raise ConfigError(
+                    f"distance_range must be set: the near field [{d_lower:.3g}, "
+                    f"{d_upper:.3g}] m of this array is empty"
+                )
+            object.__setattr__(self, "distance_range", (d_lower, d_upper))
+        for keys, build in (
+            ("distance_range, distance_grid_points, distance_spacing", self.distance_grid),
+            ("cart_grid_points", self.cartesian_grid),
+        ):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{keys}: {exc}") from exc
         side = g.side
         if self.c_r < 0 or self.c_r >= side:
             raise ConfigError(f"c_r must lie in [0, {side - 1}]")
@@ -188,9 +194,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= 2")
         if self.snr_ref not in ("relative", "absolute"):
             raise ConfigError("snr_ref must be 'relative' or 'absolute'")
-        unknown = [m for m in self.methods if m not in KNOWN_METHODS]
+        unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
-            raise ConfigError(f"unknown methods {unknown}; known: {KNOWN_METHODS}")
+            raise ConfigError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
         if not self.methods:
             raise ConfigError("methods must be nonempty")
         if len(set(self.methods)) != len(self.methods):
@@ -406,22 +412,29 @@ def _full_array_spectrum(
     return spectrum_3d(un, grid, g)
 
 
-def _search(
-    search: str,
-    cfg: ExperimentConfig,
-    g: ArrayGeometry,
-    block: SnapshotBlock,
-    angle_grid: GridSpec,
-    dist_grid: GridSpec,
-) -> tuple[Sequence[PolarLocation], int]:
-    """Estimated user locations, in peak order, and the number of peaks found
-    by the ``two-step`` or the ``full-array`` search."""
-    if search == "two-step":
-        result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
-        return result.locations, result.angular_peaks.found
-    spec = _full_array_spectrum(block, cfg.k_ues, cfg.cartesian_grid(), g)
-    peaks = find_peaks(spec, cfg.k_ues)
+def _two_step_search(cfg, g, block, angle_grid, dist_grid):
+    """The subarray-smoothed two-step search: angles first, then distances."""
+    result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
+    return result.locations, result.angular_peaks.found
+
+
+def _full_array_search(cfg, g, block, angle_grid, dist_grid):
+    """The exact-model search of the full-array covariance over the Cartesian grid."""
+    peaks = find_peaks(_full_array_spectrum(block, cfg.k_ues, cfg.cartesian_grid(), g), cfg.k_ues)
     return [cart_to_polar(UeLocation(*p.coords)) for p in peaks.peaks], peaks.found
+
+
+# method -> (search, corrected).  A search maps (cfg, g, block, angle_grid,
+# dist_grid) to the estimated user locations, in peak order, and the number of
+# peaks found; None marks a baseline that estimates the channels directly.  A
+# corrected method rescales its reconstructed channels with the LS corrector.
+METHODS = {
+    "proposed": (_two_step_search, True),
+    "proposed_nocorrect": (_two_step_search, False),
+    "ls": (None, False),
+    "rls": (None, False),
+    "music3d": (_full_array_search, True),
+}
 
 
 def _run_trial(
@@ -432,75 +445,68 @@ def _run_trial(
     snr_index: int,
     trial: int,
 ) -> list[TrialRecord]:
-    """One row per (method, user) for one synthesized trial.
+    """One row per (method, user) for one synthesized trial, in ``cfg.methods``
+    order.
 
-    Each parametric search runs once for the methods it serves.  Its
-    estimates are matched to the true users before reconstruction, so the
-    pilot pairing inside the corrector is consistent; a user left unmatched,
-    a failed search and a failed corrector give NaN rows, which mark the
-    trial as failed for that method.
+    Each search runs at most once; the methods it serves share its estimates,
+    matched to the true users so that the corrector pairs them with the right
+    pilots, their reconstructed channels and its peak count.  A ``ValueError``
+    from a search fails the methods it serves, and an ``IllConditionedError``
+    from the corrector fails its method; a failed method, like an unmatched
+    user, gets NaN rows.  Any other error stops the run.
     """
     snr_db = cfg.snr_db_list[snr_index]
     locs, a_true = _place_users(cfg, g, (snr_index, trial))
     truth_polar = [cart_to_polar(l) for l in locs]
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
     _, d_fa = near_field_bounds(g)
+    searched = {}  # search -> (user -> matched estimate, their channels, peaks found)
 
     rows: list[TrialRecord] = []
-    for search, served in SEARCHES:
-        methods = [m for m in cfg.methods if m in served]
-        if not methods:
-            continue
-        estimates: dict[str, np.ndarray] = {}  # method -> columns of the matched users
-        try:
-            found, peaks_found = _search(search, cfg, g, block, angle_grid, dist_grid)
-            perm = match_estimates(truth_polar, found, d_fa)
-            # user -> its matched estimate, in user order
-            matched = {k: found[p] for k, p in enumerate(perm) if p is not None}
-            if matched:
-                a_hat = reconstruct_channels(list(matched.values()), g).entries
-                for method in methods:
-                    if method not in CORRECTED:
-                        estimates[method] = a_hat
-                        continue
-                    pilots = block.pilots[list(matched), :]
-                    try:
-                        estimates[method] = a_hat * estimate_correctors(
-                            a_hat, pilots, block.received
-                        )
-                    except IllConditionedError as exc:
-                        logger.warning(
-                            "trial %d at %.1f dB: corrector failed: %s", trial, snr_db, exc
-                        )
-        except ValueError as exc:
-            logger.warning("%s trial %d at %.1f dB aborted: %s", search, trial, snr_db, exc)
-            matched, estimates, peaks_found = {}, {}, 0
-        for method in methods:
-            columns = dict(zip(matched, estimates[method].T)) if method in estimates else {}
-            rows.extend(
-                _row(
-                    method,
-                    snr_db,
-                    trial,
-                    k,
-                    peaks_found,
-                    channels=(a_true.entries[:, k], columns[k]),
-                    locations=(truth_polar[k], matched[k]),
-                )
-                if k in columns
-                else _row(method, snr_db, trial, k, peaks_found)
-                for k in range(cfg.k_ues)
-            )
-
     for method in cfg.methods:
-        if method == "ls":
-            estimate = ls_baseline(block.received, block.pilots)
-        elif method == "rls":
-            estimate = rls_baseline(block.received, block.pilots, block.noise_var)
+        search, corrected = METHODS[method]
+        context = (method, trial, snr_db)
+        if search is None:
+            a_hat = (
+                ls_baseline(block.received, block.pilots)
+                if method == "ls"
+                else rls_baseline(block.received, block.pilots, block.noise_var)
+            )
+            matched, columns, peaks_found = {}, dict(enumerate(a_hat.T)), cfg.k_ues
         else:
-            continue
+            if search not in searched:
+                searched[search] = {}, None, 0
+                try:
+                    found, peaks_found = search(cfg, g, block, angle_grid, dist_grid)
+                except ValueError as exc:
+                    logger.warning("%s trial %d at %.1f dB: search failed: %s", *context, exc)
+                else:
+                    perm = match_estimates(truth_polar, found, d_fa)
+                    matched = {k: found[p] for k, p in enumerate(perm) if p is not None}
+                    a_hat = None
+                    if matched:
+                        a_hat = reconstruct_channels(list(matched.values()), g).entries
+                    searched[search] = matched, a_hat, peaks_found
+            matched, a_hat, peaks_found = searched[search]
+            if corrected and matched:
+                try:
+                    a_hat = a_hat * estimate_correctors(
+                        a_hat, block.pilots[list(matched), :], block.received
+                    )
+                except IllConditionedError as exc:
+                    logger.warning("%s trial %d at %.1f dB: corrector failed: %s", *context, exc)
+                    matched = {}
+            columns = dict(zip(matched, a_hat.T)) if matched else {}
         rows.extend(
-            _row(method, snr_db, trial, k, cfg.k_ues, (a_true.entries[:, k], estimate[:, k]))
+            _row(
+                method,
+                snr_db,
+                trial,
+                k,
+                peaks_found,
+                (a_true.entries[:, k], columns[k]) if k in columns else None,
+                (truth_polar[k], matched[k]) if k in matched else None,
+            )
             for k in range(cfg.k_ues)
         )
     return rows
@@ -580,9 +586,10 @@ def run_experiment(
             if progress and ((t + 1) % 25 == 0 or t + 1 == cfg.trials):
                 print(f"snr {cfg.snr_db_list[si]:g} dB: {t + 1}/{cfg.trials} trials", flush=True)
 
+    # trials arrive in (SNR, trial) order and their rows in (method, user)
+    # order, so a stable sort by method gives (method, SNR, trial, user)
     method_order = {m: i for i, m in enumerate(cfg.methods)}
-    snr_order = {snr: i for i, snr in enumerate(cfg.snr_db_list)}
-    records.sort(key=lambda r: (method_order[r.method], snr_order[r.snr_db], r.trial, r.ue))
+    records.sort(key=lambda r: method_order[r.method])
     aggregates = aggregate(records, cfg.methods, cfg.snr_db_list, cfg.k_ues)
     report = MetricReport(records=tuple(records), aggregates=tuple(aggregates))
 

@@ -322,14 +322,6 @@ def two_step_estimate(
     the search range still yields an estimate.
     """
     warnings: list[str] = []
-    side = g.side
-    n_d = side - c_r
-    if n_d < 1:
-        raise ValueError(f"c_r={c_r} leaves no subarray for a {side}x{side} array")
-    if n_d * n_d < k_sources:
-        raise ValueError(
-            f"subarray size {n_d}x{n_d} cannot resolve {k_sources} sources"
-        )
     snapshot_budget = block.n_pilots * (c_r + 1) ** 2
     if snapshot_budget < k_sources:
         warnings.append(

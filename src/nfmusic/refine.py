@@ -42,10 +42,10 @@ def estimate_correctors(
     ``a_hat * alpha``.
 
     The stacked model has block row l equal to ``a_hat @ diag(pilots[:, l])``
-    against column l of ``received``.  It is solved through an orthogonal
-    factorization rather than the normal equations; raises
-    :class:`IllConditionedError` when the normal-matrix condition number
-    exceeds ``NORMAL_COND_LIMIT``.
+    against column l of ``received``.  It is solved by SVD rather than the
+    normal equations; raises :class:`IllConditionedError` when the condition
+    number of the normal matrix, read from the same singular values, exceeds
+    ``NORMAL_COND_LIMIT``.
     """
     k = a_hat.shape[1]
     n, l = received.shape
@@ -55,13 +55,12 @@ def estimate_correctors(
             f"received {received.shape}"
         )
     stacked = np.vstack([a_hat * pilots[:, col][None, :] for col in range(l)])
-    sing = np.linalg.svd(stacked, compute_uv=False)
+    alpha, _, _, sing = np.linalg.lstsq(stacked, received.reshape(-1, order="F"), rcond=None)
     if sing[-1] == 0.0:
         raise IllConditionedError(np.inf)
     cond_normal = (sing[0] / sing[-1]) ** 2
     if cond_normal > NORMAL_COND_LIMIT:
         raise IllConditionedError(float(cond_normal))
-    alpha, *_ = np.linalg.lstsq(stacked, received.reshape(-1, order="F"), rcond=None)
     if not np.all(np.isfinite(alpha)):
         raise ValueError("corrector entries must be finite")
     return alpha

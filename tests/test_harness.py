@@ -15,7 +15,7 @@ import nfmusic.harness as harness
 from nfmusic.cli import main as cli_main
 from nfmusic.geometry import PolarLocation, cart_to_polar, polar_to_cart
 from nfmusic.harness import (
-    KNOWN_METHODS,
+    METHODS,
     ConfigError,
     ExperimentConfig,
     parse_config_text,
@@ -383,6 +383,41 @@ class TestRunExperiment:
         assert by_method["proposed"].trials_failed == 2
         assert by_method["ls"].trials_failed == 0
 
+    def test_two_step_search_runs_once_per_trial(self, monkeypatch):
+        spy = mock.Mock(wraps=harness.two_step_estimate)
+        monkeypatch.setattr(harness, "two_step_estimate", spy)
+        cfg = _tiny_config(methods=("proposed", "ls", "proposed_nocorrect"), trials=2)
+        report = run_experiment(cfg)
+        assert spy.call_count == 2
+        rows = {m: [r for r in report.records if r.method == m] for m in cfg.methods}
+        found = [r.peaks_found for r in rows["proposed"]]
+        assert [r.peaks_found for r in rows["proposed_nocorrect"]] == found
+        assert [r.az_err_rad for r in rows["proposed_nocorrect"]] == [
+            r.az_err_rad for r in rows["proposed"]
+        ]
+
+    @pytest.mark.parametrize("stage", ["estimate_correctors", "reconstruct_channels"])
+    def test_value_error_after_the_search_stops_the_run(self, stage, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError(f"{stage} bug")
+
+        monkeypatch.setattr(harness, stage, broken)
+        with pytest.raises(ValueError, match=f"{stage} bug"):
+            run_experiment(_tiny_config(methods=("proposed", "proposed_nocorrect"), trials=1))
+
+    def test_method_order_only_orders_rows(self):
+        methods = ("ls", "music3d", "rls", "proposed_nocorrect", "proposed")
+        cfg = _tiny_config(methods=methods, trials=2, snr_db_list=(10.0, 20.0), cart_grid_points=12)
+        report = run_experiment(cfg)
+        canonical = run_experiment(dataclasses.replace(cfg, methods=tuple(sorted(methods))))
+        assert [r.method for r in report.records] == [
+            m for m in methods for _ in range(2 * 2 * cfg.k_ues)
+        ]
+        assert sorted(report.records, key=lambda r: r.method) == list(canonical.records)
+        assert {a.method: a for a in report.aggregates} == {
+            a.method: a for a in canonical.aggregates
+        }
+
 
 class TestDeterminism:
     def test_byte_identical_csv_across_thread_counts(self, tmp_path):
@@ -627,6 +662,24 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
 
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("cart_grid_points=1", "cart_grid_points"),
+            ("distance_spacing=log", "distance_spacing"),
+            ("distance_grid_points=1", "distance_grid_points"),
+            ("distance_range=1,inf", "distance_range"),
+            ("element_diag=0.01", "distance_range"),  # the default near field is empty
+        ],
+    )
+    def test_delegated_rule_names_its_config_key(self, line, key, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(f"n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n{line}\n")
+        rc = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out" / "trials.csv").exists()
+
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_below_one_returns_error_code(self, threads, tmp_path, capsys):
         with pytest.raises(ConfigError, match="threads"):
@@ -670,7 +723,7 @@ def _tiny_config_texts(draw):
         "azimuth_range": degree_range(),
         "elevation_range": degree_range(),
         "min_angular_separation": draw(st.floats(0.0, 30.0)),
-        "methods": ",".join(draw(st.lists(st.sampled_from(KNOWN_METHODS), min_size=1, max_size=4))),
+        "methods": ",".join(draw(st.lists(st.sampled_from(list(METHODS)), min_size=1, max_size=4))),
     }
     for name in ("azimuth", "elevation", "distance", "cart"):
         lines[f"{name}_grid_points"] = draw(st.integers(2, 6))
