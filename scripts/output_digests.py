@@ -46,24 +46,33 @@ SWEEPS = {
         cart_grid_points=20,
     ),
 }
+FIG1_L = (10, 3)
 SPECTRUM_KINDS = ("angular", "distance", "xz")
+
+
+def csv_names() -> list[str]:
+    """Every CSV of the set, as a path relative to OUT_DIR, in write order."""
+    names = [
+        f"{name}_seed{seed}/{csv}"
+        for name in SWEEPS
+        for seed in SEEDS
+        for csv in ("trials.csv", "aggregate.csv")
+    ]
+    names += [f"fig1_seed{seed}/fig1_L{l_pilots}.csv" for seed in SEEDS for l_pilots in FIG1_L]
+    return names + [f"spectrum_{kind}.csv" for kind in SPECTRUM_KINDS]
 
 
 def write_outputs(out: Path) -> list[Path]:
     """Write every CSV of the set under ``out`` and return their paths."""
-    paths = []
     for name, cfg in SWEEPS.items():
         for seed in SEEDS:
-            run_dir = out / f"{name}_seed{seed}"
-            run_experiment(dataclasses.replace(cfg, seed=seed), out_dir=run_dir)
-            paths += [run_dir / "trials.csv", run_dir / "aggregate.csv"]
+            run_experiment(dataclasses.replace(cfg, seed=seed), out_dir=out / f"{name}_seed{seed}")
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
-        report = scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}")
-        paths += [case.dump_path for case in report.cases]
+        scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
     for kind in SPECTRUM_KINDS:
-        paths.append(dump_spectrum(REFERENCE, kind, out / f"spectrum_{kind}.csv"))
-    return paths
+        dump_spectrum(REFERENCE, kind, out / f"spectrum_{kind}.csv")
+    return [out / name for name in csv_names()]
 
 
 def main(argv: list[str]) -> int:

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from .channel import ChannelMatrix, channel_matrix
 from .geometry import (
@@ -513,40 +514,42 @@ def _run_trial(
 
 
 @functools.lru_cache(maxsize=1)
-def _openblas_threads():
-    """Thread-count setter and getter of numpy's bundled OpenBLAS, or None when
-    numpy ships no such library."""
-    libs = Path(np.__file__).parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*.so")):
-        lib = ctypes.CDLL(str(path))
-        for suffix in ("64_", ""):
-            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-            if setter and getter:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return setter, getter
-    return None
+def _openblas_threads() -> tuple:
+    """Thread-count (setter, getter) of each OpenBLAS bundled with numpy or
+    scipy; empty when neither ships one."""
+    found = []
+    for package in (np, scipy):
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        for path in sorted(libs.glob("libscipy_openblas*.so")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+                if setter and getter:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    found.append((setter, getter))
+                    break
+    return tuple(found)
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold numpy's bundled OpenBLAS at one thread, then restore its count.
+    """Hold every bundled OpenBLAS at one thread, then restore their counts.
 
-    Each trial worker makes its own BLAS calls; if every call also fans out to
-    one BLAS thread per CPU, the workers oversubscribe the cores.
+    Each trial worker makes its own BLAS and LAPACK calls, through numpy's
+    library and through scipy's; if every call also fans out to one BLAS
+    thread per CPU, the workers oversubscribe the cores.
     """
     funcs = _openblas_threads()
-    if funcs is None:
-        yield
-        return
-    set_threads, get_threads = funcs
-    previous = get_threads()
-    set_threads(1)
+    previous = [get_threads() for _, get_threads in funcs]
+    for set_threads, _ in funcs:
+        set_threads(1)
     try:
         yield
     finally:
-        set_threads(previous)
+        for (set_threads, _), count in zip(funcs, previous):
+            set_threads(count)
 
 
 def run_experiment(
@@ -561,8 +564,9 @@ def run_experiment(
     ``threads``: every trial draws from its own keyed random streams, trials
     finish in (SNR, trial) order on every path, and rows are emitted in
     (method, SNR, trial, user) order through a single sink.
-    With ``threads > 1`` numpy's bundled OpenBLAS runs one thread per worker
-    while the pool runs, and gets its previous thread count back afterwards.
+    With ``threads > 1`` the OpenBLAS bundled with numpy and with scipy runs
+    one thread per worker while the pool runs, and each gets its previous
+    thread count back afterwards.
     With ``progress``, a line is printed every 25 trials of an SNR point and
     at its last trial.
     """

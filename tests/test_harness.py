@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -430,26 +431,40 @@ class TestDeterminism:
             assert a == b
 
     def test_pool_runs_blas_single_threaded_and_restores_count(self, monkeypatch):
+        """The search calls LAPACK through scipy's bundled OpenBLAS as well as
+        numpy's; inside the pool each library reads one thread, and each gets
+        its own previous count back after the sweep."""
+        shipped = [
+            path
+            for package in (np, scipy)
+            for path in (Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob(
+                "libscipy_openblas*.so"
+            )
+        ]
         funcs = harness._openblas_threads()
-        if funcs is None:
-            pytest.skip("numpy ships no bundled OpenBLAS")
-        set_threads, get_threads = funcs
+        assert len(funcs) == len(shipped)
+        if not funcs:
+            pytest.skip("neither numpy nor scipy ships a bundled OpenBLAS")
         seen = []
-        run_trial = harness._run_trial
+        search = harness.two_step_estimate
 
         def spy(*args):
-            seen.append(get_threads())
-            return run_trial(*args)
+            seen.append([get_threads() for _, get_threads in funcs])
+            return search(*args)
 
-        monkeypatch.setattr(harness, "_run_trial", spy)
-        original = get_threads()
-        set_threads(2)
+        monkeypatch.setattr(harness, "two_step_estimate", spy)
+        original = [get_threads() for _, get_threads in funcs]
+        before = [2 + i % 2 for i in range(len(funcs))]
+        for (set_threads, _), count in zip(funcs, before):
+            set_threads(count)
         try:
             run_experiment(_tiny_config(trials=2), threads=2)
-            assert get_threads() == 2
+            after = [get_threads() for _, get_threads in funcs]
         finally:
-            set_threads(original)
-        assert seen == [1, 1]
+            for (set_threads, _), count in zip(funcs, original):
+                set_threads(count)
+        assert seen == [[1] * len(funcs)] * 2
+        assert after == before
 
     def test_csv_round_trip_consistency(self, tmp_path):
         cfg = _tiny_config()
@@ -515,6 +530,25 @@ class TestScenarioFig1:
         report = scenario_fig1(cfg, l_values=(6,))
         for loc in report.true_locations:
             assert loc.y == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [2, 3, 4, 6, 7])
+    def test_rank_deficient_slice_ignores_last_bit_of_the_channel(self, tmp_path, monkeypatch, seed):
+        """At L=3 < K=4 the covariance has rank 3; the spectrum must not hinge
+        on a one-ulp change of one channel entry."""
+        cfg = ExperimentConfig(seed=seed)
+        scenario_fig1(cfg, out_dir=tmp_path / "a", l_values=(3,))
+        build = harness.channel_matrix
+
+        def bumped(g, locs):
+            a = build(g, locs)
+            entries = a.entries.copy()
+            entries[0, 0] = np.nextafter(entries[0, 0].real, np.inf) + 1j * entries[0, 0].imag
+            return dataclasses.replace(a, entries=entries)
+
+        monkeypatch.setattr(harness, "channel_matrix", bumped)
+        scenario_fig1(cfg, out_dir=tmp_path / "b", l_values=(3,))
+        a, b = (np.loadtxt(tmp_path / d / "fig1_L3.csv", delimiter=",", skiprows=1)[:, 2] for d in "ab")
+        assert np.max(np.abs(b - a) / np.abs(a)) < 1e-6
 
 
 class TestDumpSpectrum:

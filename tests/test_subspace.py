@@ -192,6 +192,21 @@ class TestHermitianEig:
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _noiseless_four_users():
+    """Channel matrix of four users and the rank-4 sample covariance of six
+    noiseless pilots from them."""
+    geo = ArrayGeometry(64, 0.05, 0.1)
+    locs = [
+        UeLocation(0.5, 0.2, 2.0),
+        UeLocation(-0.8, -0.1, 3.0),
+        UeLocation(0.1, 0.6, 4.0),
+        UeLocation(-0.2, -0.7, 2.5),
+    ]
+    a = channel_matrix(geo, locs)
+    block = received_block(a, gen_pilots(4, 6, stream(11, 0)), math.inf)
+    return a.entries, sample_covariance(block.received.T)
+
+
 class TestNoiseSubspace:
     def test_rank_one_orthogonal_complement(self):
         rng = np.random.default_rng(10)
@@ -206,18 +221,9 @@ class TestNoiseSubspace:
         assert np.allclose(un.matrix.conj().T @ un.matrix, np.eye(5), atol=1e-10)
 
     def test_multi_source_noiseless_orthogonality(self):
-        geo = ArrayGeometry(64, 0.05, 0.1)
-        locs = [
-            UeLocation(0.5, 0.2, 2.0),
-            UeLocation(-0.8, -0.1, 3.0),
-            UeLocation(0.1, 0.6, 4.0),
-            UeLocation(-0.2, -0.7, 2.5),
-        ]
-        a = channel_matrix(geo, locs)
-        block = received_block(a, gen_pilots(4, 6, stream(11, 0)), math.inf)
-        cov = sample_covariance(block.received.T)
+        a, cov = _noiseless_four_users()
         un = noise_subspace(cov, 4)
-        assert np.linalg.norm(a.entries.conj().T @ un.matrix) < 1e-6 * np.linalg.norm(a.entries)
+        assert np.linalg.norm(a.conj().T @ un.matrix) < 1e-6 * np.linalg.norm(a)
 
     def test_signal_basis_completes_noise_basis(self):
         rng = np.random.default_rng(12)
@@ -234,3 +240,64 @@ class TestNoiseSubspace:
         cov = sample_covariance(np.eye(4))
         with pytest.raises(ValueError):
             noise_subspace(cov, 4)
+
+
+class TestNoiseSubspaceMatchesEigendecomposition:
+    """The rank-revealing factorization gives the same subspaces as a full
+    eigendecomposition of the covariance."""
+
+    @pytest.mark.parametrize(
+        "make_cov, k",
+        [
+            (lambda: sample_covariance(random_complex(np.random.default_rng(20), (30, 10))), 3),
+            (lambda: sample_covariance(random_complex(np.random.default_rng(21), (5, 12))), 3),
+            (lambda: sample_covariance(random_complex(np.random.default_rng(22), (12, 81))), 4),
+            (lambda: _noiseless_four_users()[1], 4),
+            (lambda: np.eye(6), 2),
+            (lambda: np.zeros((6, 6)), 2),
+        ],
+        ids=["full_rank", "n_below_m", "n_below_m_81", "noiseless_rank_k", "real_eye", "zero"],
+    )
+    def test_signal_columns_span_the_top_k_eigenvectors(self, make_cov, k):
+        cov = make_cov()
+        m = cov.shape[0]
+        un = noise_subspace(cov, k)
+        assert un.matrix.shape == (m, m - k) and un.signal.shape == (m, k)
+        full = np.hstack([un.matrix, un.signal])
+        assert np.linalg.norm(full.conj().T @ full - np.eye(m), 2) <= 1e-12
+        vals, vecs = hermitian_eig(cov)
+        # the signal columns capture the K largest eigenvalues (Ky Fan)
+        captured = np.trace(un.signal.conj().T @ cov @ un.signal).real
+        assert captured == pytest.approx(vals[-k:].sum(), rel=1e-12, abs=1e-14)
+        if vals[-k] - vals[-k - 1] > 1e-9 * max(vals[-1], 1.0):
+            # a nonzero K-th gap fixes the subspace: compare the projectors
+            top = vecs[:, -k:]
+            distance = np.linalg.norm(un.signal @ un.signal.conj().T - top @ top.conj().T, 2)
+            assert distance <= 1e-12
+        else:
+            # tied eigenvalues (eye, zero): any K orthonormal columns are a top-K basis
+            assert np.ptp(vals) == 0.0
+
+    def test_rank_below_source_count_keeps_the_range(self):
+        """Three snapshots for four sources: the signal columns contain the
+        three-dimensional range and complete it to an orthonormal K-basis."""
+        rng = np.random.default_rng(23)
+        snaps = random_complex(rng, (3, 10))
+        un = noise_subspace(sample_covariance(snaps), 4)
+        assert un.signal.shape == (10, 4)
+        outside = snaps.T - un.signal @ (un.signal.conj().T @ snaps.T)
+        assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(snaps)
+        full = np.hstack([un.matrix, un.signal])
+        assert np.linalg.norm(full.conj().T @ full - np.eye(10), 2) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "r, message",
+        [
+            (np.diag([3.0, -1.0, 2.0]), "positive semidefinite"),
+            (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "Hermitian"),
+        ],
+        ids=["indefinite", "non_hermitian"],
+    )
+    def test_rejects_a_matrix_that_is_not_a_covariance(self, r, message):
+        with pytest.raises(ValueError, match=message):
+            noise_subspace(r, 1)
