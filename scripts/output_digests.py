@@ -3,12 +3,13 @@
 Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 (or without PYTHONPATH when nfmusic is installed)
 
-The set is the reference, ``music3d``, ``large_array`` and ``all_methods``
-sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
-plane-slice spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each kind:
-33 files.  Each line printed
-is ``path sha256`` with the path relative to OUT_DIR, so diffing the output of
-two checkouts shows whether a change kept every output byte-identical.
+The set is the reference, ``large_array`` and ``all_methods`` sweeps at seeds
+1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1`` plane-slice
+spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each kind (``angular``,
+``distance``, and the exact-model plane slice ``xz``): 27 files.  Each line
+printed is ``path sha256`` with the path relative to OUT_DIR, so diffing the
+output of two checkouts shows whether a change kept every output
+byte-identical.
 """
 
 import dataclasses
@@ -22,13 +23,6 @@ SEEDS = (1, 2, 3)
 REFERENCE = ExperimentConfig(snr_db_list=(0.0, 10.0, 20.0), trials=3)
 SWEEPS = {
     "reference": REFERENCE,
-    "music3d": dataclasses.replace(
-        REFERENCE,
-        methods=("proposed", "music3d", "ls"),
-        snr_db_list=(10.0, 20.0),
-        trials=2,
-        cart_grid_points=40,
-    ),
     "large_array": dataclasses.replace(
         REFERENCE,
         n_antennas=400,
@@ -40,10 +34,9 @@ SWEEPS = {
     # every method in one trial, listed out of the default order
     "all_methods": dataclasses.replace(
         REFERENCE,
-        methods=("ls", "music3d", "rls", "proposed_nocorrect", "proposed"),
+        methods=("ls", "rls", "proposed_nocorrect", "proposed"),
         snr_db_list=(10.0, 20.0),
         trials=2,
-        cart_grid_points=20,
     ),
 }
 FIG1_L = (10, 3)

@@ -94,8 +94,8 @@ class ExperimentConfig:
     Angles are stored in radians.  The text-config parser accepts the angular
     keys (azimuth_range, elevation_range, min_angular_separation) in degrees
     and converts on load; everything else is SI units.  The array and the
-    distance and Cartesian grids are built on construction, so their own
-    rules (``ArrayGeometry``, ``GridAxis``) reject a bad size or range.
+    distance and (x, z) grids are built on construction, so their own rules
+    (``ArrayGeometry``, ``GridAxis``) reject a bad size or range.
     """
 
     n_antennas: int = 100
@@ -169,7 +169,7 @@ class ExperimentConfig:
             object.__setattr__(self, "distance_range", (d_lower, d_upper))
         for keys, build in (
             ("distance_range, distance_grid_points, distance_spacing", self.distance_grid),
-            ("cart_grid_points", self.cartesian_grid),
+            ("cart_grid_points", self.xz_grid),
         ):
             try:
                 build()
@@ -225,26 +225,16 @@ class ExperimentConfig:
         )
         return GridSpec((axis,))
 
-    def cartesian_grid(self) -> GridSpec:
-        """Full (x, y, z) search grid covering the configured placement region."""
+    def xz_grid(self) -> GridSpec:
+        """(x, z) plane-slice grid at y=0, ``cart_grid_points`` per side, covering
+        the configured placement region."""
         d_min, d_max = self.distance_range
         az_abs = max(abs(self.azimuth_range[0]), abs(self.azimuth_range[1]))
         el_abs = max(abs(self.elevation_range[0]), abs(self.elevation_range[1]))
         x_max = d_max * math.sin(az_abs) if az_abs > 0 else 0.05 * d_max
-        y_max = d_max * math.sin(el_abs) if el_abs > 0 else 0.05 * d_max
         z_lo = max(d_min * math.cos(az_abs) * math.cos(el_abs), 0.01 * d_max)
         n = self.cart_grid_points
-        return GridSpec(
-            (
-                GridAxis("x", -x_max, x_max, n),
-                GridAxis("y", -y_max, y_max, n),
-                GridAxis("z", z_lo, d_max, n),
-            )
-        )
-
-    def xz_grid(self) -> GridSpec:
-        """(x, z) slice grid at y=0 for zero-elevation scenarios."""
-        return GridSpec(tuple(ax for ax in self.cartesian_grid().axes if ax.name != "y"))
+        return GridSpec((GridAxis("x", -x_max, x_max, n), GridAxis("z", z_lo, d_max, n)))
 
 
 _ANGULAR_KEYS = ("azimuth_range", "elevation_range", "min_angular_separation")
@@ -314,7 +304,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    return parse_config_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def place_ues(cfg: ExperimentConfig, rng: np.random.Generator) -> list[UeLocation]:
@@ -407,8 +401,8 @@ def _full_array_spectrum(
     block: SnapshotBlock, k_ues: int, grid: GridSpec, g: ArrayGeometry
 ) -> SpectrumGrid:
     """Exact-model spectrum over ``grid`` from the unsmoothed full-array
-    covariance of ``block``; the search behind ``music3d``, ``fig1`` and the
-    ``xz`` spectrum dump."""
+    covariance of ``block``; the search behind ``fig1`` and the ``xz``
+    spectrum dump."""
     un = noise_subspace(sample_covariance(block.received.T), k_ues)
     return spectrum_3d(un, grid, g)
 
@@ -417,12 +411,6 @@ def _two_step_search(cfg, g, block, angle_grid, dist_grid):
     """The subarray-smoothed two-step search: angles first, then distances."""
     result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
     return result.locations, result.angular_peaks.found
-
-
-def _full_array_search(cfg, g, block, angle_grid, dist_grid):
-    """The exact-model search of the full-array covariance over the Cartesian grid."""
-    peaks = find_peaks(_full_array_spectrum(block, cfg.k_ues, cfg.cartesian_grid(), g), cfg.k_ues)
-    return [cart_to_polar(UeLocation(*p.coords)) for p in peaks.peaks], peaks.found
 
 
 # method -> (search, corrected).  A search maps (cfg, g, block, angle_grid,
@@ -434,7 +422,6 @@ METHODS = {
     "proposed_nocorrect": (_two_step_search, False),
     "ls": (None, False),
     "rls": (None, False),
-    "music3d": (_full_array_search, True),
 }
 
 
@@ -682,10 +669,11 @@ def scenario_fig1(
 ) -> Fig1Report:
     """Full-array plane-slice search with many vs few pilot transmissions.
 
-    Users are placed at zero elevation, so the Cartesian spectrum degenerates
-    to an (x, z) slice.  For each pilot length the spectrum is scanned for
-    the K tallest peaks and compared against the true positions; with
-    enough snapshots all users appear, with fewer than K they conflate.
+    Users are placed at zero elevation, so the exact-model spectrum is
+    searched on the (x, z) plane at y=0.  For each pilot length the spectrum
+    is scanned for the K tallest peaks and compared against the true
+    positions; with enough snapshots all users appear, with fewer than K
+    they conflate.
     """
     # snr_db goes through the config so it is checked like a sweep's SNRs
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
@@ -728,10 +716,19 @@ def dump_spectrum(
     """Synthesize one trial and dump the requested spectrum as CSV.
 
     ``kind`` is "angular" (2-D), "distance" (1-D at given or estimated
-    angles), or "xz" (plane slice through the full-array search).  ``snr_db``
-    must be one of ``cfg.snr_db_list`` (default: the last), because the
-    trial's random streams are keyed by its position there.
+    angles), or "xz" (plane slice through the full-array search).  Angles
+    are given for "distance" only, both or neither, each inside
+    (-pi/2, pi/2).  ``snr_db`` must be one of ``cfg.snr_db_list`` (default:
+    the last), because the trial's random streams are keyed by its position
+    there.
     """
+    if (azimuth is None) != (elevation is None):
+        raise ConfigError("give both azimuth and elevation, or neither")
+    if azimuth is not None:
+        if kind != "distance":
+            raise ConfigError(f"azimuth and elevation apply to kind 'distance' only, not {kind!r}")
+        if not (-math.pi / 2 < azimuth < math.pi / 2 and -math.pi / 2 < elevation < math.pi / 2):
+            raise ConfigError("azimuth and elevation must lie strictly inside (-90, 90) deg")
     snr_db = snr_db if snr_db is not None else cfg.snr_db_list[-1]
     if snr_db not in cfg.snr_db_list:
         raise ConfigError(
@@ -754,7 +751,7 @@ def dump_spectrum(
         spec = spectrum_2d_angular(un, cfg.angular_grid(), g)
         return dump_spectrum_csv(spec, out_path)
     if kind == "distance":
-        if azimuth is None or elevation is None:
+        if azimuth is None:
             angular = spectrum_2d_angular(un, cfg.angular_grid(), g)
             peaks = find_peaks(angular, 1)
             if not peaks.found:

@@ -45,6 +45,8 @@ class TestConfigDefaults:
             ExperimentConfig(c_r=10)
         with pytest.raises(ConfigError):
             ExperimentConfig(methods=("bogus",))
+        with pytest.raises(ConfigError, match="unknown methods"):
+            ExperimentConfig(methods=("proposed", "music3d"))
         with pytest.raises(ConfigError):
             ExperimentConfig(snr_ref="sometimes")
         with pytest.raises(ConfigError):
@@ -314,12 +316,6 @@ class TestRunExperiment:
                 assert math.isnan(r.az_err_rad)
                 assert r.peaks_found == cfg.k_ues
 
-    def test_music3d_method_produces_location_errors(self):
-        cfg = _tiny_config(methods=("music3d",), trials=1, l_pilots=3, cart_grid_points=20)
-        report = run_experiment(cfg)
-        assert {r.method for r in report.records} == {"music3d"}
-        assert len(report.records) == 2
-
     def test_aggregates_match_recomputation_from_records(self):
         cfg = _tiny_config(methods=("proposed", "ls"), snr_db_list=(10.0, 20.0))
         report = run_experiment(cfg)
@@ -407,8 +403,8 @@ class TestRunExperiment:
             run_experiment(_tiny_config(methods=("proposed", "proposed_nocorrect"), trials=1))
 
     def test_method_order_only_orders_rows(self):
-        methods = ("ls", "music3d", "rls", "proposed_nocorrect", "proposed")
-        cfg = _tiny_config(methods=methods, trials=2, snr_db_list=(10.0, 20.0), cart_grid_points=12)
+        methods = ("ls", "rls", "proposed_nocorrect", "proposed")
+        cfg = _tiny_config(methods=methods, trials=2, snr_db_list=(10.0, 20.0))
         report = run_experiment(cfg)
         canonical = run_experiment(dataclasses.replace(cfg, methods=tuple(sorted(methods))))
         assert [r.method for r in report.records] == [
@@ -530,6 +526,31 @@ class TestScenarioFig1:
         report = scenario_fig1(cfg, l_values=(6,))
         for loc in report.true_locations:
             assert loc.y == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "ranges",
+        [
+            {},
+            dict(
+                azimuth_range=(math.radians(-70.0), math.radians(20.0)),
+                elevation_range=(math.radians(-10.0), math.radians(40.0)),
+            ),
+        ],
+        ids=["reference", "asymmetric"],
+    )
+    def test_xz_grid_covers_the_placed_users(self, ranges):
+        """Every user fig1 places lies inside the config's (x, z) grid and
+        inside the zero-elevation grid the scenario searches."""
+        for seed in range(1, 6):
+            cfg = ExperimentConfig(seed=seed, **ranges)
+            flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0))
+            report = scenario_fig1(cfg, l_values=(10,))
+            for grid in (cfg.xz_grid(), flat.xz_grid()):
+                x_axis, z_axis = grid.axes
+                assert (x_axis.name, z_axis.name) == ("x", "z")
+                for loc in report.true_locations:
+                    assert x_axis.lo <= loc.x <= x_axis.hi
+                    assert z_axis.lo <= loc.z <= z_axis.hi
 
     @pytest.mark.parametrize("seed", [2, 3, 4, 6, 7])
     def test_rank_deficient_slice_ignores_last_bit_of_the_channel(self, tmp_path, monkeypatch, seed):
@@ -667,6 +688,28 @@ class TestCli:
         assert rc == 2
         assert "k_ues" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "distance", "--azimuth-deg", "30"],
+            ["--kind", "distance", "--elevation-deg", "10"],
+            ["--kind", "angular", "--azimuth-deg", "10", "--elevation-deg", "0"],
+            ["--kind", "xz", "--azimuth-deg", "10", "--elevation-deg", "0"],
+            ["--kind", "distance", "--azimuth-deg", "nan", "--elevation-deg", "0"],
+            ["--kind", "distance", "--azimuth-deg", "100", "--elevation-deg", "0"],
+            ["--kind", "distance", "--azimuth-deg", "0", "--elevation-deg", "-90"],
+        ],
+        ids=["azimuth_only", "elevation_only", "angular", "xz", "nan", "beyond_90", "at_minus_90"],
+    )
+    def test_dump_spectrum_rejects_bad_explicit_angles(self, argv, tmp_path, capsys):
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n")
+        out = tmp_path / "spec.csv"
+        rc = cli_main(["dump-spectrum", "--config", str(cfg_path), "--out", str(out), *argv])
+        assert rc == 2
+        assert "azimuth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dump_spectrum_negative_trial_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n")
@@ -686,6 +729,7 @@ class TestCli:
             ("wavelength=nan\ndistance_range=1,5\n", "wavelength"),
             ("distance_range=1,inf\n", "distance"),
             ("min_angular_separation=nan\n", "min_angular_separation"),
+            ("methods=proposed,music3d\n", "music3d"),
         ],
     )
     def test_invalid_value_returns_error_code(self, text, field, tmp_path, capsys):
@@ -727,6 +771,20 @@ class TestCli:
         assert rc == 2
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, content",
+        [("absent.cfg", None), ("latin1.cfg", "out_dir=r\u00e9sultats\n".encode("latin-1"))],
+        ids=["missing", "not_utf8"],
+    )
+    def test_unreadable_config_returns_error_code(self, name, content, tmp_path, capsys):
+        cfg_path = tmp_path / name
+        if content is not None:
+            cfg_path.write_bytes(content)
+        rc = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert str(cfg_path) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
