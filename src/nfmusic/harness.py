@@ -22,7 +22,7 @@ import typing
 import warnings as _warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 import scipy
@@ -599,13 +599,20 @@ def run_experiment(
     return report
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+def _write_csv(path, header: Sequence[str], rows: Union[Iterable[Sequence], np.ndarray]) -> Path:
     """Write a header line, then one comma-separated line per row; floats
-    are printed with 9 significant digits."""
+    are printed with 9 significant digits.  ``rows`` is an iterable of
+    records or a 2-D float array; an array is formatted in one pass."""
     path = Path(path)
-    lines = [",".join(header)]
-    lines += [",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+    if isinstance(rows, np.ndarray):
+        n_rows, width = rows.shape
+        body = (",".join(["%.9g"] * width) + "\n") * n_rows % tuple(rows.ravel().tolist())
+    else:
+        body = "".join(
+            ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
+            for r in rows
+        )
+    path.write_text(",".join(header) + "\n" + body)
     return path
 
 
@@ -627,7 +634,7 @@ def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
         raise ValueError("only 1-D and 2-D spectra can be dumped")
     header = ["axis", "value"] if values.ndim == 1 else ["axis1", "axis2", "value"]
     coords = np.meshgrid(*spectrum.grid.axis_points(), indexing="ij")
-    return _write_csv(path, header, zip(*(c.flat for c in (*coords, values))))
+    return _write_csv(path, header, np.column_stack([c.ravel() for c in (*coords, values)]))
 
 
 @dataclass(frozen=True)

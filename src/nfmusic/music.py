@@ -11,9 +11,15 @@ values finite at exact orthogonality.  The noise projection is computed in its
 orthogonal-complement form ``||a||**2 - ||U_s^H a||**2`` from the K signal
 eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
 steering vector instead of M - K; the difference is clamped at zero, where
-rounding can push an exactly orthogonal vector below it.  The planar-wave
-angular steering bank does not depend on the data, so it is built once per
-(array geometry, subgrid side, grid) and kept read-only in a small cache.
+rounding can push an exactly orthogonal vector below it.
+
+Neither the planar-wave angular steering bank nor the unit-normalized
+exact-model location bank depends on the data, so each is built once and kept
+read-only in a small cache: the angular bank per (array geometry, subgrid
+side, grid), the location bank per (array geometry, grid, chunk of cells).  The
+location bank is cached one ``_CHUNK``-column chunk at a time and only the
+last chunk stays resident, at most ``_CHUNK * M * 16`` bytes; a grid larger
+than one chunk rebuilds its chunks on every call.
 """
 
 import functools
@@ -173,12 +179,34 @@ def _angular_bank(g: ArrayGeometry, side: int, grid: GridSpec) -> tuple[np.ndarr
     return steering, norms
 
 
+@functools.lru_cache(maxsize=1)
+def _location_bank(
+    g: ArrayGeometry, grid: GridSpec, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit-normalized exact-model steering vectors for the flat grid cells
+    ``start`` to ``stop`` of a (x, y, z)-ordered ``grid``, and their squared
+    norms; an omitted x or y is held at 0.
+
+    Both arrays are read-only: every caller, pool workers included, shares them.
+    """
+    coords = dict(zip(grid.names(), grid.axis_points()))
+    axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
+    cells = np.unravel_index(np.arange(start, stop), [ax.size for ax in axes])
+    px, py, pz = (ax[i] for ax, i in zip(axes, cells))
+    steering = array_response(g, px, py, pz)
+    steering /= np.linalg.norm(steering, axis=0, keepdims=True)
+    norms = _column_energy(steering)
+    steering.flags.writeable = False
+    norms.flags.writeable = False
+    return steering, norms
+
+
 def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> SpectrumGrid:
     """Spectrum over Cartesian locations using the exact array response.
 
-    The grid axes must be named among x/y/z (in that relative order); an
-    omitted coordinate is held at 0, so an (x, z) grid scans the y=0 plane.
-    The z coordinate, when present, must be positive.
+    The grid axes must be named among x/y/z (in that relative order) and
+    include z, which must be positive; an omitted x or y is held at 0, so an
+    (x, z) grid scans the y=0 plane.
 
     The quotient is evaluated with unit-normalized steering vectors.  The
     exact response's amplitude varies by orders of magnitude over a Cartesian
@@ -190,22 +218,18 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
         names, key=CARTESIAN_AXES.index
     ):
         raise ValueError(f"grid axes must be ordered from {CARTESIAN_AXES}, got {names}")
+    if "z" not in names:
+        raise ValueError(f"grid needs a 'z' axis (range from the array plane), got {names}")
     if un.dim != g.n_antennas:
         raise ValueError(
             f"noise subspace dimension {un.dim} does not match the full array ({g.n_antennas})"
         )
 
-    coords = dict(zip(names, grid.axis_points()))
-    mesh_axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
-    xg, yg, zg = np.meshgrid(*mesh_axes, indexing="ij")
-    px, py, pz = xg.ravel(), yg.ravel(), zg.ravel()
-
-    values = np.empty(px.size)
-    for start in range(0, px.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, px.size))
-        steering = array_response(g, px[sl], py[sl], pz[sl])
-        steering /= np.linalg.norm(steering, axis=0, keepdims=True)
-        values[sl] = 1.0 / _quotient_denominators(un, steering, _column_energy(steering))
+    values = np.empty(math.prod(grid.shape))
+    for start in range(0, values.size, _CHUNK):
+        stop = min(start + _CHUNK, values.size)
+        steering, norms = _location_bank(g, grid, start, stop)
+        values[start:stop] = 1.0 / _quotient_denominators(un, steering, norms)
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 

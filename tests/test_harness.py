@@ -25,6 +25,7 @@ from nfmusic.harness import (
     scenario_fig1,
 )
 from nfmusic.metrics import AggregateRecord, TrialRecord, aggregate
+from nfmusic.music import GridAxis, GridSpec, SpectrumGrid
 from nfmusic.refine import IllConditionedError
 from nfmusic.signal import stream
 
@@ -597,6 +598,51 @@ class TestDumpSpectrum:
         assert len(lines) == 1 + 30
         first_axis = float(lines[1].split(",")[0])
         assert first_axis == pytest.approx(cfg.distance_range[0], rel=1e-6)
+
+
+# extremes of "%.9g": subnormal, huge, exactly 9 digits, 10 digits
+EDGE_VALUES = [1e-300, 1e300, 123456789.0, 1234567891.0, 5e-324, 0.25]
+
+
+class TestCsvFormat:
+    def test_1d_spectrum_bytes(self, tmp_path):
+        grid = GridSpec((GridAxis("azimuth", -1.0, 1.5, 6),))
+        spec = SpectrumGrid(grid=grid, values=np.array(EDGE_VALUES))
+        path = harness.dump_spectrum_csv(spec, tmp_path / "s.csv")
+        want = "axis,value\n" + "".join(
+            "%.9g,%.9g\n" % (float(a), v) for a, v in zip(grid.axis_points()[0], EDGE_VALUES)
+        )
+        assert path.read_text() == want
+        lines = want.splitlines()
+        assert lines[3] == "0,123456789"
+        assert lines[4] == "0.5,1.23456789e+09"
+        assert lines[5] == "1,4.94065646e-324"
+
+    def test_2d_spectrum_bytes_axis1_slowest(self, tmp_path):
+        grid = GridSpec((GridAxis("x", -2.0, 2.0, 3), GridAxis("z", -1.5, 0.0, 2)))
+        values = np.array(EDGE_VALUES).reshape(3, 2)
+        path = harness.dump_spectrum_csv(SpectrumGrid(grid=grid, values=values), tmp_path / "s.csv")
+        xs, zs = grid.axis_points()
+        want = "axis1,axis2,value\n" + "".join(
+            "%.9g,%.9g,%.9g\n" % (float(x), float(z), float(values[i, j]))
+            for i, x in enumerate(xs)
+            for j, z in enumerate(zs)
+        )
+        assert path.read_text() == want
+        assert want.splitlines()[1:3] == ["-2,-1.5,1e-300", "-2,0,1e+300"]
+
+    def test_trial_csv_with_nan_row(self, tmp_path):
+        nan = math.nan
+        records = [
+            TrialRecord("proposed", 10.0, 0, 1, 0.012345678912, 95.5, 1e-5, 0.0, 0.25, 4),
+            TrialRecord("ls", -5.0, 3, 0, 1.5, 2.0, nan, nan, nan, 4),
+        ]
+        path = harness.write_trial_csv(records, tmp_path / "trials.csv")
+        assert path.read_text() == (
+            "method,snr_db,trial,ue,nmse,bf_gain,az_err_rad,el_err_rad,dist_err_m,peaks_found\n"
+            "proposed,10,0,1,0.0123456789,95.5,1e-05,0,0.25,4\n"
+            "ls,-5,3,0,1.5,2,nan,nan,nan,4\n"
+        )
 
 
 class TestCli:

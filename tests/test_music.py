@@ -107,6 +107,57 @@ class TestSpectrum3d:
         with pytest.raises(ValueError):
             spectrum_3d(noise_subspace(cov, 1), grid, geo16)
 
+    @pytest.mark.parametrize("names", [("x", "y"), ("x",)], ids=["xy", "x"])
+    def test_requires_z_axis(self, geo16, names):
+        grid = GridSpec(tuple(GridAxis(n, -1.0, 1.0, 3) for n in names))
+        cov = sample_covariance(np.eye(16))
+        with pytest.raises(ValueError, match="'z' axis"):
+            spectrum_3d(noise_subspace(cov, 1), grid, geo16)
+
+    def test_location_bank_is_cached_read_only(self, geo16):
+        grid = GridSpec((GridAxis("x", -1.0, 1.0, 5), GridAxis("z", 1.0, 3.0, 7)))
+        first = music._location_bank(geo16, grid, 0, 35)
+        # keyed on the geometry's value: an equal array shares the entry
+        twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
+        assert music._location_bank(twin, grid, 0, 35) is first
+        steering, norms = first
+        with pytest.raises(ValueError):
+            steering[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            norms[0] = 0.0
+
+        un = noise_subspace(sample_covariance(np.eye(16)), 1)
+        spectrum_3d(un, grid, geo16)
+        hits = music._location_bank.cache_info().hits
+        spectrum_3d(un, grid, geo16)
+        assert music._location_bank.cache_info().hits == hits + 1
+
+    def test_location_bank_follows_geometry_and_grid(self, geo16):
+        """Alternating two arrays and two grids in one process gives, every
+        time, the values of a computation from an empty cache."""
+        geos = (geo16, ArrayGeometry(25, geo16.element_diag, geo16.wavelength))
+        grids = (
+            GridSpec((GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9))),
+            GridSpec(
+                (GridAxis("x", -0.5, 0.5, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 4))
+            ),
+        )
+        rng = np.random.default_rng(4)
+        subspaces = {}
+        for g in geos:
+            x = rng.standard_normal((6, g.n_antennas)) + 1j * rng.standard_normal((6, g.n_antennas))
+            subspaces[g] = noise_subspace(sample_covariance(x), 2)
+        fresh = {}
+        for g in geos:
+            for grid in grids:
+                music._location_bank.cache_clear()
+                fresh[g, grid] = spectrum_3d(subspaces[g], grid, g).values
+        for _ in range(2):
+            for grid in grids:
+                for g in geos:
+                    got = spectrum_3d(subspaces[g], grid, g).values
+                    assert np.array_equal(got, fresh[g, grid])
+
 
 class TestSpectrum2dAngular:
     def test_far_source_peak_within_one_cell(self, geo16):
@@ -207,7 +258,7 @@ class TestSignalSubspaceForm:
         got = spectrum_1d_distance(un, 0.3, -0.1, grid, geo16).values
         assert np.allclose(got, want, rtol=1e-9, atol=0)
 
-    def test_3d(self, geo16, block):
+    def _check_3d(self, geo16, block):
         un = noise_subspace(sample_covariance(block.received.T), 2)
         grid = GridSpec((GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)))
         xs, zs = grid.axis_points()
@@ -218,6 +269,19 @@ class TestSignalSubspaceForm:
                 want.append(self._quotient(un, a / np.linalg.norm(a)))
         got = spectrum_3d(un, grid, geo16).values
         assert np.allclose(got.ravel(), want, rtol=1e-9, atol=0)
+
+    def test_3d(self, geo16, block):
+        self._check_3d(geo16, block)
+
+    def test_3d_across_chunks(self, geo16, block, monkeypatch):
+        """A grid of 81 cells in chunks of 7 keeps the per-point values, and
+        only the last chunk's bank stays cached."""
+        monkeypatch.setattr(music, "_CHUNK", 7)
+        misses = music._location_bank.cache_info().misses
+        self._check_3d(geo16, block)
+        info = music._location_bank.cache_info()
+        assert info.misses == misses + 12
+        assert info.currsize <= 1
 
 
 class TestSpectrum1dDistance:
