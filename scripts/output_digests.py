@@ -3,13 +3,13 @@
 Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 (or without PYTHONPATH when nfmusic is installed)
 
-The set is the reference, ``large_array`` and ``all_methods`` sweeps at seeds
-1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1`` plane-slice
-spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each kind (``angular``,
-``distance``, and the exact-model plane slice ``xz``): 27 files.  Each line
-printed is ``path sha256`` with the path relative to OUT_DIR, so diffing the
-output of two checkouts shows whether a change kept every output
-byte-identical.
+The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
+sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
+plane-slice spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each kind
+(``angular``, ``distance``, and the exact-model plane slice ``xz``): 33
+files.  Each line printed is ``path sha256`` with the path relative to
+OUT_DIR, so diffing the output of two checkouts shows whether a change kept
+every output byte-identical.
 """
 
 import dataclasses
@@ -37,6 +37,16 @@ SWEEPS = {
         methods=("ls", "rls", "proposed_nocorrect", "proposed"),
         snr_db_list=(10.0, 20.0),
         trials=2,
+    ),
+    # a grid too coarse for every user, so the parametric methods have failed
+    # trials and unmatched users
+    "coarse": dataclasses.replace(
+        REFERENCE,
+        methods=("ls", "rls", "proposed_nocorrect", "proposed"),
+        snr_db_list=(0.0, 20.0),
+        azimuth_grid_points=8,
+        elevation_grid_points=6,
+        distance_grid_points=6,
     ),
 }
 FIG1_L = (10, 3)

@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 import scipy
 
-from .channel import ChannelMatrix, channel_matrix
+from .channel import ChannelMatrix, array_response, channel_matrix
 from .geometry import (
     ArrayGeometry,
     PolarLocation,
@@ -132,8 +132,11 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
-        if not all(snr > -math.inf for snr in self.snr_db_list):
-            raise ConfigError("snr_db_list entries must be numbers above -inf (inf is noiseless)")
+        # at 300 dB the noise amplitude is 1e-15 of the signal's, a few units in
+        # the last place of a double, so a higher SNR is noiseless (inf) in
+        # effect; below -300 dB the signal is buried as deep in the noise
+        if not all(snr == math.inf or -300.0 <= snr <= 300.0 for snr in self.snr_db_list):
+            raise ConfigError("snr_db_list entries must be in [-300, 300] dB or inf (noiseless)")
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ConfigError("snr_db_list entries must be distinct")
         for lo, hi, what in (
@@ -159,7 +162,10 @@ class ExperimentConfig:
             g = self.geometry()  # its errors name the fields, which are the config keys
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        d_lower, d_upper = near_field_bounds(g)
+        try:
+            d_lower, d_upper = near_field_bounds(g)
+        except OverflowError as exc:
+            raise ConfigError("wavelength and element_diag overflow the near-field bounds") from exc
         if self.distance_range is None:
             if not d_lower < d_upper:
                 raise ConfigError(
@@ -175,6 +181,16 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{keys}: {exc}") from exc
+        # a trial squares each user's coordinates to score its location, and the
+        # channel model raises distances to the 2.5th power; a user straight
+        # ahead at either end of the range shows whether both stay in range
+        for d in self.distance_range:
+            loc = polar_to_cart(PolarLocation(azimuth=0.0, elevation=0.0, distance=d))
+            try:
+                cart_to_polar(loc)
+                ChannelMatrix(array_response(g, [loc.x], [loc.y], [loc.z]))
+            except (ValueError, OverflowError) as exc:
+                raise ConfigError(f"distance_range: {d:g} m is out of float range ({exc})") from exc
         side = g.side
         if self.c_r < 0 or self.c_r >= side:
             raise ConfigError(f"c_r must lie in [0, {side - 1}]")
@@ -407,84 +423,84 @@ def _full_array_spectrum(
     return spectrum_3d(un, grid, g)
 
 
-def _two_step_search(cfg, g, block, angle_grid, dist_grid):
-    """The subarray-smoothed two-step search: angles first, then distances."""
-    result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, angle_grid, dist_grid)
-    return result.locations, result.angular_peaks.found
+def _two_step(cfg, g, block, grids, truth, context):
+    """The two-step search, angles first, then distances, with its estimates
+    matched to the true users, so that the corrector pairs them with the right
+    pilots, and their exact-model channels; a search ``ValueError`` finds none."""
+    try:
+        result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, *grids)
+    except ValueError as exc:
+        logger.warning("%s trial %d at %.1f dB: search failed: %s", *context, exc)
+        return {}, {}, 0
+    found = result.locations
+    perm = match_estimates(truth, found, near_field_bounds(g)[1])
+    matched = {k: found[p] for k, p in enumerate(perm) if p is not None}
+    columns = {}
+    if matched:
+        columns = dict(zip(matched, reconstruct_channels(list(matched.values()), g).entries.T))
+    return matched, columns, result.angular_peaks.found
 
 
-# method -> (search, corrected).  A search maps (cfg, g, block, angle_grid,
-# dist_grid) to the estimated user locations, in peak order, and the number of
-# peaks found; None marks a baseline that estimates the channels directly.  A
-# corrected method rescales its reconstructed channels with the LS corrector.
+def _ls(cfg, g, block, grids, truth, context):
+    """Every user's channel by least squares on the pilots."""
+    return {}, dict(enumerate(ls_baseline(block.received, block.pilots).T)), cfg.k_ues
+
+
+def _rls(cfg, g, block, grids, truth, context):
+    """Every user's channel by least squares regularised by the noise variance."""
+    a_hat = rls_baseline(block.received, block.pilots, block.noise_var)
+    return {}, dict(enumerate(a_hat.T)), cfg.k_ues
+
+
+# method -> (estimate, corrected).  An estimate maps (cfg, g, block, the
+# (angular, distance) grids, the users' true polar locations, and the (method,
+# trial, SNR) its warnings name) to each matched user's estimated location and
+# each estimated user's channel column, both keyed by user, and the number of
+# peaks found.  A corrected method rescales its columns with the LS corrector.
 METHODS = {
-    "proposed": (_two_step_search, True),
-    "proposed_nocorrect": (_two_step_search, False),
-    "ls": (None, False),
-    "rls": (None, False),
+    "proposed": (_two_step, True),
+    "proposed_nocorrect": (_two_step, False),
+    "ls": (_ls, False),
+    "rls": (_rls, False),
 }
 
 
 def _run_trial(
     cfg: ExperimentConfig,
     g: ArrayGeometry,
-    angle_grid: GridSpec,
-    dist_grid: GridSpec,
+    grids: tuple[GridSpec, GridSpec],
     snr_index: int,
     trial: int,
 ) -> list[TrialRecord]:
     """One row per (method, user) for one synthesized trial, in ``cfg.methods``
     order.
 
-    Each search runs at most once; the methods it serves share its estimates,
-    matched to the true users so that the corrector pairs them with the right
-    pilots, their reconstructed channels and its peak count.  A ``ValueError``
-    from a search fails the methods it serves, and an ``IllConditionedError``
-    from the corrector fails its method; a failed method, like an unmatched
-    user, gets NaN rows.  Any other error stops the run.
+    Each estimate runs at most once, and the methods it serves share its
+    result; it catches the failures it owns, as the search its ``ValueError``.
+    An ``IllConditionedError`` from the corrector fails its method; a failed
+    method, like an unmatched user, gets NaN rows.  Any other error stops the run.
     """
     snr_db = cfg.snr_db_list[snr_index]
     locs, a_true = _place_users(cfg, g, (snr_index, trial))
-    truth_polar = [cart_to_polar(l) for l in locs]
+    truth = [cart_to_polar(l) for l in locs]
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
-    _, d_fa = near_field_bounds(g)
-    searched = {}  # search -> (user -> matched estimate, their channels, peaks found)
+    estimates = {}  # estimate -> (user -> location, user -> channel, peaks found)
 
     rows: list[TrialRecord] = []
     for method in cfg.methods:
-        search, corrected = METHODS[method]
+        estimate, corrected = METHODS[method]
         context = (method, trial, snr_db)
-        if search is None:
-            a_hat = (
-                ls_baseline(block.received, block.pilots)
-                if method == "ls"
-                else rls_baseline(block.received, block.pilots, block.noise_var)
-            )
-            matched, columns, peaks_found = {}, dict(enumerate(a_hat.T)), cfg.k_ues
-        else:
-            if search not in searched:
-                searched[search] = {}, None, 0
-                try:
-                    found, peaks_found = search(cfg, g, block, angle_grid, dist_grid)
-                except ValueError as exc:
-                    logger.warning("%s trial %d at %.1f dB: search failed: %s", *context, exc)
-                else:
-                    perm = match_estimates(truth_polar, found, d_fa)
-                    matched = {k: found[p] for k, p in enumerate(perm) if p is not None}
-                    a_hat = None
-                    if matched:
-                        a_hat = reconstruct_channels(list(matched.values()), g).entries
-                    searched[search] = matched, a_hat, peaks_found
-            matched, a_hat, peaks_found = searched[search]
-            if corrected and matched:
-                try:
-                    a_hat = a_hat * estimate_correctors(
-                        a_hat, block.pilots[list(matched), :], block.received
-                    )
-                except IllConditionedError as exc:
-                    logger.warning("%s trial %d at %.1f dB: corrector failed: %s", *context, exc)
-                    matched = {}
-            columns = dict(zip(matched, a_hat.T)) if matched else {}
+        if estimate not in estimates:
+            estimates[estimate] = estimate(cfg, g, block, grids, truth, context)
+        matched, columns, peaks_found = estimates[estimate]
+        if corrected and columns:
+            a_hat = np.column_stack(list(columns.values()))
+            try:
+                alpha = estimate_correctors(a_hat, block.pilots[list(columns), :], block.received)
+                columns = dict(zip(columns, (a_hat * alpha).T))
+            except IllConditionedError as exc:
+                logger.warning("%s trial %d at %.1f dB: corrector failed: %s", *context, exc)
+                matched, columns = {}, {}
         rows.extend(
             _row(
                 method,
@@ -493,7 +509,7 @@ def _run_trial(
                 k,
                 peaks_found,
                 (a_true.entries[:, k], columns[k]) if k in columns else None,
-                (truth_polar[k], matched[k]) if k in matched else None,
+                (truth[k], matched[k]) if k in matched else None,
             )
             for k in range(cfg.k_ues)
         )
@@ -561,10 +577,9 @@ def run_experiment(
         raise ConfigError(f"threads must be >= 1, got {threads}")
     started = time.monotonic()
     g = cfg.geometry()
-    angle_grid = cfg.angular_grid()
-    dist_grid = cfg.distance_grid()
+    grids = (cfg.angular_grid(), cfg.distance_grid())
     keys = [(si, t) for si in range(len(cfg.snr_db_list)) for t in range(cfg.trials)]
-    trial_rows = functools.partial(_run_trial, cfg, g, angle_grid, dist_grid)
+    trial_rows = functools.partial(_run_trial, cfg, g, grids)
 
     records: list[TrialRecord] = []
     with contextlib.ExitStack() as stack:

@@ -95,6 +95,12 @@ class TestConfigDefaults:
     def test_inf_snr_accepted(self):
         assert parse_config_text("snr_db_list=20,inf\n").snr_db_list == (20.0, math.inf)
 
+    def test_snr_beyond_300_db_rejected(self):
+        assert ExperimentConfig(snr_db_list=(-300.0, 300.0)).snr_db_list == (-300.0, 300.0)
+        for snr_db in (300.5, -300.5):
+            with pytest.raises(ConfigError, match="snr_db_list"):
+                ExperimentConfig(snr_db_list=(10.0, snr_db))
+
     def test_unplaceable_user_count_rejected(self):
         # pairs closer than sep in both angles are forbidden, so a range
         # spanning 2.5 x 0.5 separations holds at most 3 x 1 users
@@ -394,14 +400,59 @@ class TestRunExperiment:
             r.az_err_rad for r in rows["proposed"]
         ]
 
-    @pytest.mark.parametrize("stage", ["estimate_correctors", "reconstruct_channels"])
+    def test_search_failure_warning_names_method_trial_and_snr(self, monkeypatch, caplog):
+        def fails(*args, **kwargs):
+            raise ValueError("no usable subspace")
+
+        monkeypatch.setattr(harness, "two_step_estimate", fails)
+        cfg = _tiny_config(
+            methods=("ls", "proposed_nocorrect", "proposed"), trials=2, snr_db_list=(10.0, 20.0)
+        )
+        with caplog.at_level("WARNING", logger=harness.logger.name):
+            run_experiment(cfg)
+        # one warning per trial, from the first method the search serves
+        assert caplog.messages == [
+            f"proposed_nocorrect trial {t} at {snr:.1f} dB: search failed: no usable subspace"
+            for snr in cfg.snr_db_list
+            for t in range(cfg.trials)
+        ]
+
+    def test_baseline_row_needs_no_trial_loop_change(self, monkeypatch):
+        def oracle(cfg, g, block, grids, truth, context):
+            channels = harness.reconstruct_channels(truth, g).entries
+            return dict(enumerate(truth)), dict(enumerate(channels.T)), cfg.k_ues
+
+        monkeypatch.setitem(METHODS, "oracle", (oracle, False))
+        cfg = _tiny_config(methods=("oracle", "ls"), trials=2, snr_db_list=(10.0, 20.0))
+        report = run_experiment(cfg)
+        rows = [r for r in report.records if r.method == "oracle"]
+        keys = [(r.snr_db, r.trial, r.ue) for r in rows]
+        users, trials = range(cfg.k_ues), range(cfg.trials)
+        assert keys == [(s, t, k) for s in cfg.snr_db_list for t in trials for k in users]
+        for r in rows:
+            assert r.nmse < 1e-20 and r.bf_gain == pytest.approx(1.0)
+            assert max(r.az_err_rad, r.el_err_rad, r.dist_err_m) == 0.0
+            assert r.peaks_found == cfg.k_ues
+        assert {a.method: a.trials_failed for a in report.aggregates} == {"oracle": 0, "ls": 0}
+
+    @pytest.mark.parametrize(
+        "stage",
+        [
+            "estimate_correctors",
+            "reconstruct_channels",
+            "match_estimates",
+            "ls_baseline",
+            "rls_baseline",
+        ],
+    )
     def test_value_error_after_the_search_stops_the_run(self, stage, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError(f"{stage} bug")
 
         monkeypatch.setattr(harness, stage, broken)
+        methods = ("proposed", "proposed_nocorrect", "ls", "rls")
         with pytest.raises(ValueError, match=f"{stage} bug"):
-            run_experiment(_tiny_config(methods=("proposed", "proposed_nocorrect"), trials=1))
+            run_experiment(_tiny_config(methods=methods, trials=1))
 
     def test_method_order_only_orders_rows(self):
         methods = ("ls", "rls", "proposed_nocorrect", "proposed")
@@ -776,11 +827,17 @@ class TestCli:
             ("distance_range=1,inf\n", "distance"),
             ("min_angular_separation=nan\n", "min_angular_separation"),
             ("methods=proposed,music3d\n", "music3d"),
+            ("snr_db_list=4000\n", "snr_db_list"),
+            ("snr_db_list=-4000\n", "snr_db_list"),
+            ("distance_range=1,1e200\n", "distance_range"),
+            ("distance_range=1e-300,1e-299\n", "distance_range"),
+            ("wavelength=1e300\n", "wavelength"),
+            ("element_diag=1e300\n", "element_diag"),
         ],
     )
     def test_invalid_value_returns_error_code(self, text, field, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n" + text)
+        cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\n" + text)
         rc = cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert field in capsys.readouterr().err
