@@ -5,15 +5,17 @@ Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 
 The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
 sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
-plane-slice spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each kind
-(``angular``, ``distance``, and the exact-model plane slice ``xz``): 33
-files.  Each line printed is ``path sha256`` with the path relative to
-OUT_DIR, so diffing the output of two checkouts shows whether a change kept
-every output byte-identical.
+plane-slice spectra at seeds 1-3, one ``dump-spectrum`` CSV of each kind
+(``angular``, ``distance`` at the estimated angles, and the exact-model plane
+slice ``xz``), and one ``distance`` dump at explicit angles: 34 files.
+Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
+diffing the output of two checkouts shows whether a change kept every output
+byte-identical.
 """
 
 import dataclasses
 import hashlib
+import math
 import sys
 from pathlib import Path
 
@@ -50,7 +52,13 @@ SWEEPS = {
     ),
 }
 FIG1_L = (10, 3)
-SPECTRUM_KINDS = ("angular", "distance", "xz")
+# dump name -> (kind, azimuth, elevation); angles in radians, None to estimate
+SPECTRUM_DUMPS = {
+    "angular": ("angular", None, None),
+    "distance": ("distance", None, None),
+    "xz": ("xz", None, None),
+    "distance_at_angles": ("distance", math.radians(10.0), math.radians(5.0)),
+}
 
 
 def csv_names() -> list[str]:
@@ -62,7 +70,7 @@ def csv_names() -> list[str]:
         for csv in ("trials.csv", "aggregate.csv")
     ]
     names += [f"fig1_seed{seed}/fig1_L{l_pilots}.csv" for seed in SEEDS for l_pilots in FIG1_L]
-    return names + [f"spectrum_{kind}.csv" for kind in SPECTRUM_KINDS]
+    return names + [f"spectrum_{name}.csv" for name in SPECTRUM_DUMPS]
 
 
 def write_outputs(out: Path) -> list[Path]:
@@ -73,8 +81,9 @@ def write_outputs(out: Path) -> list[Path]:
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
-    for kind in SPECTRUM_KINDS:
-        dump_spectrum(REFERENCE, kind, out / f"spectrum_{kind}.csv")
+    for name, (kind, azimuth, elevation) in SPECTRUM_DUMPS.items():
+        path = out / f"spectrum_{name}.csv"
+        dump_spectrum(REFERENCE, kind, path, azimuth=azimuth, elevation=elevation)
     return [out / name for name in csv_names()]
 
 

@@ -72,7 +72,7 @@ from .signal import (
     received_block,
     stream,
 )
-from .subspace import noise_subspace, sample_covariance, smoothed_covariance
+from .subspace import noise_subspace, smoothed_covariance
 
 logger = logging.getLogger(__name__)
 
@@ -181,16 +181,25 @@ class ExperimentConfig:
                 build()
             except ValueError as exc:
                 raise ConfigError(f"{keys}: {exc}") from exc
-        # a trial squares each user's coordinates to score its location, and the
-        # channel model raises distances to the 2.5th power; a user straight
-        # ahead at either end of the range shows whether both stay in range
-        for d in self.distance_range:
-            loc = polar_to_cart(PolarLocation(azimuth=0.0, elevation=0.0, distance=d))
+        # a trial squares each user's coordinates to score its location, the channel
+        # model raises distances to the 2.5th power, and the relative-SNR noise
+        # reference is a user's mean per-antenna power |a|^2 / N: users straight
+        # ahead at either end of the range, and the weakest one, at the far end and
+        # the widest angles, show whether all three stay in float range
+        d_min, d_max = self.distance_range
+        az, el = (max(map(abs, r)) for r in (self.azimuth_range, self.elevation_range))
+        for angles, d in (((0.0, 0.0), d_min), ((0.0, 0.0), d_max), ((az, el), d_max)):
+            loc = polar_to_cart(PolarLocation(*angles, d))
             try:
                 cart_to_polar(loc)
-                ChannelMatrix(array_response(g, [loc.x], [loc.y], [loc.z]))
+                a = ChannelMatrix(array_response(g, [loc.x], [loc.y], [loc.z])).entries
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"distance_range: {d:g} m is out of float range ({exc})") from exc
+            if np.linalg.norm(a) ** 2 / g.n_antennas < np.finfo(float).tiny:
+                raise ConfigError(
+                    "element_diag, wavelength and distance_range: the mean per-antenna channel "
+                    f"power of a user at {d:g} m underflows the smallest normal double"
+                )
         side = g.side
         if self.c_r < 0 or self.c_r >= side:
             raise ConfigError(f"c_r must lie in [0, {side - 1}]")
@@ -199,7 +208,6 @@ class ExperimentConfig:
                 f"k_ues must be below {(side - self.c_r) ** 2}, the element count of the "
                 f"{side - self.c_r}x{side - self.c_r} subarray, for a noise subspace to remain"
             )
-        d_min = self.distance_range[0]
         if d_min < d_lower:
             _warnings.warn(
                 f"distance_range starts at {d_min:.3g} m, inside the lower near-field "
@@ -245,8 +253,7 @@ class ExperimentConfig:
         """(x, z) plane-slice grid at y=0, ``cart_grid_points`` per side, covering
         the configured placement region."""
         d_min, d_max = self.distance_range
-        az_abs = max(abs(self.azimuth_range[0]), abs(self.azimuth_range[1]))
-        el_abs = max(abs(self.elevation_range[0]), abs(self.elevation_range[1]))
+        az_abs, el_abs = (max(map(abs, r)) for r in (self.azimuth_range, self.elevation_range))
         x_max = d_max * math.sin(az_abs) if az_abs > 0 else 0.05 * d_max
         z_lo = max(d_min * math.cos(az_abs) * math.cos(el_abs), 0.01 * d_max)
         n = self.cart_grid_points
@@ -411,16 +418,6 @@ def _observe(
     return received_block(
         a_true, pilots, snr_db, stream(cfg.seed, *key, ROLE_NOISE), noise_ref=noise_ref
     )
-
-
-def _full_array_spectrum(
-    block: SnapshotBlock, k_ues: int, grid: GridSpec, g: ArrayGeometry
-) -> SpectrumGrid:
-    """Exact-model spectrum over ``grid`` from the unsmoothed full-array
-    covariance of ``block``; the search behind ``fig1`` and the ``xz``
-    spectrum dump."""
-    un = noise_subspace(sample_covariance(block.received.T), k_ues)
-    return spectrum_3d(un, grid, g)
 
 
 def _two_step(cfg, g, block, grids, truth, context):
@@ -601,7 +598,6 @@ def run_experiment(
 
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_trial_csv(report.records, out / "trials.csv")
         write_aggregate_csv(report.aggregates, out / "aggregate.csv")
 
@@ -615,9 +611,10 @@ def run_experiment(
 
 
 def _write_csv(path, header: Sequence[str], rows: Union[Iterable[Sequence], np.ndarray]) -> Path:
-    """Write a header line, then one comma-separated line per row; floats
-    are printed with 9 significant digits.  ``rows`` is an iterable of
-    records or a 2-D float array; an array is formatted in one pass."""
+    """Write a header line, then one comma-separated line per row, creating
+    the file's directory; floats are printed with 9 significant digits.
+    ``rows`` is an iterable of records or a 2-D float array; an array is
+    formatted in one pass."""
     path = Path(path)
     if isinstance(rows, np.ndarray):
         n_rows, width = rows.shape
@@ -627,6 +624,7 @@ def _write_csv(path, header: Sequence[str], rows: Union[Iterable[Sequence], np.n
             ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
             for r in rows
         )
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(header) + "\n" + body)
     return path
 
@@ -707,14 +705,13 @@ def scenario_fig1(
     cases = []
     for l_pilots in l_values:
         block = _observe(flat, a_true, l_pilots, snr_db, (l_pilots, 0))
-        spec = _full_array_spectrum(block, flat.k_ues, grid, g)
+        # a zero shift keeps one subarray, the whole array
+        spec = spectrum_3d(noise_subspace(smoothed_covariance(block, 0), flat.k_ues), grid, g)
         peaks = find_peaks(spec, flat.k_ues)
         matched = _match_peaks_to_truth(peaks, truths_xz)
         dump_path = None
         if out_dir is not None:
-            out = Path(out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            dump_path = dump_spectrum_csv(spec, out / f"fig1_L{l_pilots}.csv")
+            dump_path = dump_spectrum_csv(spec, Path(out_dir) / f"fig1_L{l_pilots}.csv")
         cases.append(
             Fig1Case(
                 l_pilots=l_pilots,
@@ -764,14 +761,12 @@ def dump_spectrum(
     _, a_true = _place_users(cfg, g, (snr_index, trial))
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
 
+    # the plane slice searches the whole array: a zero shift keeps one subarray
+    un = noise_subspace(smoothed_covariance(block, 0 if kind == "xz" else cfg.c_r), cfg.k_ues)
     if kind == "xz":
-        return dump_spectrum_csv(_full_array_spectrum(block, cfg.k_ues, cfg.xz_grid(), g), out_path)
-
-    cov = smoothed_covariance(block, cfg.c_r)
-    un = noise_subspace(cov, cfg.k_ues)
+        return dump_spectrum_csv(spectrum_3d(un, cfg.xz_grid(), g), out_path)
     if kind == "angular":
-        spec = spectrum_2d_angular(un, cfg.angular_grid(), g)
-        return dump_spectrum_csv(spec, out_path)
+        return dump_spectrum_csv(spectrum_2d_angular(un, cfg.angular_grid(), g), out_path)
     if kind == "distance":
         if azimuth is None:
             angular = spectrum_2d_angular(un, cfg.angular_grid(), g)

@@ -79,9 +79,12 @@ def ls_baseline(received: np.ndarray, pilots: np.ndarray) -> np.ndarray:
 
 
 def rls_baseline(received: np.ndarray, pilots: np.ndarray, noise_var: float) -> np.ndarray:
-    """Regularized least-squares estimate received @ inv(S^H S + v I) @ S^H."""
+    """Regularized least-squares estimate received @ inv(S^H S + v I) @ S^H;
+    at v = 0 it is LS, which stays defined when S^H S is singular (L > K)."""
     if noise_var < 0:
         raise ValueError("noise variance must be nonnegative")
+    if noise_var == 0:
+        return ls_baseline(received, pilots)
     l = pilots.shape[1]
     gram = pilots.conj().T @ pilots + noise_var * np.eye(l)
     return received @ np.linalg.solve(gram, pilots.conj().T)

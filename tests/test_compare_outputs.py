@@ -29,14 +29,14 @@ def _spectrum(peaks: dict, shape: tuple[int, ...]) -> SpectrumGrid:
 
 def _write_outputs(root: Path, table_rows=TABLE_ROWS, plane_peaks=PLANE_PEAKS) -> None:
     """One small CSV under ``root`` for every name of the digest set: a table
-    for each sweep file, a 1-D spectrum for the distance dump and an 8x8
+    for each sweep file, a 1-D spectrum for each distance dump and an 8x8
     plane for every other spectrum."""
     for name in csv_names():
         path = root / name
         path.parent.mkdir(parents=True, exist_ok=True)
         if name.endswith(("trials.csv", "aggregate.csv")):
             path.write_text("\n".join(("method,snr_db,nmse", *table_rows)) + "\n")
-        elif name == "spectrum_distance.csv":
+        elif name.startswith("spectrum_distance"):
             dump_spectrum_csv(_spectrum(LINE_PEAKS, (9,)), path)
         else:
             dump_spectrum_csv(_spectrum(plane_peaks, (8, 8)), path)

@@ -323,6 +323,18 @@ class TestRunExperiment:
                 assert math.isnan(r.az_err_rad)
                 assert r.peaks_found == cfg.k_ues
 
+    def test_noiseless_rls_equals_ls_with_more_pilots_than_users(self):
+        # without noise the R-LS Gram matrix has rank K < L and nothing to
+        # regularise it, so R-LS is LS
+        cfg = _tiny_config(k_ues=2, l_pilots=3, snr_db_list=(math.inf,), methods=("ls", "rls"))
+        report = run_experiment(cfg)
+        scores = {
+            m: [(r.trial, r.ue, r.nmse, r.bf_gain) for r in report.records if r.method == m]
+            for m in cfg.methods
+        }
+        assert len(scores["ls"]) == cfg.trials * cfg.k_ues
+        assert scores["rls"] == scores["ls"]
+
     def test_aggregates_match_recomputation_from_records(self):
         cfg = _tiny_config(methods=("proposed", "ls"), snr_db_list=(10.0, 20.0))
         report = run_experiment(cfg)
@@ -696,6 +708,15 @@ class TestCsvFormat:
         )
 
 
+# lengths whose channel entries (about 1e-301, or 1e-157) are nonzero but
+# whose squares underflow, with the key each error must name
+UNDERFLOW_CONFIGS = [
+    ("distance_range=1,5\nelement_diag=1e-300\n", "element_diag"),
+    ("distance_range=1,5\nwavelength=1e-300\n", "wavelength"),
+    ("distance_range=1,5\nelement_diag=1e-156\n", "element_diag"),
+]
+
+
 class TestCli:
     def test_run_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -753,6 +774,12 @@ class TestCli:
         )
         assert rc == 0
         assert out.exists()
+
+    def test_dump_spectrum_creates_missing_directories(self, tmp_path):
+        out = tmp_path / "a" / "b" / "spec.csv"
+        rc = cli_main(["dump-spectrum", "--kind", "xz", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().startswith("axis1,axis2,value\n")
 
     def test_dump_spectrum_rejects_snr_outside_list(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -833,6 +860,7 @@ class TestCli:
             ("distance_range=1e-300,1e-299\n", "distance_range"),
             ("wavelength=1e300\n", "wavelength"),
             ("element_diag=1e300\n", "element_diag"),
+            *UNDERFLOW_CONFIGS,
         ],
     )
     def test_invalid_value_returns_error_code(self, text, field, tmp_path, capsys):
@@ -842,6 +870,21 @@ class TestCli:
         assert rc == 2
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
+
+    @pytest.mark.parametrize("text, field", UNDERFLOW_CONFIGS)
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig1", "--out-dir", "out"], ["dump-spectrum", "--kind", "xz", "--out", "out/spec.csv"]],
+        ids=["fig1", "dump_xz"],
+    )
+    def test_underflowing_channel_power_returns_error_code(
+        self, argv, text, field, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text("n_antennas=16\nk_ues=2\ntrials=1\n" + text)
+        assert cli_main([argv[0], "--config", "exp.cfg", *argv[1:]]) == 2
+        assert field in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "line, key",
@@ -901,8 +944,9 @@ class TestCli:
 def _tiny_config_texts(draw):
     """Config text for a 16-element array with 1-20 users, 2-6 points per grid
     axis, angular ranges in degrees, some empty (lo == hi) or out of range, a
-    method list that may repeat an entry, and sometimes a negative seed or a
-    non-finite wavelength or distance range."""
+    method list that may repeat an entry, an SNR of 0 dB, 20 dB or noiseless,
+    and sometimes a negative seed, a non-finite wavelength or distance range,
+    or a wavelength so small that the channel power underflows."""
 
     def degree_range():
         lo = draw(st.integers(-92, 60))
@@ -914,7 +958,7 @@ def _tiny_config_texts(draw):
         "l_pilots": draw(st.integers(1, 4)),
         "trials": 1,
         "seed": draw(st.one_of(st.just(-1), st.integers(0, 1000))),
-        "snr_db_list": draw(st.sampled_from([0, 20])),
+        "snr_db_list": draw(st.sampled_from([0, 20, "inf"])),
         "azimuth_range": degree_range(),
         "elevation_range": degree_range(),
         "min_angular_separation": draw(st.floats(0.0, 30.0)),
@@ -923,7 +967,7 @@ def _tiny_config_texts(draw):
     for name in ("azimuth", "elevation", "distance", "cart"):
         lines[f"{name}_grid_points"] = draw(st.integers(2, 6))
     for name, values in (
-        ("wavelength", ["0.1", "nan", "inf"]),
+        ("wavelength", ["0.1", "nan", "inf", "1e-300"]),
         ("distance_range", ["1,5", "1,inf", "nan,5"]),
     ):
         value = draw(st.sampled_from([None, *values]))

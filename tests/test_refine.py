@@ -225,6 +225,14 @@ class TestRlsBaseline:
         q = random_complex(rng, (8, 3))
         assert np.allclose(rls_baseline(q, s, 0.0), ls_baseline(q, s), atol=1e-10)
 
+    def test_zero_regularizer_with_more_pilots_than_users_is_ls(self):
+        rng = np.random.default_rng(19)
+        s = random_complex(rng, (2, 3))  # K=2 < L=3, S^H S singular
+        a = random_complex(rng, (8, 2))
+        got = rls_baseline(a @ s, s, 0.0)
+        assert np.array_equal(got, ls_baseline(a @ s, s))
+        assert np.allclose(got, a, atol=1e-10)
+
     def test_large_regularizer_kills_estimate(self):
         rng = np.random.default_rng(16)
         s = random_complex(rng, (3, 2))
