@@ -8,6 +8,7 @@ configured (or overridden) output directory.
 import argparse
 import dataclasses
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -30,9 +31,25 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
+def _check_directory(path: Path, name: str) -> None:
+    """Raise ConfigError unless ``path``, or the nearest existing path above
+    it, is a directory, so a command fails before its trials, not at the write."""
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"{name} {path}: {existing} is not a directory")
+            return
+
+
+def _out_dir(args, cfg: ExperimentConfig) -> Path:
+    name, out_dir = ("--out-dir", args.out_dir) if args.out_dir else ("out_dir", cfg.out_dir)
+    _check_directory(Path(out_dir), name)
+    return Path(out_dir)
+
+
 def _cmd_run(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
+    out_dir = _out_dir(args, cfg)
     report = run_experiment(cfg, out_dir=out_dir, threads=args.threads, progress=args.progress)
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'aggregate.csv'}")
     print("method       snr_db   mean_nmse   median_nmse  mean_bf_gain  ok/failed")
@@ -46,7 +63,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_fig1(args) -> int:
     cfg = _load_config(args)
-    out_dir = Path(args.out_dir) if args.out_dir else Path(cfg.out_dir)
+    out_dir = _out_dir(args, cfg)
     report = scenario_fig1(cfg, out_dir=out_dir, snr_db=args.snr_db)
     for case in report.cases:
         print(
@@ -59,6 +76,10 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_dump_spectrum(args) -> int:
     cfg = _load_config(args)
+    # "DIR/" and "DIR/." name a directory even where DIR does not exist yet
+    if os.path.basename(args.out) in ("", ".", "..") or Path(args.out).is_dir():
+        raise ConfigError(f"--out {args.out}: names a directory, not a file")
+    _check_directory(Path(args.out).parent, "--out")
     azimuth = math.radians(args.azimuth_deg) if args.azimuth_deg is not None else None
     elevation = math.radians(args.elevation_deg) if args.elevation_deg is not None else None
     path = dump_spectrum(

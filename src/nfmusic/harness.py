@@ -22,7 +22,7 @@ import typing
 import warnings as _warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 import scipy
@@ -610,20 +610,14 @@ def run_experiment(
     return report
 
 
-def _write_csv(path, header: Sequence[str], rows: Union[Iterable[Sequence], np.ndarray]) -> Path:
-    """Write a header line, then one comma-separated line per row, creating
-    the file's directory; floats are printed with 9 significant digits.
-    ``rows`` is an iterable of records or a 2-D float array; an array is
-    formatted in one pass."""
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """Write a header line, then one comma-separated line per record, creating
+    the file's directory; floats are printed with 9 significant digits."""
     path = Path(path)
-    if isinstance(rows, np.ndarray):
-        n_rows, width = rows.shape
-        body = (",".join(["%.9g"] * width) + "\n") * n_rows % tuple(rows.ravel().tolist())
-    else:
-        body = "".join(
-            ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
-            for r in rows
-        )
+    body = "".join(
+        ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
+        for r in rows
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(header) + "\n" + body)
     return path
@@ -640,14 +634,22 @@ def write_aggregate_csv(aggregates: Sequence[AggregateRecord], path) -> Path:
 
 
 def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
-    """Write a 1-D or 2-D spectrum as CSV, one line per grid point
-    (radians/meters, 9 significant digits)."""
+    """Write a 1-D or 2-D spectrum as CSV, one line per grid point, the first
+    axis slowest (radians/meters, 9 significant digits), creating the file's
+    directory.  Each axis point is formatted once into a line template, so
+    only the values go through ``%.9g``."""
     values = spectrum.values
     if values.ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D spectra can be dumped")
     header = ["axis", "value"] if values.ndim == 1 else ["axis1", "axis2", "value"]
-    coords = np.meshgrid(*spectrum.grid.axis_points(), indexing="ij")
-    return _write_csv(path, header, np.column_stack([c.ravel() for c in (*coords, values)]))
+    *outer, inner = [["%.9g," % p for p in pts.tolist()] for pts in spectrum.grid.axis_points()]
+    lines = [p + "%.9g\n" for p in inner]
+    for axis in outer:
+        lines = [p.join(["", *lines]) for p in axis]
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(",".join(header) + "\n" + "".join(lines) % tuple(values.ravel().tolist()))
+    return path
 
 
 @dataclass(frozen=True)

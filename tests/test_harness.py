@@ -694,6 +694,39 @@ class TestCsvFormat:
         assert path.read_text() == want
         assert want.splitlines()[1:3] == ["-2,-1.5,1e-300", "-2,0,1e+300"]
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_spectrum_bytes_match_per_cell_reference(self, data):
+        """1-D and 2-D grids of any shape and spacing, negative coordinates
+        included, dump exactly the per-cell "%.9g,...\\n" lines."""
+        axes = []
+        for name in data.draw(st.sampled_from([("a",), ("a", "b")])):
+            if data.draw(st.booleans()):
+                lo = data.draw(st.floats(0.01, 100.0))
+                spacing = "inverse"
+            else:
+                lo = data.draw(st.floats(-100.0, 100.0))
+                spacing = "uniform"
+            hi = lo + data.draw(st.floats(1e-3, 100.0))
+            axes.append(GridAxis(name, lo, hi, data.draw(st.integers(2, 40)), spacing))
+        grid = GridSpec(tuple(axes))
+        # drawing each of up to 1,600 cells through hypothesis is slow; a
+        # drawn seed picks magnitudes in [1e-300, 1e300] and edge values
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        values = 10.0 ** rng.uniform(-300.0, 300.0, grid.shape)
+        edge = rng.random(grid.shape) < 0.2
+        values[edge] = rng.choice(EDGE_VALUES, np.count_nonzero(edge))
+        with tempfile.TemporaryDirectory() as out:
+            path = harness.dump_spectrum_csv(SpectrumGrid(grid, values), Path(out) / "s.csv")
+            got = path.read_text()
+        header = "axis,value\n" if len(axes) == 1 else "axis1,axis2,value\n"
+        fmt = ",".join(["%.9g"] * (len(axes) + 1)) + "\n"
+        points = [p.tolist() for p in grid.axis_points()]
+        assert got == header + "".join(
+            fmt % (*(points[d][i] for d, i in enumerate(index)), float(values[index]))
+            for index in np.ndindex(grid.shape)
+        )
+
     def test_trial_csv_with_nan_row(self, tmp_path):
         nan = math.nan
         records = [
@@ -931,6 +964,38 @@ class TestCli:
         assert rc == 2
         assert str(cfg_path) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, config, name",
+        [
+            (["dump-spectrum", "--kind", "angular", "--out", "missing/"], "", "--out"),
+            (["dump-spectrum", "--kind", "angular", "--out", "missing/."], "", "--out"),
+            (["dump-spectrum", "--kind", "xz", "--out", "adir"], "", "--out"),
+            (["dump-spectrum", "--kind", "xz", "--out", "afile/spec.csv"], "", "--out"),
+            (["run", "--out-dir", "afile"], "", "--out-dir"),
+            (["run", "--out-dir", "afile/sub"], "", "--out-dir"),
+            (["run"], "out_dir=afile\n", "out_dir"),
+            (["fig1", "--out-dir", "afile"], "", "--out-dir"),
+        ],
+        ids=[
+            "out_trailing_slash", "out_trailing_dot", "out_existing_dir", "out_under_file",
+            "run_existing_file", "run_under_file", "run_config_file", "fig1_existing_file",
+        ],
+    )
+    def test_unusable_output_path_returns_error_code(
+        self, argv, config, name, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        # the path is checked before any trial runs, so no entry point is reached
+        for entry in ("run_experiment", "scenario_fig1", "dump_spectrum"):
+            monkeypatch.setattr(f"nfmusic.cli.{entry}", mock.Mock(side_effect=AssertionError))
+        (tmp_path / "exp.cfg").write_text("n_antennas=16\nk_ues=2\ntrials=1\n" + config)
+        (tmp_path / "afile").write_text("keep\n")
+        (tmp_path / "adir").mkdir()
+        assert cli_main([*argv, "--config", "exp.cfg"]) == 2
+        assert name in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile", "exp.cfg"]
+        assert (tmp_path / "afile").read_text() == "keep\n"
 
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
