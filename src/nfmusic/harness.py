@@ -27,7 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 import scipy
 
-from .channel import ChannelMatrix, array_response, channel_matrix
+from .channel import ChannelMatrix, channel_matrix
 from .geometry import (
     ArrayGeometry,
     PolarLocation,
@@ -52,7 +52,6 @@ from .music import (
     SpectrumGrid,
     find_peaks,
     spectrum_1d_distance,
-    spectrum_2d_angular,
     spectrum_3d,
     two_step_estimate,
 )
@@ -192,7 +191,7 @@ class ExperimentConfig:
             loc = polar_to_cart(PolarLocation(*angles, d))
             try:
                 cart_to_polar(loc)
-                a = ChannelMatrix(array_response(g, [loc.x], [loc.y], [loc.z])).entries
+                a = channel_matrix(g, [loc]).entries
             except (ValueError, OverflowError) as exc:
                 raise ConfigError(f"distance_range: {d:g} m is out of float range ({exc})") from exc
             if np.linalg.norm(a) ** 2 / g.n_antennas < np.finfo(float).tiny:
@@ -435,7 +434,7 @@ def _two_step(cfg, g, block, grids, truth, context):
     columns = {}
     if matched:
         columns = dict(zip(matched, reconstruct_channels(list(matched.values()), g).entries.T))
-    return matched, columns, result.angular_peaks.found
+    return matched, columns, len(result.locations)
 
 
 def _ls(cfg, g, block, grids, truth, context):
@@ -737,12 +736,16 @@ def dump_spectrum(
     """Synthesize one trial and dump the requested spectrum as CSV.
 
     ``kind`` is "angular" (2-D), "distance" (1-D at given or estimated
-    angles), or "xz" (plane slice through the full-array search).  Angles
-    are given for "distance" only, both or neither, each inside
-    (-pi/2, pi/2).  ``snr_db`` must be one of ``cfg.snr_db_list`` (default:
-    the last), because the trial's random streams are keyed by its position
-    there.
+    angles), or "xz" (plane slice through the full-array search).  The
+    "angular" dump and the "distance" dump without angles are the trial's own
+    two-step spectra: the angular one, and the distance scan at the tallest
+    angular peak.  Angles are given for "distance" only, both or neither,
+    each inside (-pi/2, pi/2).  ``snr_db`` must be one of ``cfg.snr_db_list``
+    (default: the last), because the trial's random streams are keyed by its
+    position there.
     """
+    if kind not in ("angular", "distance", "xz"):
+        raise ValueError(f"unknown spectrum kind {kind!r}")
     if (azimuth is None) != (elevation is None):
         raise ConfigError("give both azimuth and elevation, or neither")
     if azimuth is not None:
@@ -763,19 +766,19 @@ def dump_spectrum(
     _, a_true = _place_users(cfg, g, (snr_index, trial))
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
 
-    # the plane slice searches the whole array: a zero shift keeps one subarray
-    un = noise_subspace(smoothed_covariance(block, 0 if kind == "xz" else cfg.c_r), cfg.k_ues)
     if kind == "xz":
+        # the plane slice searches the whole array: a zero shift keeps one subarray
+        un = noise_subspace(smoothed_covariance(block, 0), cfg.k_ues)
         return dump_spectrum_csv(spectrum_3d(un, cfg.xz_grid(), g), out_path)
-    if kind == "angular":
-        return dump_spectrum_csv(spectrum_2d_angular(un, cfg.angular_grid(), g), out_path)
-    if kind == "distance":
-        if azimuth is None:
-            angular = spectrum_2d_angular(un, cfg.angular_grid(), g)
-            peaks = find_peaks(angular, 1)
-            if not peaks.found:
-                raise ConfigError("no angular peak found; pass azimuth/elevation explicitly")
-            azimuth, elevation = peaks.peaks[0].coords
+    if azimuth is not None:
+        un = noise_subspace(smoothed_covariance(block, cfg.c_r), cfg.k_ues)
         spec = spectrum_1d_distance(un, azimuth, elevation, cfg.distance_grid(), g)
         return dump_spectrum_csv(spec, out_path)
-    raise ValueError(f"unknown spectrum kind {kind!r}")
+    result = two_step_estimate(
+        block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid()
+    )
+    if kind == "angular":
+        return dump_spectrum_csv(result.angular_spectrum, out_path)
+    if not result.distance_spectra:
+        raise ConfigError("no angular peak found; pass azimuth/elevation explicitly")
+    return dump_spectrum_csv(result.distance_spectra[0], out_path)

@@ -123,10 +123,6 @@ class PeakSet:
     def found(self) -> int:
         return len(self.peaks)
 
-    @property
-    def complete(self) -> bool:
-        return self.found >= self.requested
-
 
 def _column_energy(x: np.ndarray) -> np.ndarray:
     return np.sum(x.real**2 + x.imag**2, axis=0)
@@ -314,17 +310,16 @@ def find_peaks(spectrum: SpectrumGrid, k: int) -> PeakSet:
 class TwoStepResult:
     """Output of the angular-then-distance estimation pipeline.
 
-    ``locations[i]`` pairs with ``angular_peaks.peaks[i]`` (descending peak
-    height); the labeling relative to true users is arbitrary and resolved by
+    ``locations`` come in descending angular peak height, one per peak found,
+    and ``distance_spectra[i]`` is the distance scan at ``locations[i]``'s
+    angles; the labeling relative to true users is arbitrary and resolved by
     the evaluation layer.
     """
 
     locations: tuple[PolarLocation, ...]
-    angular_peaks: PeakSet
     angular_spectrum: SpectrumGrid
     distance_spectra: tuple[SpectrumGrid, ...]
     boundary_fallbacks: int
-    warnings: tuple[str, ...] = ()
 
 
 def two_step_estimate(
@@ -339,35 +334,19 @@ def two_step_estimate(
 
     Pipeline: subarray-smoothed covariance -> noise subspace -> one angular
     spectrum whose k tallest peaks give the angles -> one distance spectrum
-    per angle.
+    per angle.  Fewer than k angular peaks give fewer locations.
 
     A distance spectrum without an interior peak falls back to its grid
     argmax (counted in ``boundary_fallbacks``) so a far user at the edge of
     the search range still yields an estimate.
     """
-    warnings: list[str] = []
-    snapshot_budget = block.n_pilots * (c_r + 1) ** 2
-    if snapshot_budget < k_sources:
-        warnings.append(
-            f"snapshot budget L*T^2={snapshot_budget} is below the source count "
-            f"{k_sources}; covariance rank may be deficient"
-        )
-
-    cov = smoothed_covariance(block, c_r)
-    un = noise_subspace(cov, k_sources)
-
+    un = noise_subspace(smoothed_covariance(block, c_r), k_sources)
     angular_spectrum = spectrum_2d_angular(un, angle_grid, g)
-    angular_peaks = find_peaks(angular_spectrum, k_sources)
-
-    if not angular_peaks.complete:
-        warnings.append(
-            f"only {angular_peaks.found} of {k_sources} angular peaks found"
-        )
 
     locations: list[PolarLocation] = []
     dist_spectra: list[SpectrumGrid] = []
     fallbacks = 0
-    for peak in angular_peaks.peaks:
+    for peak in find_peaks(angular_spectrum, k_sources).peaks:
         az, el = peak.coords
         spec_d = spectrum_1d_distance(un, az, el, distance_grid, g)
         pset = find_peaks(spec_d, 1)
@@ -382,9 +361,7 @@ def two_step_estimate(
 
     return TwoStepResult(
         locations=tuple(locations),
-        angular_peaks=angular_peaks,
         angular_spectrum=angular_spectrum,
         distance_spectra=tuple(dist_spectra),
         boundary_fallbacks=fallbacks,
-        warnings=tuple(warnings),
     )

@@ -29,10 +29,6 @@ class SnapshotBlock:
     noise_var: float
 
     @property
-    def n_pilots(self) -> int:
-        return self.pilots.shape[1]
-
-    @property
     def n_antennas(self) -> int:
         return self.received.shape[0]
 

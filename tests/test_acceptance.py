@@ -87,8 +87,9 @@ def test_criterion_2_plane_slice_snapshot_contrast():
     assert elapsed < 120.0
     assert passing >= 18, (
         f"only {passing}/20 seeds show all four users at L=10 and a deficit at L=3; "
-        "with raw per-user gains the weakest user routinely sits 15-25 dB below the "
-        "shared noise reference and leaves no resolvable peak"
+        "noise is not the cause: without noise 1/20 pass, and the exact-model cost "
+        "at every true user is below 1e-14, so the spectrum peaks at each user and "
+        "the (x, z) grid misses the narrow peaks (scripts/gate_ceilings.py)"
     )
 
 
@@ -125,8 +126,10 @@ def test_criterion_3_smoothing_recovery_rates():
     )
     assert good_trials >= 160, (
         f"all-four-user recovery within 2 deg and 15% held in {good_trials}/200 trials; "
-        "the shortfall is dominated by users far below the shared noise reference and "
-        "by the shallow range spectrum beyond roughly half the upper search limit"
+        "the two-step estimator, not the noise, caps it: without noise 49/200 pass, "
+        "full rank without smoothing 101/200 and one user alone 198/200, so the "
+        "planar-wave angular scan and subarray smoothing do not fit several near-field "
+        "users at once (scripts/gate_ceilings.py)"
     )
 
 

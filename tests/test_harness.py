@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nfmusic.harness as harness
+from nfmusic.channel import channel_matrix
 from nfmusic.cli import main as cli_main
 from nfmusic.geometry import PolarLocation, cart_to_polar, polar_to_cart
 from nfmusic.harness import (
@@ -25,9 +26,16 @@ from nfmusic.harness import (
     scenario_fig1,
 )
 from nfmusic.metrics import AggregateRecord, TrialRecord, aggregate
-from nfmusic.music import GridAxis, GridSpec, SpectrumGrid
+from nfmusic.music import GridAxis, GridSpec, SpectrumGrid, two_step_estimate
 from nfmusic.refine import IllConditionedError
-from nfmusic.signal import stream
+from nfmusic.signal import (
+    ROLE_NOISE,
+    ROLE_PILOTS,
+    ROLE_PLACEMENT,
+    gen_pilots,
+    received_block,
+    stream,
+)
 
 
 class TestConfigDefaults:
@@ -650,6 +658,27 @@ class TestDumpSpectrum:
         with pytest.raises(ConfigError, match="azimuth/elevation"):
             harness.dump_spectrum(cfg, "distance", tmp_path / "dist.csv")
         assert not (tmp_path / "dist.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["angular", "distance"])
+    def test_dump_is_the_trials_own_two_step_spectrum(self, kind, tmp_path):
+        cfg = _tiny_config(snr_db_list=(10.0, 20.0))
+        g = cfg.geometry()
+        key = (1, 2)  # 20 dB, trial 2
+        a = channel_matrix(g, place_ues(cfg, stream(cfg.seed, *key, ROLE_PLACEMENT)))
+        pilots = gen_pilots(cfg.k_ues, cfg.l_pilots, stream(cfg.seed, *key, ROLE_PILOTS))
+        block = received_block(a, pilots, 20.0, stream(cfg.seed, *key, ROLE_NOISE))
+        res = two_step_estimate(
+            block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid()
+        )
+        want = res.angular_spectrum if kind == "angular" else res.distance_spectra[0]
+        out = harness.dump_spectrum(cfg, kind, tmp_path / "s.csv", snr_db=20.0, trial=2)
+        got = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+        assert got == ["%.9g" % v for v in want.values.ravel()]
+
+    def test_unknown_kind_rejected_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown spectrum kind"):
+            harness.dump_spectrum(_tiny_config(), "polar", tmp_path / "p.csv")
+        assert not (tmp_path / "p.csv").exists()
 
     def test_distance_dump_with_explicit_angles(self, tmp_path):
         cfg = _tiny_config()

@@ -315,7 +315,6 @@ class TestFindPeaks:
         vals = np.linspace(1.0, 2.0, 20)
         peaks = find_peaks(SpectrumGrid(self._grid1d(20), vals), 3)
         assert peaks.found == 0
-        assert not peaks.complete
 
     def test_single_interior_spike(self):
         vals = np.ones(15)
@@ -391,7 +390,7 @@ class TestTwoStep:
         a = channel_matrix(g, [polar_to_cart(p) for p in truths])
         block = received_block(a, gen_pilots(2, 2, stream(5, 0)), math.inf)
         res = two_step_estimate(block, g, 2, 1, angle_grid, dist_grid)
-        assert res.angular_peaks.complete and len(res.locations) == 2
+        assert len(res.locations) == 2
         got = sorted(res.locations, key=lambda p: p.azimuth)
         want = sorted(truths, key=lambda p: p.azimuth)
         for e, t in zip(got, want):
@@ -409,7 +408,7 @@ class TestTwoStep:
         block = received_block(a, gen_pilots(2, 3, stream(6, 0)), 20.0, stream(6, 1))
         res = two_step_estimate(block, geo16, 2, 1, angle_grid, dist_grid)
         evals = res.angular_spectrum.values.size + sum(d.values.size for d in res.distance_spectra)
-        assert evals == 18 * 11 + res.angular_peaks.found * 13
+        assert evals == 18 * 11 + len(res.locations) * 13
 
     def test_scaling_snapshots_leaves_peaks_unchanged(self, geo16):
         angle_grid = GridSpec(
@@ -424,7 +423,7 @@ class TestTwoStep:
         r2 = two_step_estimate(scaled, geo16, 1, 1, angle_grid, dist_grid)
         assert r1.locations == r2.locations
 
-    def test_warns_when_snapshot_budget_below_sources(self, geo16):
+    def test_locations_in_descending_angular_peak_height(self, geo16):
         angle_grid = GridSpec(
             (GridAxis("azimuth", -1.0, 1.0, 18), GridAxis("elevation", -0.8, 0.8, 11))
         )
@@ -435,9 +434,18 @@ class TestTwoStep:
             UeLocation(0.5, -0.3, 2.5),
         ]
         a = channel_matrix(geo16, locs)
-        block = received_block(a, gen_pilots(3, 2, stream(8, 0)), 20.0, stream(8, 1))
+        block = received_block(a, gen_pilots(3, 4, stream(8, 0)), 20.0, stream(8, 1))
         res = two_step_estimate(block, geo16, 3, 0, angle_grid, dist_grid)
-        assert any("budget" in w for w in res.warnings)
+        az_pts, el_pts = angle_grid.axis_points()
+        heights = [
+            res.angular_spectrum.values[
+                int(np.flatnonzero(az_pts == p.azimuth)[0]),
+                int(np.flatnonzero(el_pts == p.elevation)[0]),
+            ]
+            for p in res.locations
+        ]
+        assert len(heights) >= 2
+        assert heights == sorted(heights, reverse=True)
 
     def test_rejects_subarray_too_small_for_sources(self, geo16):
         angle_grid = GridSpec(
