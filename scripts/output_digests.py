@@ -7,7 +7,9 @@ The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
 sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
 plane-slice spectra at seeds 1-3, one ``dump-spectrum`` CSV of each kind
 (``angular``, ``distance`` at the estimated angles, and the exact-model plane
-slice ``xz``), and one ``distance`` dump at explicit angles: 34 files.
+slice ``xz``), one ``distance`` dump at explicit angles, all of the reference
+config, and one ``angular`` dump of the ``large_array`` config (a 19 x 19
+steering subgrid instead of 9 x 9): 35 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
 byte-identical.
@@ -52,12 +54,14 @@ SWEEPS = {
     ),
 }
 FIG1_L = (10, 3)
-# dump name -> (kind, azimuth, elevation); angles in radians, None to estimate
+# dump name -> (SWEEPS config, kind, azimuth, elevation); angles in radians,
+# None to estimate
 SPECTRUM_DUMPS = {
-    "angular": ("angular", None, None),
-    "distance": ("distance", None, None),
-    "xz": ("xz", None, None),
-    "distance_at_angles": ("distance", math.radians(10.0), math.radians(5.0)),
+    "angular": ("reference", "angular", None, None),
+    "distance": ("reference", "distance", None, None),
+    "xz": ("reference", "xz", None, None),
+    "distance_at_angles": ("reference", "distance", math.radians(10.0), math.radians(5.0)),
+    "large_array_angular": ("large_array", "angular", None, None),
 }
 
 
@@ -81,9 +85,9 @@ def write_outputs(out: Path) -> list[Path]:
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
-    for name, (kind, azimuth, elevation) in SPECTRUM_DUMPS.items():
+    for name, (config, kind, azimuth, elevation) in SPECTRUM_DUMPS.items():
         path = out / f"spectrum_{name}.csv"
-        dump_spectrum(REFERENCE, kind, path, azimuth=azimuth, elevation=elevation)
+        dump_spectrum(SWEEPS[config], kind, path, azimuth=azimuth, elevation=elevation)
     return [out / name for name in csv_names()]
 
 

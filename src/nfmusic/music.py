@@ -13,11 +13,18 @@ eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
 steering vector instead of M - K; the difference is clamped at zero, where
 rounding can push an exactly orthogonal vector below it.
 
-Neither the planar-wave angular steering bank nor the unit-normalized
-exact-model location bank depends on the data, so each is built once and kept
-read-only in a small cache: the angular bank per (array geometry, subgrid
-side, grid), the location bank per (array geometry, grid, chunk of cells).  The
-location bank is cached one ``_CHUNK``-column chunk at a time and only the
+On the ``side`` x ``side`` steering subgrid the planar-wave vector is a
+Kronecker product, ``a(az, el) = e_x(u) (x) e_y(v)`` with ``u = cos(el) sin(az)``
+and ``v = sin(el)``, so the angular scan never forms ``a``: it contracts
+``U_s^H`` with the y factor in one matmul and with the x factor in one batched
+matmul per elevation, O(K * side) per grid cell instead of O(K * side**2).
+
+Neither the angular steering factors nor the unit-normalized exact-model
+location bank depends on the data, so each is built once and kept read-only in
+a small cache: the angular factors per (array geometry, subgrid side, grid),
+``side * 16`` bytes per grid cell plus the y factor and 8 bytes of squared
+norm per cell; the location bank per (array geometry, grid, chunk of cells).
+The location bank is cached one ``_CHUNK``-column chunk at a time and only the
 last chunk stays resident, at most ``_CHUNK * M * 16`` bytes; a grid larger
 than one chunk rebuilds its chunks on every call.
 """
@@ -125,16 +132,19 @@ class PeakSet:
 
 
 def _column_energy(x: np.ndarray) -> np.ndarray:
-    return np.sum(x.real**2 + x.imag**2, axis=0)
+    """Squared norm of each column of a matrix, or of each matrix in a stack."""
+    return np.sum(x.real**2 + x.imag**2, axis=-2)
 
 
-def _quotient_denominators(
-    un: NoiseSubspace, steering: np.ndarray, norms: np.ndarray
-) -> np.ndarray:
-    """||U_n^H a||**2 + eps for each column ``a`` of ``steering``, whose squared
-    norms are ``norms``, as max(||a||**2 - ||U_s^H a||**2, 0) + eps."""
-    captured = _column_energy(un.signal.conj().T @ steering)
-    return np.maximum(norms - captured, 0.0) + EPS_SCALE * norms
+def _signal_energy(un: NoiseSubspace, steering: np.ndarray) -> np.ndarray:
+    """||U_s^H a||**2 for each column ``a`` of ``steering``."""
+    return _column_energy(un.signal.conj().T @ steering)
+
+
+def _guarded_quotient(norms: np.ndarray, captured: np.ndarray) -> np.ndarray:
+    """1 / (max(||a||**2 - ||U_s^H a||**2, 0) + eps) from the squared norms
+    ``||a||**2`` and the captured signal energies ``||U_s^H a||**2``."""
+    return 1.0 / (np.maximum(norms - captured, 0.0) + EPS_SCALE * norms)
 
 
 def _subgrid_side(un: NoiseSubspace, g: ArrayGeometry) -> int:
@@ -161,18 +171,29 @@ def _steering_subgrid(g: ArrayGeometry, side: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _angular_bank(g: ArrayGeometry, side: int, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Planar-wave steering vectors over an (azimuth, elevation) grid and their
-    squared norms, on the ``side`` x ``side`` steering subgrid of ``g``.
+def _angular_bank(
+    g: ArrayGeometry, side: int, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column factors of the planar-wave steering vectors over an
+    (azimuth, elevation) grid on the ``side`` x ``side`` steering subgrid of
+    ``g``, and the squared norms of their products.
 
-    Both arrays are read-only: every caller, pool workers included, shares them.
+    The x factor ``e_x`` has shape (n_el, side, n_az) and the y factor ``e_y``
+    (side, n_el); the steering vector of cell (i, j) is
+    ``np.kron(e_x[j, :, i], e_y[:, j])`` and its squared norm is
+    ``norms[j, i]``.  Both factors are planar-wave responses of the subgrid's
+    axis-only centres, (x_n, 0, 0) and (0, y_m, 0).  All three arrays are
+    read-only: every caller, pool workers included, shares them.
     """
-    az, el = (m.ravel() for m in np.meshgrid(*grid.axis_points(), indexing="ij"))
-    steering = farfield_response(g, az, el, _steering_subgrid(g, side))
-    norms = _column_energy(steering)
-    steering.flags.writeable = False
-    norms.flags.writeable = False
-    return steering, norms
+    az, el = grid.axis_points()
+    centers = _steering_subgrid(g, side).reshape(side, side, 3)
+    e_x = farfield_response(g, az, el[:, None], centers[:, 0] * [1.0, 0.0, 0.0])
+    e_x = np.ascontiguousarray(e_x.transpose(1, 0, 2))
+    e_y = farfield_response(g, 0.0, el, centers[0, :] * [0.0, 1.0, 0.0])
+    norms = _column_energy(e_x) * _column_energy(e_y)[:, None]
+    for array in (e_x, e_y, norms):
+        array.flags.writeable = False
+    return e_x, e_y, norms
 
 
 @functools.lru_cache(maxsize=1)
@@ -225,7 +246,7 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
     for start in range(0, values.size, _CHUNK):
         stop = min(start + _CHUNK, values.size)
         steering, norms = _location_bank(g, grid, start, stop)
-        values[start:stop] = 1.0 / _quotient_denominators(un, steering, norms)
+        values[start:stop] = _guarded_quotient(norms, _signal_energy(un, steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
@@ -237,9 +258,14 @@ def spectrum_2d_angular(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> 
     """
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
-    steering, norms = _angular_bank(g, _subgrid_side(un, g), grid)
-    values = 1.0 / _quotient_denominators(un, steering, norms)
-    return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
+    side = _subgrid_side(un, g)
+    e_x, e_y, norms = _angular_bank(g, side, grid)
+    # U_s^H as (K, side, side) contracted with e_y over y, then per elevation
+    # with e_x over x: (n_el, K, side) @ (n_el, side, n_az) -> (n_el, K, n_az)
+    partial = (un.signal.conj().T.reshape(-1, side) @ e_y).reshape(-1, side, e_y.shape[1])
+    captured = _column_energy(partial.transpose(2, 0, 1) @ e_x)
+    values = _guarded_quotient(norms, captured).T
+    return SpectrumGrid(grid=grid, values=np.ascontiguousarray(values))
 
 
 def spectrum_1d_distance(
@@ -254,7 +280,7 @@ def spectrum_1d_distance(
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
     centers = _steering_subgrid(g, _subgrid_side(un, g))
     steering = polar_response(g, azimuth, elevation, grid.axis_points()[0], centers)
-    values = 1.0 / _quotient_denominators(un, steering, _column_energy(steering))
+    values = _guarded_quotient(_column_energy(steering), _signal_energy(un, steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 

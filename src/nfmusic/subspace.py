@@ -1,6 +1,7 @@
 """Sample covariance, sliding-subarray snapshot augmentation, and the signal
 and noise subspaces of a covariance."""
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,19 +19,24 @@ class NoiseSubspace:
 
     ``signal`` is M x K for K sources and spans the eigenvectors of the K
     largest eigenvalues of the covariance; ``matrix`` is M x (M - K) and is an
-    orthonormal basis of its orthogonal complement, the noise subspace.  The
-    columns are bases, not eigenvectors in eigenvalue order.  When the
-    covariance has rank n < K, ``signal`` holds its range and K - n further
-    orthonormal columns.  The spectra read ``signal``, because
-    ``||U_n^H a||**2 = ||a||**2 - ||U_s^H a||**2`` costs K projections, not M - K.
+    orthonormal basis of its orthogonal complement, the noise subspace,
+    computed on first access.  The columns are bases, not eigenvectors in
+    eigenvalue order.  When the covariance has rank n < K, ``signal`` holds its
+    range and K - n further orthonormal columns.  The spectra read only
+    ``signal``, because ``||U_n^H a||**2 = ||a||**2 - ||U_s^H a||**2`` costs K
+    projections, not M - K.
     """
 
-    matrix: np.ndarray
     signal: np.ndarray
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.signal.shape[0]
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        k = self.signal.shape[1]
+        return np.linalg.svd(self.signal, full_matrices=True)[0][:, k:]
 
 
 def sample_covariance(snapshots) -> np.ndarray:
@@ -44,7 +50,10 @@ def sample_covariance(snapshots) -> np.ndarray:
     if x.size == 0:
         raise ValueError("at least one snapshot required")
     r = x.T @ x.conj() / x.shape[0]
-    return 0.5 * (r + r.conj().T)
+    h = np.conjugate(r.T, order="C")
+    h += r
+    h *= 0.5
+    return h
 
 
 def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
@@ -90,7 +99,9 @@ def _checked_hermitian(r) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     scale = np.linalg.norm(m)
-    if scale > 0 and np.linalg.norm(m - m.conj().T) > HERMITIAN_RTOL * scale:
+    defect = np.conjugate(m.T, order="C")
+    defect -= m
+    if scale > 0 and np.linalg.norm(defect) > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     return m
 
@@ -118,9 +129,10 @@ def noise_subspace(r: np.ndarray, k_sources: int) -> NoiseSubspace:
     h = np.asarray(_checked_hermitian(r), dtype=complex)
     c, piv, rank, _ = zpstrf(h, lower=1)
     factor = np.zeros((m, rank), dtype=complex)
-    factor[piv - 1] = np.tril(c)[:, :rank]
+    factor[piv - 1] = np.tril(c[:, :rank])
     trace = np.trace(h).real
     if abs(trace - np.linalg.norm(factor) ** 2) > HERMITIAN_RTOL * max(trace, np.linalg.norm(h)):
         raise ValueError("matrix is not positive semidefinite within tolerance")
-    u = np.linalg.svd(factor, full_matrices=True)[0]
-    return NoiseSubspace(matrix=u[:, k_sources:], signal=u[:, :k_sources])
+    # a factor of rank below K needs the full SVD's completion of its range
+    u = np.linalg.svd(factor, full_matrices=rank < k_sources)[0]
+    return NoiseSubspace(signal=u[:, :k_sources])

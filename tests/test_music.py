@@ -182,11 +182,7 @@ class TestSpectrum2dAngular:
         un = noise_subspace(sample_covariance(block.received.T), 2)
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 21), GridAxis("elevation", -0.7, 0.7, 15)))
         base = spectrum_2d_angular(un, grid, geo16).values
-        rotated = dataclasses.replace(
-            un,
-            matrix=un.matrix @ random_unitary(rng, 14),
-            signal=un.signal @ random_unitary(rng, 2),
-        )
+        rotated = dataclasses.replace(un, signal=un.signal @ random_unitary(rng, 2))
         assert not np.allclose(rotated.signal, un.signal)
         assert np.allclose(spectrum_2d_angular(rotated, grid, geo16).values, base, rtol=1e-9)
 
@@ -196,17 +192,45 @@ class TestSpectrum2dAngular:
         # keyed on the geometry's value: an equal array shares the entry
         twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
         assert music._angular_bank(twin, 3, grid) is first
-        steering, norms = first
-        with pytest.raises(ValueError):
-            steering[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            norms[0] = 0.0
+        e_x, e_y, norms = first
+        assert e_x.shape == (9, 3, 13) and e_y.shape == (3, 9) and norms.shape == (9, 13)
+        for array in first:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
 
         un = noise_subspace(sample_covariance(np.eye(16)), 1)
+        spectrum_2d_angular(un, grid, geo16)
         hits = music._angular_bank.cache_info().hits
         spectrum_2d_angular(un, grid, geo16)
-        spectrum_2d_angular(un, grid, geo16)
-        assert music._angular_bank.cache_info().hits >= hits + 1
+        assert music._angular_bank.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize(
+        "n_antennas, c_r, k",
+        [
+            (n, c_r, k)
+            for n in (16, 25, 100)
+            for c_r in (0, 1, 2)
+            for k in (1, 2, 3, 4)
+            if k < (math.isqrt(n) - c_r) ** 2
+        ],
+    )
+    def test_factored_scan_equals_per_vector_quotient(self, n_antennas, c_r, k):
+        """The row-and-column evaluation equals the noise-subspace quotient of
+        each full planar-wave steering vector on the steering subgrid."""
+        g = ArrayGeometry(n_antennas, 0.05 * math.sqrt(2), 0.1)
+        locs = [UeLocation(0.3 * i - 0.4, 0.2 - 0.15 * i, 1.5 + 0.5 * i) for i in range(k)]
+        a = channel_matrix(g, locs)
+        pilots = gen_pilots(k, 5, stream(n_antennas, c_r, k, 0))
+        block = received_block(a, pilots, 10.0, stream(n_antennas, c_r, k, 1))
+        un = noise_subspace(smoothed_covariance(block, c_r), k)
+        grid = GridSpec((GridAxis("azimuth", -1.1, 1.0, 11), GridAxis("elevation", -0.8, 0.6, 7)))
+        centers = music._steering_subgrid(g, math.isqrt(un.dim))
+        az, el = grid.axis_points()
+        quotient = TestSignalSubspaceForm._quotient
+        want = [[quotient(un, farfield_response(g, x, y, centers)) for y in el] for x in az]
+        got = spectrum_2d_angular(un, grid, g).values
+        assert got.shape == (11, 7)
+        assert np.allclose(got, want, rtol=1e-9, atol=0)
 
     def test_noiseless_user_spectrum_bounded_by_guard(self, geo16):
         """At exact orthogonality ||a||^2 - ||U_s^H a||^2 rounds to either
@@ -409,6 +433,30 @@ class TestTwoStep:
         res = two_step_estimate(block, geo16, 2, 1, angle_grid, dist_grid)
         evals = res.angular_spectrum.values.size + sum(d.values.size for d in res.distance_spectra)
         assert evals == 18 * 11 + len(res.locations) * 13
+
+    def test_noise_basis_is_built_only_when_read(self, geo16, monkeypatch):
+        """The search reads only the signal basis; the noise basis is the
+        orthonormal complement of it, computed on first access."""
+        made = []
+
+        def recording_noise_subspace(r, k):
+            made.append(noise_subspace(r, k))
+            return made[-1]
+
+        monkeypatch.setattr(music, "noise_subspace", recording_noise_subspace)
+        angle_grid = GridSpec(
+            (GridAxis("azimuth", -1.0, 1.0, 18), GridAxis("elevation", -0.8, 0.8, 11))
+        )
+        dist_grid = GridSpec((GridAxis("distance", 1.0, 3.0, 13),))
+        a = channel_matrix(geo16, [UeLocation(0.2, 0.1, 1.5), UeLocation(-0.4, -0.2, 2.0)])
+        block = received_block(a, gen_pilots(2, 3, stream(6, 0)), 20.0, stream(6, 1))
+        two_step_estimate(block, geo16, 2, 1, angle_grid, dist_grid)
+        (un,) = made
+        assert "matrix" not in vars(un)
+        assert un.matrix.shape == (9, 7)
+        assert np.linalg.norm(un.matrix.conj().T @ un.matrix - np.eye(7), 2) <= 1e-12
+        assert np.linalg.norm(un.matrix.conj().T @ un.signal, 2) <= 1e-12
+        assert un.matrix is un.matrix
 
     def test_scaling_snapshots_leaves_peaks_unchanged(self, geo16):
         angle_grid = GridSpec(
