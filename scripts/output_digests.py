@@ -8,8 +8,8 @@ sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
 plane-slice spectra at seeds 1-3, one ``dump-spectrum`` CSV of each kind
 (``angular``, ``distance`` at the estimated angles, and the exact-model plane
 slice ``xz``), one ``distance`` dump at explicit angles, all of the reference
-config, and one ``angular`` dump of the ``large_array`` config (a 19 x 19
-steering subgrid instead of 9 x 9): 35 files.
+config, and one ``angular`` and one ``distance`` dump of the ``large_array``
+config (a 19 x 19 steering subgrid instead of 9 x 9): 36 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
 byte-identical.
@@ -62,6 +62,7 @@ SPECTRUM_DUMPS = {
     "xz": ("reference", "xz", None, None),
     "distance_at_angles": ("reference", "distance", math.radians(10.0), math.radians(5.0)),
     "large_array_angular": ("large_array", "angular", None, None),
+    "large_array_distance": ("large_array", "distance", None, None),
 }
 
 

@@ -12,7 +12,9 @@ phases:
   angular search (``spectrum_2d_angular``).
 * :func:`polar_response` — unit-modulus model whose phase is the exact element
   distance written in polar form; it steers the distance search
-  (``spectrum_1d_distance``).
+  (``spectrum_1d_distance``), which keeps its angle-free part
+  (:func:`polar_terms`) per distance grid and adds the angles with
+  :func:`polar_steering`.
 
 Each response broadcasts over grid points: scalar coordinates give an (M,)
 vector for the M element centres, and (P,) coordinate arrays give an (M, P)
@@ -52,14 +54,21 @@ def _element_xy(centers: np.ndarray, *coords) -> tuple[np.ndarray, np.ndarray]:
     return centers[:, 0].reshape(shape), centers[:, 1].reshape(shape)
 
 
-def _spherical_phase(r: np.ndarray, wavelength: float) -> np.ndarray:
-    """exp(-i 2 pi r / wavelength) for path lengths ``r``.
+def _spherical_phase(r: np.ndarray, wavelength: float, out=None) -> np.ndarray:
+    """exp(-i 2 pi r / wavelength) for path lengths ``r``, written into the
+    complex array ``out`` (a new one by default); ``r`` may be ``out.imag``.
 
     The exponent is scaled by the reciprocal wavelength in real arithmetic,
     which rounds exactly as numpy's division of the complex exponent by the
-    wavelength does, without a complex division per entry.
+    wavelength does, without a complex division per entry; its real part is
+    an exact zero, so no complex temporary is formed.
     """
-    return np.exp(1j * (-2.0 * math.pi * r * (1.0 / wavelength)))
+    out = np.empty(np.shape(r), dtype=complex) if out is None else out
+    exponent = out.imag
+    np.multiply(r, -2.0 * math.pi, out=exponent)
+    exponent *= 1.0 / wavelength
+    out.real = 0.0
+    return np.exp(out, out=out)
 
 
 def array_response(g: ArrayGeometry, x, y, z) -> np.ndarray:
@@ -105,6 +114,43 @@ def farfield_response(
     return np.exp(1j * (2.0 * math.pi / g.wavelength * (x * u + y * v)))
 
 
+class PolarTerms(NamedTuple):
+    """Angle-free part of the polar-form element distance: the element ``x``
+    and ``y`` columns, ``d*d + x*x + y*y`` and ``2*d``, shaped to broadcast
+    (see :func:`_element_xy`).  :func:`polar_steering` adds the angles."""
+
+    x: np.ndarray
+    y: np.ndarray
+    radial: np.ndarray
+    twice_d: np.ndarray
+
+
+def polar_terms(distance, centers: np.ndarray, *angles) -> PolarTerms:
+    """The angle-free terms of :func:`polar_response` for ``distance`` and the
+    element ``centers``; the ``angles`` it will be steered to only set the
+    broadcast shape."""
+    d = np.asarray(distance, dtype=float)
+    if not np.all(d > 0):
+        raise ValueError("distance must be positive")
+    x, y = _element_xy(centers, d, *angles)
+    return PolarTerms(x, y, d * d + x * x + y * y, 2.0 * d)
+
+
+def polar_steering(g: ArrayGeometry, terms: PolarTerms, azimuth, elevation) -> np.ndarray:
+    """:func:`polar_response` at ``azimuth`` and ``elevation`` from its
+    angle-free ``terms``; the squared distance, the distance and the phase
+    are computed in place in the returned array."""
+    u = np.cos(elevation) * np.sin(azimuth)
+    v = np.sin(elevation)
+    shift = u * terms.x + v * terms.y
+    out = np.empty(np.broadcast_shapes(terms.radial.shape, shift.shape), dtype=complex)
+    r = out.imag
+    np.multiply(terms.twice_d, shift, out=r)
+    np.subtract(terms.radial, r, out=r)
+    np.sqrt(r, out=r)
+    return _spherical_phase(r, g.wavelength, out)
+
+
 def polar_response(
     g: ArrayGeometry,
     azimuth,
@@ -119,17 +165,12 @@ def polar_response(
     element centre (x, y) in ``centers`` (default: the whole array), so the
     vector is a literal phase-only version of the exact response; only the
     per-element amplitude is dropped.  The common distance-dependent phase is
-    kept (spectral quotients are invariant to it).
+    kept (spectral quotients are invariant to it).  It is
+    :func:`polar_steering` of :func:`polar_terms`, so a search over distance
+    can keep the angle-free terms and pay only the per-angle remainder.
     """
-    d = np.asarray(distance, dtype=float)
-    if not np.all(d > 0):
-        raise ValueError("distance must be positive")
     centers = g.centers if centers is None else centers
-    u = np.cos(elevation) * np.sin(azimuth)
-    v = np.sin(elevation)
-    x, y = _element_xy(centers, u, d)
-    r = np.sqrt(d * d + x * x + y * y - 2.0 * d * (u * x + v * y))
-    return _spherical_phase(r, g.wavelength)
+    return polar_steering(g, polar_terms(distance, centers, azimuth, elevation), azimuth, elevation)
 
 
 def channel_matrix(g: ArrayGeometry, locations: Sequence[UeLocation]) -> ChannelMatrix:

@@ -19,14 +19,18 @@ and ``v = sin(el)``, so the angular scan never forms ``a``: it contracts
 ``U_s^H`` with the y factor in one matmul and with the x factor in one batched
 matmul per elevation, O(K * side) per grid cell instead of O(K * side**2).
 
-Neither the angular steering factors nor the unit-normalized exact-model
-location bank depends on the data, so each is built once and kept read-only in
-a small cache: the angular factors per (array geometry, subgrid side, grid),
+Neither the angular steering factors, nor the angle-free terms of the
+polar-phase response, nor the unit-normalized exact-model location bank
+depends on the data, so each is built once and kept read-only in a small
+cache: the angular factors per (array geometry, subgrid side, grid),
 ``side * 16`` bytes per grid cell plus the y factor and 8 bytes of squared
-norm per cell; the location bank per (array geometry, grid, chunk of cells).
-The location bank is cached one ``_CHUNK``-column chunk at a time and only the
-last chunk stays resident, at most ``_CHUNK * M * 16`` bytes; a grid larger
-than one chunk rebuilds its chunks on every call.
+norm per cell; the distance bank per (array geometry, subgrid side, distance
+grid), ``M * D * 8`` bytes for M steering elements and D distances plus
+``2D + 2M`` floats, so a distance scan pays only its per-angle remainder, an
+M x D complex exp; the location bank per (array geometry, grid, chunk of
+cells).  The location bank is cached one ``_CHUNK``-column chunk at a time
+and only the last chunk stays resident, at most ``_CHUNK * M * 16`` bytes; a
+grid larger than one chunk rebuilds its chunks on every call.
 """
 
 import functools
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import array_response, farfield_response, polar_response
+from .channel import PolarTerms, array_response, farfield_response, polar_steering, polar_terms
 from .geometry import ArrayGeometry, PolarLocation
 from .signal import SnapshotBlock
 from .subspace import NoiseSubspace, noise_subspace, smoothed_covariance
@@ -72,9 +76,17 @@ class GridAxis:
             raise ValueError(f"axis {self.name!r} must be strictly positive")
 
     def points(self) -> np.ndarray:
+        """The axis points, computed once per axis and read-only."""
+        return self._points
+
+    @functools.cached_property
+    def _points(self) -> np.ndarray:
         if self.spacing == "inverse":
-            return 1.0 / np.linspace(1.0 / self.lo, 1.0 / self.hi, self.count)
-        return np.linspace(self.lo, self.hi, self.count)
+            points = 1.0 / np.linspace(1.0 / self.lo, 1.0 / self.hi, self.count)
+        else:
+            points = np.linspace(self.lo, self.hi, self.count)
+        points.flags.writeable = False
+        return points
 
 
 @dataclass(frozen=True)
@@ -108,7 +120,7 @@ class SpectrumGrid:
     def __post_init__(self):
         if self.values.shape != self.grid.shape:
             raise ValueError("value array shape must match the grid shape")
-        if not np.all(np.isfinite(self.values)) or not np.all(self.values > 0):
+        if not self.values.min() > 0 or not np.isfinite(self.values.max()):
             raise ValueError("spectrum values must be finite and strictly positive")
 
 
@@ -218,6 +230,19 @@ def _location_bank(
     return steering, norms
 
 
+@functools.lru_cache(maxsize=4)
+def _distance_bank(g: ArrayGeometry, side: int, grid: GridSpec) -> PolarTerms:
+    """Angle-free polar terms (:func:`nfmusic.channel.polar_terms`) of the
+    ``side`` x ``side`` steering subgrid of ``g`` over a distance grid.
+
+    Every array is read-only: every caller, pool workers included, shares them.
+    """
+    terms = polar_terms(grid.axis_points()[0], _steering_subgrid(g, side))
+    for array in terms:
+        array.flags.writeable = False
+    return terms
+
+
 def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> SpectrumGrid:
     """Spectrum over Cartesian locations using the exact array response.
 
@@ -278,26 +303,23 @@ def spectrum_1d_distance(
     """Spectrum over distance at fixed angles, using the polar-phase response."""
     if grid.names() != ("distance",):
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
-    centers = _steering_subgrid(g, _subgrid_side(un, g))
-    steering = polar_response(g, azimuth, elevation, grid.axis_points()[0], centers)
+    steering = polar_steering(g, _distance_bank(g, _subgrid_side(un, g), grid), azimuth, elevation)
     values = _guarded_quotient(_column_energy(steering), _signal_energy(un, steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
 def _interior_maxima(values: np.ndarray) -> np.ndarray:
-    """Interior cells above their lower neighbour and at least their upper one
-    on every axis; a flat top of equal cells keeps only its lowest-index cell."""
-    mask = np.ones(values.shape, dtype=bool)
-    nd = values.ndim
-    for ax in range(nd):
-        edge = [slice(None)] * nd
-        edge[ax] = 0
-        mask[tuple(edge)] = False
-        edge[ax] = values.shape[ax] - 1
-        mask[tuple(edge)] = False
-    for ax in range(nd):
-        mask &= values > np.roll(values, 1, axis=ax)
-        mask &= values >= np.roll(values, -1, axis=ax)
+    """Mask over the interior cells (``values[1:-1]`` on every axis) of those
+    above their lower neighbour and at least their upper one on every axis; a
+    flat top of equal cells keeps only its lowest-index cell."""
+    interior = (slice(1, -1),) * values.ndim
+    core = values[interior]
+    mask = np.ones(core.shape, dtype=bool)
+    for ax in range(values.ndim):
+        lower = interior[:ax] + (slice(None, -2),) + interior[ax + 1 :]
+        upper = interior[:ax] + (slice(2, None),) + interior[ax + 1 :]
+        mask &= core > values[lower]
+        mask &= core >= values[upper]
     return mask
 
 
@@ -314,7 +336,7 @@ def find_peaks(spectrum: SpectrumGrid, k: int) -> PeakSet:
         raise ValueError("k must be >= 1")
     values = spectrum.values
     mask = _interior_maxima(values)
-    idx = np.argwhere(mask)
+    idx = np.argwhere(mask) + 1
     if idx.size == 0:
         return PeakSet(peaks=(), requested=k)
     peak_vals = values[tuple(idx.T)]

@@ -49,7 +49,11 @@ def sample_covariance(snapshots) -> np.ndarray:
     x = np.atleast_2d(np.asarray(snapshots, dtype=complex))
     if x.size == 0:
         raise ValueError("at least one snapshot required")
-    r = x.T @ x.conj() / x.shape[0]
+    r = x.T @ x.conj()
+    # numpy divides by L + 0j as a product with 1 / L, so scaling the float
+    # view by 1 / L gives the same bits, up to the sign of an exact zero
+    parts = r.view(np.float64)
+    parts *= 1.0 / x.shape[0]
     h = np.conjugate(r.T, order="C")
     h += r
     h *= 0.5

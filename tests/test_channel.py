@@ -12,6 +12,8 @@ from nfmusic.channel import (
     channel_matrix,
     farfield_response,
     polar_response,
+    polar_steering,
+    polar_terms,
 )
 from nfmusic.geometry import (
     ArrayGeometry,
@@ -138,6 +140,18 @@ class TestPolarResponse:
             r = math.sqrt((cx - loc.x) ** 2 + (cy - loc.y) ** 2 + loc.z**2)
             assert a[idx] == pytest.approx(cmath.exp(-2j * math.pi * r / geo.wavelength), abs=1e-9)
 
+    def test_equals_literal_formula_bit_for_bit(self, geo):
+        """The split into angle-free terms and an in-place phase keeps the
+        operation order of the one-expression formula."""
+        rng = np.random.default_rng(5)
+        az, el = rng.uniform(-1.4, 1.4, 2)
+        d = rng.uniform(0.5, 12.0, 40)
+        x, y = geo.centers[:, :1], geo.centers[:, 1:2]
+        u, v = np.cos(el) * np.sin(az), np.sin(el)
+        r = np.sqrt(d * d + x * x + y * y - 2.0 * d * (u * x + v * y))
+        want = np.exp(1j * (-2.0 * math.pi * r * (1.0 / geo.wavelength)))
+        assert np.array_equal(polar_response(geo, az, el, d), want)
+
     def test_matches_exact_response_phase(self, geo):
         loc = UeLocation(0.8, -0.5, 2.7)
         from nfmusic.geometry import cart_to_polar
@@ -221,11 +235,31 @@ class TestBatchedResponses:
             81,
         )
 
+    def test_polar_from_angle_free_terms(self, geo, points):
+        """Terms built once over a distance grid and steered to each angle give
+        the per-point polar response bit for bit."""
+        az, el, d = points["az"], points["el"], points["d"]
+        sub = geo.subgrid_centers(9)
+        terms = polar_terms(d, sub)
+        for i in range(len(az)):
+            self._assert_columns(
+                polar_steering(geo, terms, az[i], el[i]),
+                lambda j: polar_response(geo, az[i], el[i], d[j], sub),
+                len(d),
+                81,
+            )
+        scalar = polar_terms(d[0], geo.centers)
+        assert np.array_equal(
+            polar_steering(geo, scalar, az[0], el[0]), polar_response(geo, az[0], el[0], d[0])
+        )
+
     def test_rejects_points_behind_the_array(self, geo):
         with pytest.raises(ValueError):
             array_response(geo, np.zeros(3), np.zeros(3), np.array([1.0, 0.0, 2.0]))
         with pytest.raises(ValueError):
             polar_response(geo, 0.1, 0.1, np.array([1.0, -1.0]))
+        with pytest.raises(ValueError):
+            polar_terms(np.array([1.0, 0.0]), geo.centers)
 
 
 class TestQuotientInvariance:

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from nfmusic import music
 from nfmusic.channel import array_response, channel_matrix, farfield_response, polar_response
@@ -48,6 +51,16 @@ class TestGridAxis:
         # uniform in 1/d: middle point is the harmonic midpoint
         assert pts[1] == pytest.approx(1.0 / ((1 / 2.0 + 1 / 10.0) / 2))
 
+    @pytest.mark.parametrize("spacing", ["uniform", "inverse"])
+    def test_points_are_computed_once_and_read_only(self, spacing):
+        ax = GridAxis("distance", 1.0, 4.0, 5, spacing)
+        pts = ax.points()
+        assert ax.points() is pts
+        assert GridSpec((ax,)).axis_points()[0] is pts
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
+        assert np.array_equal(GridAxis("distance", 1.0, 4.0, 5, spacing).points(), pts)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridAxis("azimuth", 0.0, 1.0, 1)
@@ -63,10 +76,18 @@ class TestGridAxis:
 
 
 class TestSpectrumPositivity:
-    def test_rejects_nonpositive_values(self):
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_rejects_nonpositive_values(self, bad, where):
         grid = GridSpec((GridAxis("distance", 1.0, 2.0, 3),))
-        with pytest.raises(ValueError):
-            SpectrumGrid(grid=grid, values=np.array([1.0, 0.0, 2.0]))
+        values = np.array([1.0, 3.0, 2.0])
+        values[where] = bad
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            SpectrumGrid(grid=grid, values=values)
+
+    def test_accepts_tiny_and_huge_values(self):
+        grid = GridSpec((GridAxis("distance", 1.0, 2.0, 3),))
+        SpectrumGrid(grid=grid, values=np.array([5e-324, 1.0, np.finfo(float).max]))
 
 
 class TestSpectrum3d:
@@ -274,13 +295,26 @@ class TestSignalSubspaceForm:
         got = spectrum_2d_angular(un, grid, geo16).values
         assert np.allclose(got, want, rtol=1e-9, atol=0)
 
-    def test_distance(self, geo16, block):
-        un = noise_subspace(sample_covariance(block.received.T), 2)
+    @pytest.mark.parametrize("n_antennas, c_r", [(16, 0), (16, 1), (361, 0), (400, 1)])
+    def test_distance(self, n_antennas, c_r):
+        """The scan from the cached angle-free terms equals, bit for bit, the
+        guarded quotient over a batched ``polar_response`` (4 x 4, 3 x 3 and
+        two 19 x 19 steering subgrids), and the noise-subspace quotient of
+        each of its columns."""
+        g = ArrayGeometry(n_antennas, 0.05 * math.sqrt(2), 0.1)
+        a = channel_matrix(g, [UeLocation(0.2, 0.1, 2.0), UeLocation(-0.3, -0.2, 3.0)])
+        block = received_block(a, gen_pilots(2, 8, stream(12, 0)), 15.0, stream(12, 1))
+        un = noise_subspace(smoothed_covariance(block, c_r), 2)
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
-        dists = grid.axis_points()[0]
-        want = [self._quotient(un, polar_response(geo16, 0.3, -0.1, d)) for d in dists]
-        got = spectrum_1d_distance(un, 0.3, -0.1, grid, geo16).values
-        assert np.allclose(got, want, rtol=1e-9, atol=0)
+        centers = music._steering_subgrid(g, math.isqrt(un.dim))
+        steering = polar_response(g, 0.3, -0.1, grid.axis_points()[0], centers)
+        norms = music._column_energy(steering)
+        want = music._guarded_quotient(norms, music._signal_energy(un, steering))
+        for _ in range(2):  # a cold and a warm distance bank
+            got = spectrum_1d_distance(un, 0.3, -0.1, grid, g).values
+            assert np.array_equal(got, want)
+        per_point = [self._quotient(un, steering[:, j]) for j in range(grid.shape[0])]
+        assert np.allclose(got, per_point, rtol=1e-9, atol=0)
 
     def _check_3d(self, geo16, block):
         un = noise_subspace(sample_covariance(block.received.T), 2)
@@ -309,6 +343,24 @@ class TestSignalSubspaceForm:
 
 
 class TestSpectrum1dDistance:
+    def test_distance_bank_is_cached_read_only(self, geo16):
+        grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
+        first = music._distance_bank(geo16, 3, grid)
+        # keyed on the geometry's value: an equal array shares the entry
+        twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
+        assert music._distance_bank(twin, 3, grid) is first
+        assert first.x.shape == first.y.shape == (9, 1)
+        assert first.radial.shape == (9, 31) and first.twice_d.shape == (31,)
+        for array in first:
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+
+        un = noise_subspace(sample_covariance(np.eye(9)), 1)
+        spectrum_1d_distance(un, 0.2, 0.1, grid, geo16)
+        hits = music._distance_bank.cache_info().hits
+        spectrum_1d_distance(un, -0.3, 0.2, grid, geo16)
+        assert music._distance_bank.cache_info().hits == hits + 1
+
     def test_noiseless_on_grid_argmax_at_truth(self, geo16):
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 41),))
         d_true = float(grid.axis_points()[0][13])
@@ -389,6 +441,42 @@ class TestFindPeaks:
         vals = np.array([1.0, 2.0, 5.0, 5.0, 5.0, 2.0, 1.0])
         peaks = find_peaks(SpectrumGrid(self._grid1d(7), vals), 2)
         assert [p.indices for p in peaks.peaks] == [(2,)]
+
+    @staticmethod
+    def _brute_peaks(values):
+        """Interior cells above the lower and at least the upper neighbour on
+        every axis, tallest first, ties by linear index."""
+        found = []
+        for idx in np.ndindex(values.shape):
+            if not all(0 < i < n - 1 for i, n in zip(idx, values.shape)):
+                continue
+            neighbours_ok = True
+            for ax in range(values.ndim):
+                lower = idx[:ax] + (idx[ax] - 1,) + idx[ax + 1 :]
+                upper = idx[:ax] + (idx[ax] + 1,) + idx[ax + 1 :]
+                neighbours_ok &= values[idx] > values[lower] and values[idx] >= values[upper]
+            if neighbours_ok:
+                found.append((-values[idx], np.ravel_multi_index(idx, values.shape), idx))
+        return [idx for *_, idx in sorted(found)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_brute_neighbour_scan(self, data):
+        """Integer-valued spectra have ties and plateaus; axes of length 2 have
+        no interior and so no peaks."""
+        shape = tuple(data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=3)))
+        values = data.draw(hnp.arrays(np.float64, shape, elements=st.integers(1, 4).map(float)))
+        k = data.draw(st.integers(1, 6))
+        grid = GridSpec(tuple(GridAxis(name, -1.0, 1.0, n) for name, n in zip("xyz", shape)))
+        peaks = find_peaks(SpectrumGrid(grid, values), k)
+        want = self._brute_peaks(values)[:k]
+        assert [p.indices for p in peaks.peaks] == want
+        assert [p.value for p in peaks.peaks] == [values[idx] for idx in want]
+        points = grid.axis_points()
+        for p in peaks.peaks:
+            assert p.coords == tuple(points[a][i] for a, i in enumerate(p.indices))
+        if 2 in shape:
+            assert peaks.found == 0
 
     def test_two_dimensional_plateau_keeps_its_lower_index_cell(self):
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 6), GridAxis("elevation", -1.0, 1.0, 5)))
