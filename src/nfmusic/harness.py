@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import logging
 import math
+import numbers
 import operator
 import time
 import typing
@@ -86,6 +87,11 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_count(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Benchmark configuration; defaults follow the reference simulation setup.
@@ -95,6 +101,12 @@ class ExperimentConfig:
     and converts on load; everything else is SI units.  The array and the
     distance and (x, z) grids are built on construction, so their own rules
     (``ArrayGeometry``, ``GridAxis``) reject a bad size or range.
+
+    ``c_r``, ``element_diag`` and ``distance_range`` left at None are derived
+    from the other fields on construction.  ``dataclasses.replace`` keeps the
+    derived values: ``replace(cfg, n_antennas=400)`` keeps ``cfg``'s near
+    field as its ``distance_range``.  Pass None for a field to derive it
+    again from the new fields, as a fresh config would.
     """
 
     n_antennas: int = 100
@@ -569,8 +581,7 @@ def run_experiment(
     With ``progress``, a line is printed every 25 trials of an SNR point and
     at its last trial.
     """
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    _check_count("threads", threads)
     started = time.monotonic()
     g = cfg.geometry()
     grids = (cfg.angular_grid(), cfg.distance_grid())
@@ -696,6 +707,10 @@ def scenario_fig1(
     positions; with enough snapshots all users appear, with fewer than K
     they conflate.
     """
+    if not l_values:
+        raise ConfigError("l_values must be nonempty")
+    for l_pilots in l_values:
+        _check_count("l_values entries", l_pilots)
     # snr_db goes through the config so it is checked like a sweep's SNRs
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
     g = flat.geometry()

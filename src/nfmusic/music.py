@@ -11,7 +11,9 @@ values finite at exact orthogonality.  The noise projection is computed in its
 orthogonal-complement form ``||a||**2 - ||U_s^H a||**2`` from the K signal
 eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
 steering vector instead of M - K; the difference is clamped at zero, where
-rounding can push an exactly orthogonal vector below it.
+rounding can push an exactly orthogonal vector below it.  ``||a||**2`` is fixed
+by the model, never computed: M for the unit-modulus planar-wave and polar
+responses on an M-element steering subgrid, 1 for the unit-normalized exact one.
 
 On the ``side`` x ``side`` steering subgrid the planar-wave vector is a
 Kronecker product, ``a(az, el) = e_x(u) (x) e_y(v)`` with ``u = cos(el) sin(az)``
@@ -23,14 +25,14 @@ Neither the angular steering factors, nor the angle-free terms of the
 polar-phase response, nor the unit-normalized exact-model location bank
 depends on the data, so each is built once and kept read-only in a small
 cache: the angular factors per (array geometry, subgrid side, grid),
-``side * 16`` bytes per grid cell plus the y factor and 8 bytes of squared
-norm per cell; the distance bank per (array geometry, subgrid side, distance
-grid), ``M * D * 8`` bytes for M steering elements and D distances plus
-``2D + 2M`` floats, so a distance scan pays only its per-angle remainder, an
-M x D complex exp; the location bank per (array geometry, grid, chunk of
-cells).  The location bank is cached one ``_CHUNK``-column chunk at a time
-and only the last chunk stays resident, at most ``_CHUNK * M * 16`` bytes; a
-grid larger than one chunk rebuilds its chunks on every call.
+``side * 16`` bytes per grid cell plus the y factor; the distance bank per
+(array geometry, subgrid side, distance grid), ``M * D * 8`` bytes for M
+steering elements and D distances plus ``2D + 2M`` floats, so a distance scan
+pays only its per-angle remainder, an M x D complex exp; the location bank
+per (array geometry, grid, chunk of cells).  The location bank is cached one
+``_CHUNK``-column chunk at a time and only the last chunk stays resident, at
+most ``_CHUNK * M * 16`` bytes; a grid larger than one chunk rebuilds its
+chunks on every call.
 """
 
 import functools
@@ -153,10 +155,10 @@ def _signal_energy(un: NoiseSubspace, steering: np.ndarray) -> np.ndarray:
     return _column_energy(un.signal.conj().T @ steering)
 
 
-def _guarded_quotient(norms: np.ndarray, captured: np.ndarray) -> np.ndarray:
-    """1 / (max(||a||**2 - ||U_s^H a||**2, 0) + eps) from the squared norms
-    ``||a||**2`` and the captured signal energies ``||U_s^H a||**2``."""
-    return 1.0 / (np.maximum(norms - captured, 0.0) + EPS_SCALE * norms)
+def _guarded_quotient(norm: float, captured: np.ndarray) -> np.ndarray:
+    """1 / (max(||a||**2 - ||U_s^H a||**2, 0) + eps) from the model's squared
+    norm ``||a||**2``, one for every ``a``, and the energies ``||U_s^H a||**2``."""
+    return 1.0 / (np.maximum(norm - captured, 0.0) + EPS_SCALE * norm)
 
 
 def _subgrid_side(un: NoiseSubspace, g: ArrayGeometry) -> int:
@@ -185,38 +187,36 @@ def _steering_subgrid(g: ArrayGeometry, side: int) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _angular_bank(
     g: ArrayGeometry, side: int, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Row and column factors of the planar-wave steering vectors over an
     (azimuth, elevation) grid on the ``side`` x ``side`` steering subgrid of
-    ``g``, and the squared norms of their products.
+    ``g``.
 
     The x factor ``e_x`` has shape (n_el, side, n_az) and the y factor ``e_y``
     (side, n_el); the steering vector of cell (i, j) is
-    ``np.kron(e_x[j, :, i], e_y[:, j])`` and its squared norm is
-    ``norms[j, i]``.  Both factors are planar-wave responses of the subgrid's
-    axis-only centres, (x_n, 0, 0) and (0, y_m, 0).  All three arrays are
-    read-only: every caller, pool workers included, shares them.
+    ``np.kron(e_x[j, :, i], e_y[:, j])``.  Both factors are planar-wave
+    responses of the subgrid's axis-only centres, (x_n, 0, 0) and (0, y_m, 0).
+    Both arrays are read-only: every caller, pool workers included, shares them.
     """
     az, el = grid.axis_points()
     centers = _steering_subgrid(g, side).reshape(side, side, 3)
     e_x = farfield_response(g, az, el[:, None], centers[:, 0] * [1.0, 0.0, 0.0])
     e_x = np.ascontiguousarray(e_x.transpose(1, 0, 2))
     e_y = farfield_response(g, 0.0, el, centers[0, :] * [0.0, 1.0, 0.0])
-    norms = _column_energy(e_x) * _column_energy(e_y)[:, None]
-    for array in (e_x, e_y, norms):
-        array.flags.writeable = False
-    return e_x, e_y, norms
+    e_x.flags.writeable = False
+    e_y.flags.writeable = False
+    return e_x, e_y
 
 
 @functools.lru_cache(maxsize=1)
 def _location_bank(
     g: ArrayGeometry, grid: GridSpec, start: int, stop: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Unit-normalized exact-model steering vectors for the flat grid cells
-    ``start`` to ``stop`` of a (x, y, z)-ordered ``grid``, and their squared
-    norms; an omitted x or y is held at 0.
+    ``start`` to ``stop`` of a (x, y, z)-ordered ``grid``; an omitted x or y is
+    held at 0.
 
-    Both arrays are read-only: every caller, pool workers included, shares them.
+    The array is read-only: every caller, pool workers included, shares it.
     """
     coords = dict(zip(grid.names(), grid.axis_points()))
     axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
@@ -224,10 +224,8 @@ def _location_bank(
     px, py, pz = (ax[i] for ax, i in zip(axes, cells))
     steering = array_response(g, px, py, pz)
     steering /= np.linalg.norm(steering, axis=0, keepdims=True)
-    norms = _column_energy(steering)
     steering.flags.writeable = False
-    norms.flags.writeable = False
-    return steering, norms
+    return steering
 
 
 @functools.lru_cache(maxsize=4)
@@ -270,8 +268,8 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
     values = np.empty(math.prod(grid.shape))
     for start in range(0, values.size, _CHUNK):
         stop = min(start + _CHUNK, values.size)
-        steering, norms = _location_bank(g, grid, start, stop)
-        values[start:stop] = _guarded_quotient(norms, _signal_energy(un, steering))
+        steering = _location_bank(g, grid, start, stop)
+        values[start:stop] = _guarded_quotient(1.0, _signal_energy(un, steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 
@@ -284,12 +282,12 @@ def spectrum_2d_angular(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> 
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
     side = _subgrid_side(un, g)
-    e_x, e_y, norms = _angular_bank(g, side, grid)
+    e_x, e_y = _angular_bank(g, side, grid)
     # U_s^H as (K, side, side) contracted with e_y over y, then per elevation
     # with e_x over x: (n_el, K, side) @ (n_el, side, n_az) -> (n_el, K, n_az)
     partial = (un.signal.conj().T.reshape(-1, side) @ e_y).reshape(-1, side, e_y.shape[1])
     captured = _column_energy(partial.transpose(2, 0, 1) @ e_x)
-    values = _guarded_quotient(norms, captured).T
+    values = _guarded_quotient(un.dim, captured).T
     return SpectrumGrid(grid=grid, values=np.ascontiguousarray(values))
 
 
@@ -304,7 +302,7 @@ def spectrum_1d_distance(
     if grid.names() != ("distance",):
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
     steering = polar_steering(g, _distance_bank(g, _subgrid_side(un, g), grid), azimuth, elevation)
-    values = _guarded_quotient(_column_energy(steering), _signal_energy(un, steering))
+    values = _guarded_quotient(un.dim, _signal_energy(un, steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 

@@ -133,6 +133,26 @@ class TestConfigDefaults:
         with pytest.warns(UserWarning):
             ExperimentConfig(distance_range=(0.5, 10.0))
 
+    @pytest.mark.parametrize(
+        "field, changes",
+        [
+            ("c_r", dict(k_ues=1)),
+            ("element_diag", dict(wavelength=0.05)),
+            ("distance_range", dict(n_antennas=400)),
+        ],
+    )
+    def test_replace_keeps_derived_defaults_unless_given_none(self, field, changes):
+        """``dataclasses.replace`` keeps a resolved default; passing None
+        derives it again, as a fresh config does."""
+        base = ExperimentConfig()
+        fresh = getattr(ExperimentConfig(**changes), field)
+        with _warnings.catch_warnings():
+            # the kept (1.41, 10) m range starts inside a 400-element array's near field
+            _warnings.simplefilter("ignore")
+            kept = getattr(dataclasses.replace(base, **changes), field)
+        assert kept == getattr(base, field) != fresh
+        assert getattr(dataclasses.replace(base, **changes, **{field: None}), field) == fresh
+
 
 class TestConfigParsing:
     def test_flat_key_value_with_degree_angles(self):
@@ -593,6 +613,16 @@ class TestScenarioFig1:
         with pytest.raises(ConfigError, match="snr_db_list"):
             scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=-math.inf)
 
+    @pytest.mark.parametrize(
+        "l_values",
+        [(), (0,), (2.5,), (10, -1), (10, "3")],
+        ids=["empty", "zero", "float", "negative", "str"],
+    )
+    def test_bad_pilot_lengths_rejected_before_placement(self, l_values, monkeypatch):
+        monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match="l_values"):
+            scenario_fig1(_tiny_config(cart_grid_points=10), l_values=l_values)
+
     def test_elevation_forced_to_zero(self):
         cfg = _tiny_config(k_ues=2, l_pilots=3, cart_grid_points=30, seed=5)
         report = scenario_fig1(cfg, l_values=(6,))
@@ -965,6 +995,12 @@ class TestCli:
         assert rc == 2
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
+
+    @pytest.mark.parametrize("threads", [2.5, 1.0, "2", None])
+    def test_non_integer_thread_count_rejected_before_any_trial(self, threads, monkeypatch):
+        monkeypatch.setattr(harness, "_run_trial", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match="threads must be an integer"):
+            run_experiment(_tiny_config(trials=1), threads=threads)
 
     @pytest.mark.parametrize("threads", [0, -2])
     def test_thread_count_below_one_returns_error_code(self, threads, tmp_path, capsys):

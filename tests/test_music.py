@@ -8,7 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from nfmusic import music
-from nfmusic.channel import array_response, channel_matrix, farfield_response, polar_response
+from nfmusic.channel import (
+    array_response,
+    channel_matrix,
+    farfield_response,
+    polar_response,
+    polar_steering,
+    polar_terms,
+)
 from nfmusic.geometry import ArrayGeometry, PolarLocation, UeLocation, cart_to_polar, polar_to_cart
 from nfmusic.harness import ExperimentConfig, place_ues
 from nfmusic.metrics import match_estimates
@@ -141,11 +148,9 @@ class TestSpectrum3d:
         # keyed on the geometry's value: an equal array shares the entry
         twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
         assert music._location_bank(twin, grid, 0, 35) is first
-        steering, norms = first
+        assert first.shape == (16, 35)
         with pytest.raises(ValueError):
-            steering[0, 0] = 0.0
-        with pytest.raises(ValueError):
-            norms[0] = 0.0
+            first[0, 0] = 0.0
 
         un = noise_subspace(sample_covariance(np.eye(16)), 1)
         spectrum_3d(un, grid, geo16)
@@ -213,8 +218,8 @@ class TestSpectrum2dAngular:
         # keyed on the geometry's value: an equal array shares the entry
         twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
         assert music._angular_bank(twin, 3, grid) is first
-        e_x, e_y, norms = first
-        assert e_x.shape == (9, 3, 13) and e_y.shape == (3, 9) and norms.shape == (9, 13)
+        e_x, e_y = first
+        assert e_x.shape == (9, 3, 13) and e_y.shape == (3, 9)
         for array in first:
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
@@ -286,6 +291,31 @@ class TestSignalSubspaceForm:
         a = channel_matrix(geo16, locs)
         return received_block(a, gen_pilots(2, 8, stream(12, 0)), 15.0, stream(12, 1))
 
+    @pytest.mark.parametrize("side", [3, 9, 19])
+    def test_steering_models_fix_squared_norm(self, side):
+        """The quotient's ||a||**2 is the model's constant: M for every
+        planar-wave and polar-phase vector on an M-element steering subgrid,
+        1 for every unit-normalized exact-model vector."""
+        m = side * side
+        g = ArrayGeometry(361, 0.05 * math.sqrt(2), 0.1)
+        centers = music._steering_subgrid(g, side)
+        az, el = np.meshgrid(np.linspace(-1.4, 1.4, 29), np.linspace(-1.0, 1.0, 21))
+        az, el = az.ravel(), el.ravel()
+        distances = GridAxis("distance", 0.3, 60.0, 40, "inverse").points()
+        terms = polar_terms(distances, centers)
+        banks = [farfield_response(g, az, el, centers)]
+        banks += [polar_steering(g, terms, a, e) for a, e in zip(az[::7], el[::7])]
+        for bank in banks:
+            assert bank.shape[0] == m
+            assert np.allclose(music._column_energy(bank), m, rtol=1e-13, atol=0)
+
+        full = ArrayGeometry(m, 0.05 * math.sqrt(2), 0.1)
+        grid = GridSpec(
+            (GridAxis("x", -3.0, 3.0, 13), GridAxis("y", -2.0, 2.0, 9), GridAxis("z", 0.1, 30.0, 17))
+        )
+        steering = music._location_bank(full, grid, 0, math.prod(grid.shape))
+        assert np.allclose(music._column_energy(steering), 1.0, rtol=1e-13, atol=0)
+
     def test_angular(self, geo16, block):
         un = noise_subspace(smoothed_covariance(block, 1), 2)
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 21), GridAxis("elevation", -0.7, 0.7, 15)))
@@ -308,8 +338,7 @@ class TestSignalSubspaceForm:
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
         centers = music._steering_subgrid(g, math.isqrt(un.dim))
         steering = polar_response(g, 0.3, -0.1, grid.axis_points()[0], centers)
-        norms = music._column_energy(steering)
-        want = music._guarded_quotient(norms, music._signal_energy(un, steering))
+        want = music._guarded_quotient(steering.shape[0], music._signal_energy(un, steering))
         for _ in range(2):  # a cold and a warm distance bank
             got = spectrum_1d_distance(un, 0.3, -0.1, grid, g).values
             assert np.array_equal(got, want)
