@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from .channel import ChannelMatrix, channel_matrix
 from .geometry import (
@@ -136,11 +135,18 @@ class ExperimentConfig:
             object.__setattr__(self, "element_diag", self.wavelength / math.sqrt(2.0))
         if self.c_r is None:
             object.__setattr__(self, "c_r", 0 if self.k_ues == 1 else 1)
-        for name in ("k_ues", "l_pilots", "trials"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name in (
+            "k_ues",
+            "l_pilots",
+            "trials",
+            "azimuth_grid_points",
+            "elevation_grid_points",
+            "distance_grid_points",
+            "cart_grid_points",
+        ):
+            _check_count(name, getattr(self, name))
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
         # at 300 dB the noise amplitude is 1e-15 of the signal's, a few units in
@@ -212,8 +218,8 @@ class ExperimentConfig:
                     f"power of a user at {d:g} m underflows the smallest normal double"
                 )
         side = g.side
-        if self.c_r < 0 or self.c_r >= side:
-            raise ConfigError(f"c_r must lie in [0, {side - 1}]")
+        if not isinstance(self.c_r, numbers.Integral) or not 0 <= self.c_r < side:
+            raise ConfigError(f"c_r must be an integer in [0, {side - 1}], got {self.c_r!r}")
         if self.k_ues >= (side - self.c_r) ** 2:
             raise ConfigError(
                 f"k_ues must be below {(side - self.c_r) ** 2}, the element count of the "
@@ -526,21 +532,20 @@ def _run_trial(
 
 @functools.lru_cache(maxsize=1)
 def _openblas_threads() -> tuple:
-    """Thread-count (setter, getter) of each OpenBLAS bundled with numpy or
-    scipy; empty when neither ships one."""
+    """Thread-count (setter, getter) of each OpenBLAS bundled with numpy;
+    empty when it ships none."""
     found = []
-    for package in (np, scipy):
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libs.glob("libscipy_openblas*.so")):
-            lib = ctypes.CDLL(str(path))
-            for suffix in ("64_", ""):
-                setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
-                getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
-                if setter and getter:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    getter.argtypes, getter.restype = [], ctypes.c_int
-                    found.append((setter, getter))
-                    break
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*.so")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            if setter and getter:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                found.append((setter, getter))
+                break
     return tuple(found)
 
 
@@ -548,9 +553,9 @@ def _openblas_threads() -> tuple:
 def _one_blas_thread():
     """Hold every bundled OpenBLAS at one thread, then restore their counts.
 
-    Each trial worker makes its own BLAS and LAPACK calls, through numpy's
-    library and through scipy's; if every call also fans out to one BLAS
-    thread per CPU, the workers oversubscribe the cores.
+    Each trial worker makes its own BLAS and LAPACK calls through numpy's
+    library; if every call also fans out to one BLAS thread per CPU, the
+    workers oversubscribe the cores.
     """
     funcs = _openblas_threads()
     previous = [get_threads() for _, get_threads in funcs]
@@ -575,9 +580,9 @@ def run_experiment(
     ``threads``: every trial draws from its own keyed random streams, trials
     finish in (SNR, trial) order on every path, and rows are emitted in
     (method, SNR, trial, user) order through a single sink.
-    With ``threads > 1`` the OpenBLAS bundled with numpy and with scipy runs
-    one thread per worker while the pool runs, and each gets its previous
-    thread count back afterwards.
+    With ``threads > 1`` the OpenBLAS bundled with numpy runs one thread per
+    worker while the pool runs, and gets its previous thread count back
+    afterwards.
     With ``progress``, a line is printed every 25 trials of an SNR point and
     at its last trial.
     """

@@ -3,7 +3,10 @@
 Squared-error and beamforming metrics are per user per trial; aggregation
 averages over users within a trial first, then over trials.  Matching pairs
 estimated locations with true ones so that label permutation is not scored
-as estimation error.
+as estimation error.  The pairing is a minimum-cost assignment by the
+shortest-augmenting-path solver of Crouse, "On implementing 2D rectangular
+assignment algorithms", IEEE TAES 2016, ported step for step from scipy's
+``linear_sum_assignment``, so that nearly tied totals pick the same pairs.
 """
 
 import math
@@ -11,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import PolarLocation
 
@@ -54,6 +56,85 @@ def location_cost(a: PolarLocation, b: PolarLocation, d_scale: float) -> float:
     return math.acos(cosang) + abs(a.distance - b.distance) / d_scale
 
 
+def _augmenting_path(cost, u, v, path, row4col, i):
+    """Shortest augmenting path from the free row ``i`` to a free column.
+
+    Fills ``path`` with each column's predecessor row; returns the sink
+    column, the path cost, the reduced path cost of every column and the rows
+    and columns scanned.
+    """
+    nc = len(v)
+    # filled in reverse, so that a constant cost matrix gives the identity
+    remaining = list(range(nc - 1, -1, -1))
+    spc = [math.inf] * nc
+    rows_seen, cols_seen = [], []
+    min_val = 0.0
+    while True:
+        rows_seen.append(i)
+        index, lowest = -1, math.inf
+        ui, ci = u[i], cost[i]
+        for it, j in enumerate(remaining):
+            r = min_val + ci[j] - ui - v[j]
+            if r < spc[j]:
+                path[j] = i
+                spc[j] = r
+            # on equal cost prefer a column that is free, so the path ends
+            if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                lowest = spc[j]
+                index = it
+        min_val = lowest
+        if min_val == math.inf:
+            raise ValueError("cost matrix is infeasible")
+        j = remaining[index]
+        cols_seen.append(j)
+        remaining[index] = remaining[-1]
+        remaining.pop()
+        if row4col[j] == -1:
+            return j, min_val, spc, rows_seen, cols_seen
+        i = row4col[j]
+
+
+def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
+    """Rows and columns of a minimum-cost assignment of a 2-D cost matrix.
+
+    Every row of a wide matrix and every column of a tall one is assigned; a
+    tall matrix is solved transposed and its pairs returned in row order, as
+    scipy does.  NaN and -inf costs raise ``ValueError``, and so does a matrix
+    whose +inf costs leave no complete assignment.
+    """
+    c = np.asarray(cost, dtype=float)
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = c.T
+    if np.isnan(c).any() or (c == -math.inf).any():
+        raise ValueError("matrix contains invalid numeric entries")
+    nr, nc = c.shape
+    cost = c.tolist()
+    u, v = [0.0] * nr, [0.0] * nc
+    path = [-1] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        sink, min_val, spc, rows_seen, cols_seen = _augmenting_path(cost, u, v, path, row4col, cur)
+        # update the dual variables
+        u[cur] += min_val
+        for i in rows_seen[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        # augment the previous solution along the path
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if transpose:
+        order = sorted(range(nr), key=col4row.__getitem__)
+        return [col4row[i] for i in order], order
+    return list(range(nr)), col4row
+
+
 def match_estimates(
     true_locs: Sequence[PolarLocation],
     est_locs: Sequence[PolarLocation],
@@ -68,13 +149,11 @@ def match_estimates(
         return []
     if not est_locs:
         return [None] * len(true_locs)
-    cost = np.array(
-        [[location_cost(t, e, d_scale) for e in est_locs] for t in true_locs]
-    )
-    rows, cols = linear_sum_assignment(cost)
+    cost = [[location_cost(t, e, d_scale) for e in est_locs] for t in true_locs]
+    rows, cols = _linear_sum_assignment(cost)
     perm: list[Optional[int]] = [None] * len(true_locs)
     for r, c in zip(rows, cols):
-        perm[r] = int(c)
+        perm[r] = c
     return perm
 
 

@@ -1,12 +1,16 @@
 """Sample covariance, sliding-subarray snapshot augmentation, and the signal
-and noise subspaces of a covariance."""
+and noise subspaces of a covariance.
+
+The signal subspace comes from a diagonally pivoted Cholesky factor, written
+in numpy after LAPACK's ``zpstrf``: it stops at the numerical rank, which is
+at most the snapshot count, so below full rank it never forms an M x M factor.
+"""
 
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zpstrf
 
 from .signal import SnapshotBlock
 
@@ -96,9 +100,9 @@ def smoothed_covariance(block: SnapshotBlock, c_r: int) -> np.ndarray:
     return sample_covariance(subs.reshape(-1, subs.shape[-1]))
 
 
-def _checked_hermitian(r) -> np.ndarray:
-    """``r`` as a square array; rejects inputs whose Hermitian defect exceeds
-    ``HERMITIAN_RTOL`` relative to the matrix norm."""
+def _checked_hermitian(r) -> tuple[np.ndarray, float]:
+    """``r`` as a square array and its Frobenius norm; rejects inputs whose
+    Hermitian defect exceeds ``HERMITIAN_RTOL`` relative to that norm."""
     m = np.asarray(r)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
@@ -107,14 +111,61 @@ def _checked_hermitian(r) -> np.ndarray:
     defect -= m
     if scale > 0 and np.linalg.norm(defect) > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return m
+    return m, scale
 
 
 def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; rejects
     input as ``_checked_hermitian`` does."""
-    m = _checked_hermitian(r)
+    m, _ = _checked_hermitian(r)
     return np.linalg.eigh(0.5 * (m + m.conj().T))
+
+
+def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
+    """M x n factor F with F F^H = h for a Hermitian positive semidefinite h,
+    n its numerical rank.
+
+    Step j pivots on the first index of the largest remaining diagonal, as
+    LAPACK's ``zpstrf`` does, and stops once that diagonal is at most LAPACK's
+    default tolerance M * eps * max(diag(h)), with eps = 2**-53.  The remaining
+    diagonal is diag(h) minus the accumulated squared moduli of the columns so
+    far, and column j is h's pivot column less its projection on them, so each
+    step costs one n x M product.  Row i of F belongs to h's index i: F is
+    lower triangular in pivot order.  Its storage starts at 16 columns and
+    doubles when full, up to M.
+    """
+    m = h.shape[0]
+    diag = h.diagonal().real.copy()  # a pivot's entry becomes -inf
+    downdate = np.zeros(m)
+    remaining = diag.copy()
+    p = int(remaining.argmax())
+    if not remaining[p] > 0:
+        return np.zeros((m, 0), dtype=complex)
+    stop = m * 2.0**-53 * remaining[p]
+    cols = np.empty((min(m, 16), m), dtype=complex)  # row j is column j of F
+    pivoted = np.zeros(m, dtype=bool)
+    n = 0
+    while True:
+        if n == cols.shape[0]:
+            cols = np.concatenate((cols, np.empty((min(n, m - n), m), dtype=complex)))
+        root = math.sqrt(remaining[p])
+        col = cols[n]
+        np.dot(cols[:n, p].conj(), cols[:n], out=col)
+        np.subtract(h[:, p], col, out=col)
+        col *= 1.0 / root
+        pivoted[p] = True
+        col[pivoted] = 0.0
+        col[p] = root
+        diag[p] = -np.inf
+        n += 1
+        if n == m:
+            break
+        downdate += (col * col.conj()).real
+        np.subtract(diag, downdate, out=remaining)
+        p = int(remaining.argmax())
+        if not remaining[p] > stop:
+            break
+    return cols[:n].T
 
 
 def noise_subspace(r: np.ndarray, k_sources: int) -> NoiseSubspace:
@@ -123,19 +174,22 @@ def noise_subspace(r: np.ndarray, k_sources: int) -> NoiseSubspace:
 
     A pivoted Cholesky factor R = F F^H stops at the numerical rank n (at most
     L for L snapshots), so the left singular vectors of the M x n factor F,
-    which are eigenvectors of R, cost O(M**2 n) rather than O(M**3).  Rejects
-    an ``r`` that is not Hermitian, or not positive semidefinite (its factor
-    misses part of its trace), within ``HERMITIAN_RTOL``.
+    which are eigenvectors of R, cost O(M**2 n) rather than O(M**3).  At full
+    rank the factor's Python loop is slower than LAPACK's: about 14 ms against
+    ``zpstrf``'s 4.5 ms at M=361 with 400 snapshots on a 2-CPU Xeon, beside a
+    62 ms SVD of the factor.  Rejects an ``r`` that is not Hermitian, or not positive
+    semidefinite (its factor misses part of its trace), within
+    ``HERMITIAN_RTOL``.
     """
     m = r.shape[0]
     if not 0 < k_sources < m:
         raise ValueError(f"source count must lie in (0, {m}), got {k_sources}")
-    h = np.asarray(_checked_hermitian(r), dtype=complex)
-    c, piv, rank, _ = zpstrf(h, lower=1)
-    factor = np.zeros((m, rank), dtype=complex)
-    factor[piv - 1] = np.tril(c[:, :rank])
+    h, scale = _checked_hermitian(r)
+    h = np.asarray(h, dtype=complex)
+    factor = _pivoted_cholesky(h)
+    rank = factor.shape[1]
     trace = np.trace(h).real
-    if abs(trace - np.linalg.norm(factor) ** 2) > HERMITIAN_RTOL * max(trace, np.linalg.norm(h)):
+    if abs(trace - np.linalg.norm(factor) ** 2) > HERMITIAN_RTOL * max(trace, scale):
         raise ValueError("matrix is not positive semidefinite within tolerance")
     # a factor of rank below K needs the full SVD's completion of its range
     u = np.linalg.svd(factor, full_matrices=rank < k_sources)[0]

@@ -1,6 +1,9 @@
 import contextlib
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings as _warnings
 from pathlib import Path
@@ -8,7 +11,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,6 +84,26 @@ class TestConfigDefaults:
     def test_nonfinite_and_out_of_range_values_rejected(self, fields):
         with pytest.raises(ConfigError):
             ExperimentConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("k_ues", 2.0),
+            ("l_pilots", 2.5),
+            ("trials", 1.5),
+            ("azimuth_grid_points", 40.5),
+            ("elevation_grid_points", 30.0),
+            ("distance_grid_points", 10.5),
+            ("cart_grid_points", 7.5),
+            ("c_r", 1.0),
+            ("seed", 1.5),
+        ],
+    )
+    def test_non_integer_count_rejected(self, field, value):
+        """A count that is not an integer fails on construction, not with a
+        TypeError inside the run."""
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            _tiny_config(**{field: value})
 
     def test_near_field_warning_follows_grid_validation(self):
         with _warnings.catch_warnings():
@@ -519,20 +541,15 @@ class TestDeterminism:
             assert a == b
 
     def test_pool_runs_blas_single_threaded_and_restores_count(self, monkeypatch):
-        """The search calls LAPACK through scipy's bundled OpenBLAS as well as
-        numpy's; inside the pool each library reads one thread, and each gets
-        its own previous count back after the sweep."""
-        shipped = [
-            path
-            for package in (np, scipy)
-            for path in (Path(package.__file__).parent.parent / f"{package.__name__}.libs").glob(
-                "libscipy_openblas*.so"
-            )
-        ]
+        """The search calls BLAS and LAPACK through numpy's bundled OpenBLAS
+        alone; inside the pool each such library reads one thread, and each
+        gets its own previous count back after the sweep."""
+        libs = Path(np.__file__).parent.parent / "numpy.libs"
+        shipped = list(libs.glob("libscipy_openblas*.so"))
         funcs = harness._openblas_threads()
         assert len(funcs) == len(shipped)
         if not funcs:
-            pytest.skip("neither numpy nor scipy ships a bundled OpenBLAS")
+            pytest.skip("numpy ships no bundled OpenBLAS")
         seen = []
         search = harness.two_step_estimate
 
@@ -553,6 +570,27 @@ class TestDeterminism:
                 set_threads(count)
         assert seen == [[1] * len(funcs)] * 2
         assert after == before
+
+    def test_run_loads_no_scipy(self):
+        """Importing the package and running a sweep load no ``scipy`` module,
+        in a fresh interpreter since the test process may hold one."""
+        code = (
+            "import sys, nfmusic\n"
+            "cfg = nfmusic.ExperimentConfig(n_antennas=16, k_ues=2, trials=1,\n"
+            "    snr_db_list=(20.0,), azimuth_grid_points=10, elevation_grid_points=8,\n"
+            "    distance_grid_points=6)\n"
+            "nfmusic.run_experiment(cfg)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert result.stdout == "[]\n"
 
     def test_csv_round_trip_consistency(self, tmp_path):
         cfg = _tiny_config()

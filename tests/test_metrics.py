@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from nfmusic.geometry import PolarLocation
 from nfmusic.metrics import (
+    _linear_sum_assignment,
     TrialRecord,
     aggregate,
     beamforming_gain,
@@ -145,6 +146,64 @@ class TestMatchEstimates:
         rng = np.random.default_rng(10)
         truths = self._random_locs(rng, 3)
         assert match_estimates(truths, [], 10.0) == [None, None, None]
+
+
+# Truth-by-estimate location costs of the plane-slice benchmark's seed-3 panel
+# case: rows 1 and 2 tie across columns 1 and 2 (1.1453 + 1.3230 against
+# 1.1706 + 1.2977), and an exhaustive search with summed costs picks the other
+# pair, (3, 1, 2, 0).
+NEAR_TIE = [
+    [3.2931917078794344, 3.260212813534717, 3.234943551164705, 2.1388268150595486],
+    [1.2035705266780943, 1.1705916323333767, 1.145322369963365, 0.04920563385824095],
+    [1.3559942407631762, 1.3230153464184586, 1.297746084048447, 0.9131705064521642],
+    [0.01093999664407687, 0.022038897700671863, 0.06180118618057887, 1.1434248961758473],
+]
+
+
+def _cost_matrices(rng):
+    """Random, integer-tied, nearly additive and constant cost matrices, of
+    every shape from 1 x 1 to 6 x 6, wide and tall."""
+    for shape in itertools.product(range(1, 7), repeat=2):
+        for _ in range(8):
+            yield rng.random(shape)
+            yield rng.integers(0, 3, shape).astype(float)
+            # sums of a row and a column term tie every assignment, up to rounding
+            additive = 0.1 * (rng.integers(0, 4, (shape[0], 1)) + rng.integers(0, 4, (1, shape[1])))
+            yield additive + 1e-16 * rng.integers(0, 2, shape)
+            yield np.full(shape, rng.random())
+
+
+class TestLinearSumAssignment:
+    def test_matches_scipy(self):
+        """Same rows and columns as the solver it ports, ties included."""
+        optimize = pytest.importorskip("scipy.optimize")
+        count = 0
+        for cost in _cost_matrices(np.random.default_rng(31)):
+            rows, cols = optimize.linear_sum_assignment(cost)
+            assert _linear_sum_assignment(cost) == (rows.tolist(), cols.tolist()), cost
+            count += 1
+        assert count >= 1000
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (2, 5), (5, 2)])
+    def test_constant_matrix_gives_the_identity(self, shape):
+        k = min(shape)
+        assert _linear_sum_assignment(np.full(shape, 0.7)) == (list(range(k)), list(range(k)))
+
+    def test_near_tie_takes_scipys_pairs(self):
+        assert _linear_sum_assignment(NEAR_TIE) == ([0, 1, 2, 3], [3, 2, 1, 0])
+
+    def test_tall_matrix_solved_transposed_in_row_order(self):
+        cost = np.array([[5.0, 1.0], [0.0, 9.0], [2.0, 0.5]])
+        assert _linear_sum_assignment(cost) == ([1, 2], [0, 1])
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    def test_rejects_invalid_entries(self, bad):
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            _linear_sum_assignment([[1.0, bad], [0.0, 2.0]])
+
+    def test_rejects_infeasible_matrix(self):
+        with pytest.raises(ValueError, match="infeasible"):
+            _linear_sum_assignment([[math.inf, math.inf], [0.0, 1.0]])
 
 
 class TestAggregate:

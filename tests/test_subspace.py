@@ -7,6 +7,7 @@ from nfmusic.channel import array_response, channel_matrix
 from nfmusic.geometry import ArrayGeometry, UeLocation
 from nfmusic.signal import gen_pilots, received_block, stream
 from nfmusic.subspace import (
+    _pivoted_cholesky,
     extract_subarrays,
     hermitian_eig,
     noise_subspace,
@@ -310,3 +311,57 @@ class TestNoiseSubspaceMatchesEigendecomposition:
     def test_rejects_a_matrix_that_is_not_a_covariance(self, r, message):
         with pytest.raises(ValueError, match=message):
             noise_subspace(r, 1)
+
+
+class TestPivotedCholesky:
+    """The numpy factor against LAPACK's ``zpstrf``, which it replaces."""
+
+    @pytest.mark.parametrize(
+        "m, snapshots", [(81, 12), (81, 400), (361, 12), (361, 48), (361, 400)]
+    )
+    def test_rank_pivots_and_factor_match_zpstrf(self, m, snapshots):
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        rng = np.random.default_rng(m + snapshots)
+        cov = sample_covariance(random_complex(rng, (snapshots, m)))
+        c, piv, rank, _ = lapack.zpstrf(cov, lower=1)
+        factor = _pivoted_cholesky(cov)
+        assert factor.shape == (m, rank) == (m, min(m, snapshots))
+        reference = np.zeros((m, rank), dtype=complex)
+        reference[piv - 1] = np.tril(c[:, :rank])
+        assert np.abs(factor - reference).max() <= 1e-13 * np.sqrt(np.abs(cov).max())
+        # the signal subspace is the one the LAPACK factor gave
+        ours = noise_subspace(cov, 4).signal
+        theirs = np.linalg.svd(reference, full_matrices=False)[0][:, :4]
+        distance = np.linalg.norm(ours @ ours.conj().T - theirs @ theirs.conj().T, 2)
+        assert distance <= 1e-12
+
+    @pytest.mark.parametrize("m, snapshots", [(9, 3), (81, 12), (30, 30)])
+    def test_reproduces_the_covariance_lower_triangular_in_pivot_order(self, m, snapshots):
+        rng = np.random.default_rng(m)
+        cov = sample_covariance(random_complex(rng, (snapshots, m)))
+        factor = _pivoted_cholesky(cov)
+        assert factor.shape == (m, min(m, snapshots))
+        assert np.linalg.norm(factor @ factor.conj().T - cov) <= 1e-13 * np.linalg.norm(cov)
+        # each column has one real positive entry outside the rows pivoted
+        # before it, its pivot row, and is zero on those rows
+        pivots = []
+        for col in factor.T:
+            assert not col[pivots].any()
+            later = np.setdiff1d(np.arange(m), pivots)
+            (real,) = np.nonzero((col[later].imag == 0) & (col[later].real > 0))
+            assert real.size == 1
+            pivots.append(int(later[real[0]]))
+
+    @pytest.mark.parametrize("tail, rank", [(2e-16, 1), (3e-16, 2)])
+    def test_stops_at_lapacks_default_tolerance(self, tail, rank):
+        """M * 2**-53 * max(diag): 2.2e-16 for diag(1, tail), as ``zpstrf``
+        stops."""
+        assert _pivoted_cholesky(np.diag([1.0, tail]).astype(complex)).shape == (2, rank)
+
+    def test_pivots_on_the_first_largest_diagonal(self):
+        factor = _pivoted_cholesky(np.diag([1.0, 3.0, 2.0, 3.0]).astype(complex))
+        assert [int(np.flatnonzero(col)[0]) for col in factor.T] == [1, 3, 2, 0]
+
+    @pytest.mark.parametrize("cov", [np.zeros((5, 5)), -np.eye(3)], ids=["zero", "negative"])
+    def test_no_positive_diagonal_gives_rank_zero(self, cov):
+        assert _pivoted_cholesky(cov.astype(complex)).shape == (cov.shape[0], 0)
