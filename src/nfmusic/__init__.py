@@ -47,6 +47,7 @@ from .refine import (
 )
 from .signal import SnapshotBlock, gen_pilots, received_block, stream
 from .subspace import (
+    Covariance,
     NoiseSubspace,
     extract_subarrays,
     hermitian_eig,

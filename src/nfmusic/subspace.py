@@ -1,9 +1,10 @@
 """Sample covariance, sliding-subarray snapshot augmentation, and the signal
 and noise subspaces of a covariance.
 
-The signal subspace comes from a diagonally pivoted Cholesky factor, written
-in numpy after LAPACK's ``zpstrf``: it stops at the numerical rank, which is
-at most the snapshot count, so below full rank it never forms an M x M factor.
+A sample covariance keeps its n snapshots of length M instead of the M x M
+matrix (1/n) X X^H they define, X being the M x n matrix with one snapshot
+per column.  Its signal subspace is the span of X's leading left singular
+vectors, so the subspace search never forms the M x M matrix.
 """
 
 import functools
@@ -15,6 +16,31 @@ import numpy as np
 from .signal import SnapshotBlock
 
 HERMITIAN_RTOL = 1e-10
+
+
+@dataclass(frozen=True)
+class Covariance:
+    """Sample covariance (1/n) sum_l q_l q_l^H of n snapshots q_l of length M.
+
+    ``snapshots`` is the read-only (n, M) array with one finite snapshot per
+    row; ``matrix`` is the Hermitian M x M covariance, computed on first
+    access.
+    """
+
+    snapshots: np.ndarray
+
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        x = self.snapshots
+        r = x.T @ x.conj()
+        # numpy divides by n + 0j as a product with 1 / n, so scaling the float
+        # view by 1 / n gives the same bits, up to the sign of an exact zero
+        parts = r.view(np.float64)
+        parts *= 1.0 / x.shape[0]
+        h = np.conjugate(r.T, order="C")
+        h += r
+        h *= 0.5
+        return h
 
 
 @dataclass(frozen=True)
@@ -43,25 +69,21 @@ class NoiseSubspace:
         return np.linalg.svd(self.signal, full_matrices=True)[0][:, k:]
 
 
-def sample_covariance(snapshots) -> np.ndarray:
-    """Hermitian M x M average of outer products (1/L) sum_l q_l q_l^H.
+def sample_covariance(snapshots) -> Covariance:
+    """Sample covariance of a set of snapshots.
 
     Args:
-        snapshots: Sequence of length-M vectors, or an (L, M) array with one
-            snapshot per row.
+        snapshots: Sequence of length-M vectors, or an (n, M) array with one
+            snapshot per row; copied, and rejected unless every entry is
+            finite.
     """
-    x = np.atleast_2d(np.asarray(snapshots, dtype=complex))
+    x = np.array(snapshots, dtype=complex, ndmin=2)
     if x.size == 0:
         raise ValueError("at least one snapshot required")
-    r = x.T @ x.conj()
-    # numpy divides by L + 0j as a product with 1 / L, so scaling the float
-    # view by 1 / L gives the same bits, up to the sign of an exact zero
-    parts = r.view(np.float64)
-    parts *= 1.0 / x.shape[0]
-    h = np.conjugate(r.T, order="C")
-    h += r
-    h *= 0.5
-    return h
+    if not np.isfinite(x).all():
+        raise ValueError("snapshots must be finite")
+    x.flags.writeable = False
+    return Covariance(x)
 
 
 def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
@@ -89,7 +111,7 @@ def extract_subarrays(q_matrix: np.ndarray, c_r: int) -> np.ndarray:
     return windows.reshape(*q_matrix.shape[:-2], (c_r + 1) ** 2, n_d * n_d)
 
 
-def smoothed_covariance(block: SnapshotBlock, c_r: int) -> np.ndarray:
+def smoothed_covariance(block: SnapshotBlock, c_r: int) -> Covariance:
     """Sample covariance over all L * T**2 subarray snapshots of a block,
     stacked pilot by pilot."""
     n = block.n_antennas
@@ -100,9 +122,9 @@ def smoothed_covariance(block: SnapshotBlock, c_r: int) -> np.ndarray:
     return sample_covariance(subs.reshape(-1, subs.shape[-1]))
 
 
-def _checked_hermitian(r) -> tuple[np.ndarray, float]:
-    """``r`` as a square array and its Frobenius norm; rejects inputs whose
-    Hermitian defect exceeds ``HERMITIAN_RTOL`` relative to that norm."""
+def _checked_hermitian(r) -> np.ndarray:
+    """``r`` as a square array; rejects inputs whose Hermitian defect exceeds
+    ``HERMITIAN_RTOL`` relative to its Frobenius norm."""
     m = np.asarray(r)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
@@ -111,86 +133,29 @@ def _checked_hermitian(r) -> tuple[np.ndarray, float]:
     defect -= m
     if scale > 0 and np.linalg.norm(defect) > HERMITIAN_RTOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return m, scale
+    return m
 
 
 def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; rejects
     input as ``_checked_hermitian`` does."""
-    m, _ = _checked_hermitian(r)
+    m = _checked_hermitian(r)
     return np.linalg.eigh(0.5 * (m + m.conj().T))
 
 
-def _pivoted_cholesky(h: np.ndarray) -> np.ndarray:
-    """M x n factor F with F F^H = h for a Hermitian positive semidefinite h,
-    n its numerical rank.
+def noise_subspace(cov: Covariance, k_sources: int) -> NoiseSubspace:
+    """Orthonormal bases of the K-dimensional signal subspace of ``cov`` and
+    of its complement.
 
-    Step j pivots on the first index of the largest remaining diagonal, as
-    LAPACK's ``zpstrf`` does, and stops once that diagonal is at most LAPACK's
-    default tolerance M * eps * max(diag(h)), with eps = 2**-53.  The remaining
-    diagonal is diag(h) minus the accumulated squared moduli of the columns so
-    far, and column j is h's pivot column less its projection on them, so each
-    step costs one n x M product.  Row i of F belongs to h's index i: F is
-    lower triangular in pivot order.  Its storage starts at 16 columns and
-    doubles when full, up to M.
+    The covariance is X X^H / n for the M x n snapshot matrix X, so its
+    eigenvectors are X's left singular vectors, and the K leading ones span
+    the signal subspace.  A thin SVD of X costs O(M n**2) for n <= M, against
+    O(M**2 n) to form the covariance.  With fewer snapshots than sources the
+    full SVD completes X's range with M - n orthonormal columns, of which the
+    first K - n are signal columns that carry no data.
     """
-    m = h.shape[0]
-    diag = h.diagonal().real.copy()  # a pivot's entry becomes -inf
-    downdate = np.zeros(m)
-    remaining = diag.copy()
-    p = int(remaining.argmax())
-    if not remaining[p] > 0:
-        return np.zeros((m, 0), dtype=complex)
-    stop = m * 2.0**-53 * remaining[p]
-    cols = np.empty((min(m, 16), m), dtype=complex)  # row j is column j of F
-    pivoted = np.zeros(m, dtype=bool)
-    n = 0
-    while True:
-        if n == cols.shape[0]:
-            cols = np.concatenate((cols, np.empty((min(n, m - n), m), dtype=complex)))
-        root = math.sqrt(remaining[p])
-        col = cols[n]
-        np.dot(cols[:n, p].conj(), cols[:n], out=col)
-        np.subtract(h[:, p], col, out=col)
-        col *= 1.0 / root
-        pivoted[p] = True
-        col[pivoted] = 0.0
-        col[p] = root
-        diag[p] = -np.inf
-        n += 1
-        if n == m:
-            break
-        downdate += (col * col.conj()).real
-        np.subtract(diag, downdate, out=remaining)
-        p = int(remaining.argmax())
-        if not remaining[p] > stop:
-            break
-    return cols[:n].T
-
-
-def noise_subspace(r: np.ndarray, k_sources: int) -> NoiseSubspace:
-    """Orthonormal bases of the K-dimensional signal subspace of the M x M
-    covariance ``r`` and of its complement.
-
-    A pivoted Cholesky factor R = F F^H stops at the numerical rank n (at most
-    L for L snapshots), so the left singular vectors of the M x n factor F,
-    which are eigenvectors of R, cost O(M**2 n) rather than O(M**3).  At full
-    rank the factor's Python loop is slower than LAPACK's: about 14 ms against
-    ``zpstrf``'s 4.5 ms at M=361 with 400 snapshots on a 2-CPU Xeon, beside a
-    62 ms SVD of the factor.  Rejects an ``r`` that is not Hermitian, or not positive
-    semidefinite (its factor misses part of its trace), within
-    ``HERMITIAN_RTOL``.
-    """
-    m = r.shape[0]
+    n, m = cov.snapshots.shape
     if not 0 < k_sources < m:
         raise ValueError(f"source count must lie in (0, {m}), got {k_sources}")
-    h, scale = _checked_hermitian(r)
-    h = np.asarray(h, dtype=complex)
-    factor = _pivoted_cholesky(h)
-    rank = factor.shape[1]
-    trace = np.trace(h).real
-    if abs(trace - np.linalg.norm(factor) ** 2) > HERMITIAN_RTOL * max(trace, scale):
-        raise ValueError("matrix is not positive semidefinite within tolerance")
-    # a factor of rank below K needs the full SVD's completion of its range
-    u = np.linalg.svd(factor, full_matrices=rank < k_sources)[0]
+    u = np.linalg.svd(cov.snapshots.T, full_matrices=n < k_sources)[0]
     return NoiseSubspace(signal=u[:, :k_sources])

@@ -38,6 +38,7 @@ from nfmusic.signal import (
     received_block,
     stream,
 )
+from nfmusic.subspace import Covariance
 
 
 class TestConfigDefaults:
@@ -710,6 +711,28 @@ class TestScenarioFig1:
         scenario_fig1(cfg, out_dir=tmp_path / "b", l_values=(3,))
         a, b = (np.loadtxt(tmp_path / d / "fig1_L3.csv", delimiter=",", skiprows=1)[:, 2] for d in "ab")
         assert np.max(np.abs(b - a) / np.abs(a)) < 1e-6
+
+
+def test_searches_never_build_the_covariance_matrix(monkeypatch):
+    """The two-step search and the plane slice take the signal subspace from
+    the snapshots; neither forms the M x M covariance matrix."""
+
+    def refuse(self):
+        raise AssertionError("the M x M covariance matrix was built")
+
+    monkeypatch.setattr(Covariance, "matrix", property(refuse))
+    cfg = _tiny_config()
+    g = cfg.geometry()
+    a = channel_matrix(g, place_ues(cfg, stream(cfg.seed, 0, 0, ROLE_PLACEMENT)))
+    pilots = gen_pilots(cfg.k_ues, cfg.l_pilots, stream(cfg.seed, 0, 0, ROLE_PILOTS))
+    block = received_block(a, pilots, 20.0, stream(cfg.seed, 0, 0, ROLE_NOISE))
+    result = two_step_estimate(
+        block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid()
+    )
+    assert result.locations
+    # L=1 < K=2 takes the SVD's completion, L=6 its thin form
+    report = scenario_fig1(cfg, l_values=(1, 6))
+    assert all(case.peaks.found for case in report.cases)
 
 
 class TestDumpSpectrum:

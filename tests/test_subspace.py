@@ -7,7 +7,6 @@ from nfmusic.channel import array_response, channel_matrix
 from nfmusic.geometry import ArrayGeometry, UeLocation
 from nfmusic.signal import gen_pilots, received_block, stream
 from nfmusic.subspace import (
-    _pivoted_cholesky,
     extract_subarrays,
     hermitian_eig,
     noise_subspace,
@@ -28,19 +27,19 @@ def geo():
 class TestSampleCovariance:
     def test_single_snapshot_rank_one(self):
         q = np.array([1.0 + 1j, 2.0, -1j])
-        cov = sample_covariance([q])
+        cov = sample_covariance([q]).matrix
         assert np.allclose(cov, np.outer(q, q.conj()), atol=1e-14)
         assert np.trace(cov).real == pytest.approx(np.linalg.norm(q) ** 2)
 
     def test_basis_snapshots_give_scaled_identity(self):
         m = 6
-        cov = sample_covariance(np.eye(m))
+        cov = sample_covariance(np.eye(m)).matrix
         assert np.allclose(cov, np.eye(m) / m, atol=1e-14)
 
     def test_matches_brute_force_accumulation(self):
         rng = np.random.default_rng(1)
         snaps = random_complex(rng, (5, 9))
-        cov = sample_covariance(snaps)
+        cov = sample_covariance(snaps).matrix
         brute = np.zeros((9, 9), dtype=complex)
         for l in range(5):
             for i in range(9):
@@ -51,20 +50,39 @@ class TestSampleCovariance:
 
     def test_hermitian_psd(self):
         rng = np.random.default_rng(2)
-        r = sample_covariance(random_complex(rng, (4, 7)))
+        r = sample_covariance(random_complex(rng, (4, 7))).matrix
         assert np.linalg.norm(r - r.conj().T) < 1e-12 * np.linalg.norm(r)
         vals = np.linalg.eigvalsh(r)
         assert vals.min() >= -1e-10 * np.trace(r).real
 
     def test_rank_bounded_by_snapshot_count(self):
         rng = np.random.default_rng(3)
-        cov = sample_covariance(random_complex(rng, (3, 10)))
+        cov = sample_covariance(random_complex(rng, (3, 10))).matrix
         vals = np.linalg.eigvalsh(cov)
         assert (vals > 1e-10 * vals.max()).sum() <= 3
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sample_covariance(np.empty((0, 4)))
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag_inf"]
+    )
+    def test_rejects_a_non_finite_snapshot(self, bad):
+        snaps = np.ones((3, 4), dtype=complex)
+        snaps[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sample_covariance(snaps)
+
+    def test_keeps_a_read_only_copy_and_builds_the_matrix_once(self):
+        snaps = random_complex(np.random.default_rng(8), (3, 5))
+        cov = sample_covariance(snaps)
+        snaps[0, 0] = 0.0
+        assert cov.snapshots[0, 0] != 0.0
+        with pytest.raises(ValueError):
+            cov.snapshots[0, 0] = 0.0
+        assert "matrix" not in vars(cov)
+        assert cov.matrix is cov.matrix
 
 
 class TestExtractSubarrays:
@@ -115,7 +133,7 @@ class TestSmoothedCovariance:
         locs = [UeLocation(0.1, 0.0, 2.0), UeLocation(-0.4, 0.3, 3.0)]
         a = channel_matrix(geo, locs)
         block = received_block(a, gen_pilots(2, 3, stream(1, 0)), math.inf)
-        cov = smoothed_covariance(block, 1)
+        cov = smoothed_covariance(block, 1).matrix
         snaps = np.vstack(
             [extract_subarrays(block.received[:, l].reshape(10, 10), 1) for l in range(3)]
         )
@@ -128,8 +146,8 @@ class TestSmoothedCovariance:
         locs = [UeLocation(0.1, 0.0, 2.0)]
         a = channel_matrix(geo, locs)
         block = received_block(a, gen_pilots(1, 4, stream(2, 0)), math.inf)
-        smoothed = smoothed_covariance(block, 0)
-        plain = sample_covariance(block.received.T)
+        smoothed = smoothed_covariance(block, 0).matrix
+        plain = sample_covariance(block.received.T).matrix
         assert np.allclose(smoothed, plain, atol=1e-14)
 
     @pytest.mark.parametrize("n", [16, 100, 400])
@@ -139,7 +157,10 @@ class TestSmoothedCovariance:
         rng = np.random.default_rng(n + l_pilots)
         a = random_complex(rng, (n, 2))
         block = received_block(a, gen_pilots(2, l_pilots, stream(9, n)), 10.0, stream(9, l_pilots))
-        assert np.array_equal(smoothed_covariance(block, 0), sample_covariance(block.received.T))
+        smoothed = smoothed_covariance(block, 0)
+        plain = sample_covariance(block.received.T)
+        assert np.array_equal(smoothed.snapshots, plain.snapshots)
+        assert np.array_equal(smoothed.matrix, plain.matrix)
 
     def test_rank_covers_sources_when_budget_allows(self, geo):
         rng = np.random.default_rng(6)
@@ -150,7 +171,7 @@ class TestSmoothedCovariance:
             ]
             a = channel_matrix(geo, locs)
             block = received_block(a, gen_pilots(4, 3, stream(6, trial)), math.inf)
-            cov = smoothed_covariance(block, 1)  # L T^2 = 12 >= 4
+            cov = smoothed_covariance(block, 1).matrix  # L T^2 = 12 >= 4
             vals = np.linalg.eigvalsh(cov)
             assert (vals > 1e-8 * vals.max()).sum() >= 4
 
@@ -158,7 +179,7 @@ class TestSmoothedCovariance:
         locs = [UeLocation(0.2, -0.1, 2.5)]
         a = channel_matrix(geo, locs)
         block = received_block(a, gen_pilots(1, 3, stream(7, 0)), 10.0, stream(7, 1))
-        cov = smoothed_covariance(block, 2)
+        cov = smoothed_covariance(block, 2).matrix
         total = 0.0
         count = 0
         for l in range(3):
@@ -172,7 +193,7 @@ class TestSmoothedCovariance:
         locs = [UeLocation(0.2, -0.1, 2.5)]
         a = channel_matrix(geo, locs)
         block = received_block(a, gen_pilots(1, 2, stream(8, 0)), 5.0, stream(8, 1))
-        r = smoothed_covariance(block, 1)
+        r = smoothed_covariance(block, 1).matrix
         assert np.linalg.norm(r - r.conj().T) < 1e-12 * np.linalg.norm(r)
         assert np.linalg.eigvalsh(r).min() >= -1e-10 * np.trace(r).real
 
@@ -227,7 +248,7 @@ class TestNoiseSubspace:
         assert np.linalg.norm(un.matrix.conj().T @ a) < 1e-8 * np.linalg.norm(a)
 
     def test_identity_covariance_orthonormal_columns(self):
-        un = noise_subspace(np.eye(6, dtype=complex), 1)
+        un = noise_subspace(sample_covariance(np.eye(6)), 1)
         assert np.allclose(un.matrix.conj().T @ un.matrix, np.eye(5), atol=1e-10)
 
     def test_multi_source_noiseless_orthogonality(self):
@@ -243,8 +264,8 @@ class TestNoiseSubspace:
         full = np.hstack([un.matrix, un.signal])
         assert np.allclose(full.conj().T @ full, np.eye(10), atol=1e-10)
         # the signal columns carry the three nonzero eigenvalues
-        captured = np.trace(un.signal.conj().T @ cov @ un.signal).real
-        assert captured == pytest.approx(np.trace(cov).real, rel=1e-10)
+        captured = np.trace(un.signal.conj().T @ cov.matrix @ un.signal).real
+        assert captured == pytest.approx(np.trace(cov.matrix).real, rel=1e-10)
 
     def test_rejects_too_many_sources(self):
         cov = sample_covariance(np.eye(4))
@@ -253,40 +274,59 @@ class TestNoiseSubspace:
 
 
 class TestNoiseSubspaceMatchesEigendecomposition:
-    """The rank-revealing factorization gives the same subspaces as a full
-    eigendecomposition of the covariance."""
+    """The left singular vectors of the snapshots give the same subspaces as
+    a full eigendecomposition of the covariance matrix."""
 
     @pytest.mark.parametrize(
-        "make_cov, k",
+        "snapshots, k, fixed",
         [
-            (lambda: sample_covariance(random_complex(np.random.default_rng(20), (30, 10))), 3),
-            (lambda: sample_covariance(random_complex(np.random.default_rng(21), (5, 12))), 3),
-            (lambda: sample_covariance(random_complex(np.random.default_rng(22), (12, 81))), 4),
-            (lambda: _noiseless_four_users()[1], 4),
-            (lambda: np.eye(6), 2),
-            (lambda: np.zeros((6, 6)), 2),
+            (lambda: random_complex(np.random.default_rng(20), (30, 10)), 3, 3),
+            (lambda: random_complex(np.random.default_rng(21), (5, 12)), 3, 3),
+            (lambda: random_complex(np.random.default_rng(22), (12, 81)), 4, 4),
+            (lambda: random_complex(np.random.default_rng(24), (12, 361)), 4, 4),
+            (lambda: random_complex(np.random.default_rng(25), (3, 10)), 4, 3),
+            (lambda: _noiseless_four_users()[1].snapshots, 4, 4),
+            (lambda: np.eye(6), 2, 0),
+            (lambda: np.zeros((6, 6)), 2, 0),
         ],
-        ids=["full_rank", "n_below_m", "n_below_m_81", "noiseless_rank_k", "real_eye", "zero"],
+        ids=[
+            "full_rank",
+            "n_below_m",
+            "n_below_m_81",
+            "large_array",
+            "n_below_k",
+            "noiseless_rank_k",
+            "real_eye",
+            "zero",
+        ],
     )
-    def test_signal_columns_span_the_top_k_eigenvectors(self, make_cov, k):
-        cov = make_cov()
-        m = cov.shape[0]
+    def test_signal_columns_span_the_top_k_eigenvectors(self, snapshots, k, fixed):
+        """``fixed`` is how many leading eigenvectors are unique up to phase:
+        K with a gap after the K-th eigenvalue, n for n < K snapshots, none
+        when every eigenvalue is tied."""
+        cov = sample_covariance(snapshots())
+        m = cov.matrix.shape[0]
         un = noise_subspace(cov, k)
         assert un.matrix.shape == (m, m - k) and un.signal.shape == (m, k)
         full = np.hstack([un.matrix, un.signal])
         assert np.linalg.norm(full.conj().T @ full - np.eye(m), 2) <= 1e-12
-        vals, vecs = hermitian_eig(cov)
+        vals, vecs = hermitian_eig(cov.matrix)
         # the signal columns capture the K largest eigenvalues (Ky Fan)
-        captured = np.trace(un.signal.conj().T @ cov @ un.signal).real
+        captured = np.trace(un.signal.conj().T @ cov.matrix @ un.signal).real
         assert captured == pytest.approx(vals[-k:].sum(), rel=1e-12, abs=1e-14)
-        if vals[-k] - vals[-k - 1] > 1e-9 * max(vals[-1], 1.0):
-            # a nonzero K-th gap fixes the subspace: compare the projectors
-            top = vecs[:, -k:]
-            distance = np.linalg.norm(un.signal @ un.signal.conj().T - top @ top.conj().T, 2)
-            assert distance <= 1e-12
-        else:
+        if fixed == 0:
             # tied eigenvalues (eye, zero): any K orthonormal columns are a top-K basis
             assert np.ptp(vals) == 0.0
+            return
+        # a nonzero gap after the fixed eigenvalues pins their span
+        assert vals[-fixed] - vals[-fixed - 1] > 1e-9 * max(vals[-1], 1.0)
+        top = vecs[:, -fixed:]
+        if fixed == k:
+            distance = np.linalg.norm(un.signal @ un.signal.conj().T - top @ top.conj().T, 2)
+        else:
+            # the signal columns contain the data's range
+            distance = np.linalg.norm(top - un.signal @ (un.signal.conj().T @ top), 2)
+        assert distance <= 1e-12
 
     def test_rank_below_source_count_keeps_the_range(self):
         """Three snapshots for four sources: the signal columns contain the
@@ -299,69 +339,3 @@ class TestNoiseSubspaceMatchesEigendecomposition:
         assert np.linalg.norm(outside) <= 1e-12 * np.linalg.norm(snaps)
         full = np.hstack([un.matrix, un.signal])
         assert np.linalg.norm(full.conj().T @ full - np.eye(10), 2) <= 1e-12
-
-    @pytest.mark.parametrize(
-        "r, message",
-        [
-            (np.diag([3.0, -1.0, 2.0]), "positive semidefinite"),
-            (np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), "Hermitian"),
-        ],
-        ids=["indefinite", "non_hermitian"],
-    )
-    def test_rejects_a_matrix_that_is_not_a_covariance(self, r, message):
-        with pytest.raises(ValueError, match=message):
-            noise_subspace(r, 1)
-
-
-class TestPivotedCholesky:
-    """The numpy factor against LAPACK's ``zpstrf``, which it replaces."""
-
-    @pytest.mark.parametrize(
-        "m, snapshots", [(81, 12), (81, 400), (361, 12), (361, 48), (361, 400)]
-    )
-    def test_rank_pivots_and_factor_match_zpstrf(self, m, snapshots):
-        lapack = pytest.importorskip("scipy.linalg.lapack")
-        rng = np.random.default_rng(m + snapshots)
-        cov = sample_covariance(random_complex(rng, (snapshots, m)))
-        c, piv, rank, _ = lapack.zpstrf(cov, lower=1)
-        factor = _pivoted_cholesky(cov)
-        assert factor.shape == (m, rank) == (m, min(m, snapshots))
-        reference = np.zeros((m, rank), dtype=complex)
-        reference[piv - 1] = np.tril(c[:, :rank])
-        assert np.abs(factor - reference).max() <= 1e-13 * np.sqrt(np.abs(cov).max())
-        # the signal subspace is the one the LAPACK factor gave
-        ours = noise_subspace(cov, 4).signal
-        theirs = np.linalg.svd(reference, full_matrices=False)[0][:, :4]
-        distance = np.linalg.norm(ours @ ours.conj().T - theirs @ theirs.conj().T, 2)
-        assert distance <= 1e-12
-
-    @pytest.mark.parametrize("m, snapshots", [(9, 3), (81, 12), (30, 30)])
-    def test_reproduces_the_covariance_lower_triangular_in_pivot_order(self, m, snapshots):
-        rng = np.random.default_rng(m)
-        cov = sample_covariance(random_complex(rng, (snapshots, m)))
-        factor = _pivoted_cholesky(cov)
-        assert factor.shape == (m, min(m, snapshots))
-        assert np.linalg.norm(factor @ factor.conj().T - cov) <= 1e-13 * np.linalg.norm(cov)
-        # each column has one real positive entry outside the rows pivoted
-        # before it, its pivot row, and is zero on those rows
-        pivots = []
-        for col in factor.T:
-            assert not col[pivots].any()
-            later = np.setdiff1d(np.arange(m), pivots)
-            (real,) = np.nonzero((col[later].imag == 0) & (col[later].real > 0))
-            assert real.size == 1
-            pivots.append(int(later[real[0]]))
-
-    @pytest.mark.parametrize("tail, rank", [(2e-16, 1), (3e-16, 2)])
-    def test_stops_at_lapacks_default_tolerance(self, tail, rank):
-        """M * 2**-53 * max(diag): 2.2e-16 for diag(1, tail), as ``zpstrf``
-        stops."""
-        assert _pivoted_cholesky(np.diag([1.0, tail]).astype(complex)).shape == (2, rank)
-
-    def test_pivots_on_the_first_largest_diagonal(self):
-        factor = _pivoted_cholesky(np.diag([1.0, 3.0, 2.0, 3.0]).astype(complex))
-        assert [int(np.flatnonzero(col)[0]) for col in factor.T] == [1, 3, 2, 0]
-
-    @pytest.mark.parametrize("cov", [np.zeros((5, 5)), -np.eye(3)], ids=["zero", "negative"])
-    def test_no_positive_diagonal_gives_rank_zero(self, cov):
-        assert _pivoted_cholesky(cov.astype(complex)).shape == (cov.shape[0], 0)
