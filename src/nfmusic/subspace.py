@@ -74,10 +74,12 @@ def sample_covariance(snapshots) -> Covariance:
 
     Args:
         snapshots: Sequence of length-M vectors, or an (n, M) array with one
-            snapshot per row; copied, and rejected unless every entry is
-            finite.
+            snapshot per row; copied, and rejected unless it has two axes and
+            every entry is finite.
     """
     x = np.array(snapshots, dtype=complex, ndmin=2)
+    if x.ndim != 2:
+        raise ValueError(f"expected an (n, M) array of snapshots, got shape {x.shape}")
     if x.size == 0:
         raise ValueError("at least one snapshot required")
     if not np.isfinite(x).all():
@@ -154,6 +156,8 @@ def noise_subspace(cov: Covariance, k_sources: int) -> NoiseSubspace:
     full SVD completes X's range with M - n orthonormal columns, of which the
     first K - n are signal columns that carry no data.
     """
+    if not isinstance(cov, Covariance):
+        raise TypeError("expected a Covariance from sample_covariance or smoothed_covariance")
     n, m = cov.snapshots.shape
     if not 0 < k_sources < m:
         raise ValueError(f"source count must lie in (0, {m}), got {k_sources}")

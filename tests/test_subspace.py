@@ -74,6 +74,16 @@ class TestSampleCovariance:
         with pytest.raises(ValueError, match="finite"):
             sample_covariance(snaps)
 
+    def test_rejects_snapshots_of_more_than_two_axes(self):
+        with pytest.raises(ValueError, match=r"\(n, M\)"):
+            sample_covariance(np.ones((2, 3, 4), dtype=complex))
+
+    @pytest.mark.parametrize("shape", [(3, 10), (12, 5)], ids=["n_below_m", "n_above_m"])
+    def test_matrix_is_exactly_hermitian(self, shape):
+        r = sample_covariance(random_complex(np.random.default_rng(7), shape)).matrix
+        assert np.array_equal(r, r.conj().T)
+        assert not np.diag(r).imag.any()
+
     def test_keeps_a_read_only_copy_and_builds_the_matrix_once(self):
         snaps = random_complex(np.random.default_rng(8), (3, 5))
         cov = sample_covariance(snaps)
@@ -272,6 +282,21 @@ class TestNoiseSubspace:
         with pytest.raises(ValueError):
             noise_subspace(cov, 4)
 
+    def test_rejects_no_sources(self):
+        with pytest.raises(ValueError):
+            noise_subspace(sample_covariance(np.eye(4)), 0)
+
+    @pytest.mark.parametrize(
+        "r",
+        [np.diag([3.0, -1.0, 2.0]), np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])],
+        ids=["indefinite", "non_hermitian"],
+    )
+    def test_rejects_a_matrix_that_is_not_a_covariance(self, r):
+        """A bare array is refused: only a ``Covariance`` carries the
+        snapshots that the subspace is taken from."""
+        with pytest.raises(TypeError, match="Covariance"):
+            noise_subspace(r, 1)
+
 
 class TestNoiseSubspaceMatchesEigendecomposition:
     """The left singular vectors of the snapshots give the same subspaces as
@@ -284,7 +309,11 @@ class TestNoiseSubspaceMatchesEigendecomposition:
             (lambda: random_complex(np.random.default_rng(21), (5, 12)), 3, 3),
             (lambda: random_complex(np.random.default_rng(22), (12, 81)), 4, 4),
             (lambda: random_complex(np.random.default_rng(24), (12, 361)), 4, 4),
+            (lambda: random_complex(np.random.default_rng(26), (48, 361)), 4, 4),
+            (lambda: random_complex(np.random.default_rng(27), (400, 81)), 4, 4),
+            (lambda: random_complex(np.random.default_rng(28), (400, 361)), 4, 4),
             (lambda: random_complex(np.random.default_rng(25), (3, 10)), 4, 3),
+            (lambda: np.tile(random_complex(np.random.default_rng(29), (1, 10)), (5, 1)), 3, 1),
             (lambda: _noiseless_four_users()[1].snapshots, 4, 4),
             (lambda: np.eye(6), 2, 0),
             (lambda: np.zeros((6, 6)), 2, 0),
@@ -294,7 +323,11 @@ class TestNoiseSubspaceMatchesEigendecomposition:
             "n_below_m",
             "n_below_m_81",
             "large_array",
+            "n_below_m_361",
+            "n_above_m_81",
+            "n_above_m_361",
             "n_below_k",
+            "rank_below_k",
             "noiseless_rank_k",
             "real_eye",
             "zero",
@@ -302,8 +335,8 @@ class TestNoiseSubspaceMatchesEigendecomposition:
     )
     def test_signal_columns_span_the_top_k_eigenvectors(self, snapshots, k, fixed):
         """``fixed`` is how many leading eigenvectors are unique up to phase:
-        K with a gap after the K-th eigenvalue, n for n < K snapshots, none
-        when every eigenvalue is tied."""
+        K with a gap after the K-th eigenvalue, the rank of the snapshots when
+        it is below K, none when every eigenvalue is tied."""
         cov = sample_covariance(snapshots())
         m = cov.matrix.shape[0]
         un = noise_subspace(cov, k)
@@ -324,7 +357,8 @@ class TestNoiseSubspaceMatchesEigendecomposition:
         if fixed == k:
             distance = np.linalg.norm(un.signal @ un.signal.conj().T - top @ top.conj().T, 2)
         else:
-            # the signal columns contain the data's range
+            # the signal columns contain the data's range, whether the SVD
+            # completes it (n < K) or its thin form pads it (rank < K <= n)
             distance = np.linalg.norm(top - un.signal @ (un.signal.conj().T @ top), 2)
         assert distance <= 1e-12
 
