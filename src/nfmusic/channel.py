@@ -89,8 +89,9 @@ def array_response(g: ArrayGeometry, x, y, z) -> np.ndarray:
     # product differs in the last bit for about one height in a thousand, and
     # spectra from rank-deficient few-pilot covariances amplify that bit.
     z2 = np.float_power(z, 2)
-    r = np.sqrt(dx**2 + (cy - y) ** 2 + z2)
-    amp = g.element_diag / math.sqrt(8.0 * math.pi) * np.sqrt(z * (dx**2 + z2)) / r**2.5
+    dx2 = dx**2
+    r = np.sqrt(dx2 + (cy - y) ** 2 + z2)
+    amp = g.element_diag / math.sqrt(8.0 * math.pi) * np.sqrt(z * (dx2 + z2)) / r**2.5
     return amp * _spherical_phase(r, g.wavelength)
 
 

@@ -31,7 +31,8 @@ steering elements and D distances plus ``2D + 2M`` floats, so a distance scan
 pays only its per-angle remainder, an M x D complex exp; the location bank
 per (array geometry, grid, chunk of cells).  The location bank is cached one
 ``_CHUNK``-column chunk at a time and only the last chunk stays resident, at
-most ``_CHUNK * M * 16`` bytes; a grid larger than one chunk rebuilds its
+most ``_CHUNK * M * 16`` bytes; building a chunk allocates one ``_BLOCK``-cell
+block of temporaries beyond it.  A grid larger than one chunk rebuilds its
 chunks on every call.
 """
 
@@ -48,6 +49,7 @@ from .subspace import NoiseSubspace, noise_subspace, smoothed_covariance
 
 EPS_SCALE = 1e-15
 _CHUNK = 16384
+_BLOCK = 512
 
 CARTESIAN_AXES = ("x", "y", "z")
 ANGULAR_AXES = ("azimuth", "elevation")
@@ -216,14 +218,20 @@ def _location_bank(
     ``start`` to ``stop`` of a (x, y, z)-ordered ``grid``; an omitted x or y is
     held at 0.
 
-    The array is read-only: every caller, pool workers included, shares it.
+    It is filled ``_BLOCK`` cells at a time, so the build allocates one
+    block's temporaries beyond the bank.  The array is read-only: every
+    caller, pool workers included, shares it.
     """
     coords = dict(zip(grid.names(), grid.axis_points()))
     axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
-    cells = np.unravel_index(np.arange(start, stop), [ax.size for ax in axes])
-    px, py, pz = (ax[i] for ax, i in zip(axes, cells))
-    steering = array_response(g, px, py, pz)
-    steering /= np.linalg.norm(steering, axis=0, keepdims=True)
+    shape = [ax.size for ax in axes]
+    steering = np.empty((g.n_antennas, stop - start), dtype=complex)
+    for lo in range(start, stop, _BLOCK):
+        hi = min(lo + _BLOCK, stop)
+        cells = np.unravel_index(np.arange(lo, hi), shape)
+        block = array_response(g, *(ax[i] for ax, i in zip(axes, cells)))
+        norms = np.linalg.norm(block, axis=0, keepdims=True)
+        np.divide(block, norms, out=steering[:, lo - start : hi - start])
     steering.flags.writeable = False
     return steering
 

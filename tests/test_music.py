@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,6 +184,46 @@ class TestSpectrum3d:
                 for g in geos:
                     got = spectrum_3d(subspaces[g], grid, g).values
                     assert np.array_equal(got, fresh[g, grid])
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)),
+            (GridAxis("x", -0.5, 0.5, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 4)),
+        ],
+        ids=["xz", "xyz"],
+    )
+    def test_location_bank_blocks_equal_one_response(self, geo16, axes, monkeypatch):
+        """A bank filled in blocks of 7 cells, the last one ragged, equals bit
+        for bit one ``array_response`` over all its cells divided by its
+        column norms."""
+        monkeypatch.setattr(music, "_BLOCK", 7)
+        grid = GridSpec(axes)
+        coords = dict(zip(grid.names(), grid.axis_points()))
+        full = [coords.get(n, np.array([0.0])) for n in music.CARTESIAN_AXES]
+        size = math.prod(grid.shape)
+        for start, stop in [(0, size), (5, size - 3)]:
+            cells = np.unravel_index(np.arange(start, stop), [ax.size for ax in full])
+            want = array_response(geo16, *(ax[i] for ax, i in zip(full, cells)))
+            want /= np.linalg.norm(want, axis=0, keepdims=True)
+            music._location_bank.cache_clear()
+            got = music._location_bank(geo16, grid, start, stop)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_location_bank_build_peak_memory(self):
+        """A cold build of the reference plane-slice bank allocates at most
+        1.3 times the bank: one block of temporaries, not a second bank."""
+        cfg = ExperimentConfig()
+        g, grid = cfg.geometry(), cfg.xz_grid()
+        music._location_bank.cache_clear()
+        tracemalloc.start()
+        try:
+            bank = music._location_bank(g, grid, 0, math.prod(grid.shape))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            music._location_bank.cache_clear()
+        assert peak <= 1.3 * bank.nbytes
 
 
 class TestSpectrum2dAngular:
