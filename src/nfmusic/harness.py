@@ -390,25 +390,18 @@ def _row(
     """One user's record.  NMSE and beamforming gain come from the (true,
     estimated) channel columns in ``channels``, the angle and distance errors
     from the (true, estimated) ``locations``; each pair left out reads NaN."""
-    nmse_val = bf_gain = az_err = el_err = dist_err = math.nan
+    scores = {}
     if channels is not None:
-        nmse_val, bf_gain = nmse(*channels), beamforming_gain(*channels)
+        scores.update(nmse=nmse(*channels), bf_gain=beamforming_gain(*channels))
     if locations is not None:
         truth, est = locations
-        az_err = abs(est.azimuth - truth.azimuth)
-        el_err = abs(est.elevation - truth.elevation)
-        dist_err = abs(est.distance - truth.distance)
+        scores.update(
+            az_err_rad=abs(est.azimuth - truth.azimuth),
+            el_err_rad=abs(est.elevation - truth.elevation),
+            dist_err_m=abs(est.distance - truth.distance),
+        )
     return TrialRecord(
-        method=method,
-        snr_db=snr_db,
-        trial=trial,
-        ue=ue,
-        nmse=nmse_val,
-        bf_gain=bf_gain,
-        az_err_rad=az_err,
-        el_err_rad=el_err,
-        dist_err_m=dist_err,
-        peaks_found=peaks_found,
+        method=method, snr_db=snr_db, trial=trial, ue=ue, peaks_found=peaks_found, **scores
     )
 
 
@@ -531,10 +524,9 @@ def _run_trial(
 
 
 @functools.lru_cache(maxsize=1)
-def _openblas_threads() -> tuple:
-    """Thread-count (setter, getter) of each OpenBLAS bundled with numpy;
-    empty when it ships none."""
-    found = []
+def _openblas_threads() -> Optional[tuple]:
+    """Thread-count (setter, getter) of the OpenBLAS bundled with numpy;
+    None when it ships none."""
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):
         lib = ctypes.CDLL(str(path))
@@ -544,28 +536,29 @@ def _openblas_threads() -> tuple:
             if setter and getter:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
                 getter.argtypes, getter.restype = [], ctypes.c_int
-                found.append((setter, getter))
-                break
-    return tuple(found)
+                return setter, getter
+    return None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold every bundled OpenBLAS at one thread, then restore their counts.
+    """Hold the bundled OpenBLAS at one thread, then restore its count.
 
     Each trial worker makes its own BLAS and LAPACK calls through numpy's
     library; if every call also fans out to one BLAS thread per CPU, the
     workers oversubscribe the cores.
     """
     funcs = _openblas_threads()
-    previous = [get_threads() for _, get_threads in funcs]
-    for set_threads, _ in funcs:
-        set_threads(1)
+    if funcs is None:
+        yield
+        return
+    set_threads, get_threads = funcs
+    previous = get_threads()
+    set_threads(1)
     try:
         yield
     finally:
-        for (set_threads, _), count in zip(funcs, previous):
-            set_threads(count)
+        set_threads(previous)
 
 
 def run_experiment(
@@ -765,7 +758,7 @@ def dump_spectrum(
     position there.
     """
     if kind not in ("angular", "distance", "xz"):
-        raise ValueError(f"unknown spectrum kind {kind!r}")
+        raise ConfigError(f"unknown spectrum kind {kind!r}")
     if (azimuth is None) != (elevation is None):
         raise ConfigError("give both azimuth and elevation, or neither")
     if azimuth is not None:
@@ -779,8 +772,8 @@ def dump_spectrum(
             f"snr_db {snr_db:g} is not in snr_db_list {list(cfg.snr_db_list)}; "
             "its random streams are keyed by the list position"
         )
-    if trial < 0:
-        raise ConfigError(f"trial must be >= 0, got {trial}")
+    if not isinstance(trial, numbers.Integral) or trial < 0:
+        raise ConfigError(f"trial must be an integer >= 0, got {trial!r}")
     snr_index = cfg.snr_db_list.index(snr_db)
     g = cfg.geometry()
     _, a_true = _place_users(cfg, g, (snr_index, trial))

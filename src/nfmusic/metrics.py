@@ -157,24 +157,24 @@ def match_estimates(
     return perm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrialRecord:
-    """Per-(method, SNR, trial, user) evaluation row.
+    """Per-(method, SNR, trial, user) evaluation row, built by keyword.
 
-    Location errors are NaN for methods that do not estimate locations;
-    ``peaks_found`` counts the angular peaks recovered in that trial (always
-    the user count for the non-parametric baselines).
+    A score left out reads NaN, as the location errors of methods that do not
+    estimate locations do; ``peaks_found`` counts the angular peaks recovered
+    in that trial (always the user count for the non-parametric baselines).
     """
 
     method: str
     snr_db: float
     trial: int
     ue: int
-    nmse: float
-    bf_gain: float
-    az_err_rad: float
-    el_err_rad: float
-    dist_err_m: float
+    nmse: float = math.nan
+    bf_gain: float = math.nan
+    az_err_rad: float = math.nan
+    el_err_rad: float = math.nan
+    dist_err_m: float = math.nan
     peaks_found: int
 
 
@@ -216,22 +216,16 @@ def aggregate(
     user-averaged NMSE and beamforming gain, summarized by mean and median
     over trials.
     """
+    by_key: dict[tuple, dict[int, list[TrialRecord]]] = {}
+    for r in records:
+        by_key.setdefault((r.method, r.snr_db), {}).setdefault(r.trial, []).append(r)
     out = []
     for method in methods:
         for snr in snr_db_list:
-            by_trial: dict[int, list[TrialRecord]] = {}
-            for r in records:
-                if r.method == method and r.snr_db == snr:
-                    by_trial.setdefault(r.trial, []).append(r)
-            nmses, gains = [], []
-            failed = 0
-            for trial in sorted(by_trial):
-                rows = by_trial[trial]
-                if trial_failed(rows, k_ues):
-                    failed += 1
-                    continue
-                nmses.append(float(np.mean([r.nmse for r in rows])))
-                gains.append(float(np.mean([r.bf_gain for r in rows])))
+            by_trial = by_key.get((method, snr), {})
+            kept = [by_trial[t] for t in sorted(by_trial) if not trial_failed(by_trial[t], k_ues)]
+            nmses = [float(np.mean([r.nmse for r in rows])) for rows in kept]
+            gains = [float(np.mean([r.bf_gain for r in rows])) for rows in kept]
             out.append(
                 AggregateRecord(
                     method=method,
@@ -239,8 +233,8 @@ def aggregate(
                     mean_nmse=float(np.mean(nmses)) if nmses else math.nan,
                     median_nmse=float(np.median(nmses)) if nmses else math.nan,
                     mean_bf_gain=float(np.mean(gains)) if gains else math.nan,
-                    trials_ok=len(nmses),
-                    trials_failed=failed,
+                    trials_ok=len(kept),
+                    trials_failed=len(by_trial) - len(kept),
                 )
             )
     return tuple(out)

@@ -543,34 +543,32 @@ class TestDeterminism:
 
     def test_pool_runs_blas_single_threaded_and_restores_count(self, monkeypatch):
         """The search calls BLAS and LAPACK through numpy's bundled OpenBLAS
-        alone; inside the pool each such library reads one thread, and each
-        gets its own previous count back after the sweep."""
+        alone; inside the pool it reads one thread, and it gets its previous
+        count back after the sweep."""
         libs = Path(np.__file__).parent.parent / "numpy.libs"
         shipped = list(libs.glob("libscipy_openblas*.so"))
         funcs = harness._openblas_threads()
-        assert len(funcs) == len(shipped)
-        if not funcs:
+        assert (funcs is None) == (not shipped)
+        if funcs is None:
             pytest.skip("numpy ships no bundled OpenBLAS")
+        set_threads, get_threads = funcs
         seen = []
         search = harness.two_step_estimate
 
         def spy(*args):
-            seen.append([get_threads() for _, get_threads in funcs])
+            seen.append(get_threads())
             return search(*args)
 
         monkeypatch.setattr(harness, "two_step_estimate", spy)
-        original = [get_threads() for _, get_threads in funcs]
-        before = [2 + i % 2 for i in range(len(funcs))]
-        for (set_threads, _), count in zip(funcs, before):
-            set_threads(count)
+        original = get_threads()
+        set_threads(2)
         try:
             run_experiment(_tiny_config(trials=2), threads=2)
-            after = [get_threads() for _, get_threads in funcs]
+            after = get_threads()
         finally:
-            for (set_threads, _), count in zip(funcs, original):
-                set_threads(count)
-        assert seen == [[1] * len(funcs)] * 2
-        assert after == before
+            set_threads(original)
+        assert seen == [1, 1]
+        assert after == 2
 
     def test_run_loads_no_scipy(self):
         """Importing the package and running a sweep load no ``scipy`` module,
@@ -771,6 +769,20 @@ class TestDumpSpectrum:
             harness.dump_spectrum(_tiny_config(), "polar", tmp_path / "p.csv")
         assert not (tmp_path / "p.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, trial, match",
+        [
+            ("polar", 0, "unknown spectrum kind"),
+            ("angular", 1.5, "trial must be an integer >= 0"),
+            ("angular", -1, "trial must be an integer >= 0"),
+            ("angular", "0", "trial must be an integer >= 0"),
+        ],
+    )
+    def test_bad_argument_is_a_config_error_before_writing(self, kind, trial, match, tmp_path):
+        with pytest.raises(ConfigError, match=match):
+            harness.dump_spectrum(_tiny_config(), kind, tmp_path / "s.csv", trial=trial)
+        assert not (tmp_path / "s.csv").exists()
+
     def test_distance_dump_with_explicit_angles(self, tmp_path):
         cfg = _tiny_config()
         out = harness.dump_spectrum(
@@ -848,10 +860,14 @@ class TestCsvFormat:
         )
 
     def test_trial_csv_with_nan_row(self, tmp_path):
-        nan = math.nan
         records = [
-            TrialRecord("proposed", 10.0, 0, 1, 0.012345678912, 95.5, 1e-5, 0.0, 0.25, 4),
-            TrialRecord("ls", -5.0, 3, 0, 1.5, 2.0, nan, nan, nan, 4),
+            TrialRecord(
+                method="proposed", snr_db=10.0, trial=0, ue=1, nmse=0.012345678912,
+                bf_gain=95.5, az_err_rad=1e-5, el_err_rad=0.0, dist_err_m=0.25, peaks_found=4,
+            ),
+            TrialRecord(
+                method="ls", snr_db=-5.0, trial=3, ue=0, nmse=1.5, bf_gain=2.0, peaks_found=4
+            ),
         ]
         path = harness.write_trial_csv(records, tmp_path / "trials.csv")
         assert path.read_text() == (

@@ -243,3 +243,22 @@ class TestAggregate:
         assert agg.trials_ok == 1
         assert agg.trials_failed == 1
         assert agg.mean_nmse == pytest.approx(0.2)
+
+    def test_row_order_does_not_matter(self):
+        """Two methods at two SNRs, each with failed and surviving trials:
+        shuffling the rows leaves every aggregate unchanged.  Two users per
+        trial keep each user average exact in either order."""
+        rng = np.random.default_rng(7)
+        rows = []
+        for method in ("a", "b"):
+            for snr in (0.0, 10.0):
+                for trial in range(5):
+                    peaks = 1 if trial in (1, 3) else 2
+                    for ue in range(2):
+                        nm, bf = rng.uniform(0.01, 1.0, 2)
+                        rows.append(self._row(method, snr, trial, ue, nm, bf, peaks=peaks))
+        want = aggregate(rows, ["a", "b"], [0.0, 10.0], 2)
+        assert [(a.trials_ok, a.trials_failed) for a in want] == [(3, 2)] * 4
+        for seed in range(3):
+            shuffled = [rows[i] for i in np.random.default_rng(seed).permutation(len(rows))]
+            assert aggregate(shuffled, ["a", "b"], [0.0, 10.0], 2) == want
