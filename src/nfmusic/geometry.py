@@ -57,13 +57,6 @@ class ArrayGeometry:
         """Flat index of element (n, m), both 1-based."""
         return (n - 1) * self.side + (m - 1)
 
-    def subgrid_centers(self, n_d: int) -> np.ndarray:
-        """Centers of the leading n_d x n_d block of elements, shape (n_d**2, 3)."""
-        if not 1 <= n_d <= self.side:
-            raise ValueError(f"subgrid side {n_d} outside [1, {self.side}]")
-        grid = self.centers.reshape(self.side, self.side, 3)
-        return grid[:n_d, :n_d, :].reshape(n_d * n_d, 3)
-
 
 @dataclass(frozen=True)
 class UeLocation:

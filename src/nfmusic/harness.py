@@ -136,6 +136,7 @@ class ExperimentConfig:
         if self.c_r is None:
             object.__setattr__(self, "c_r", 0 if self.k_ues == 1 else 1)
         for name in (
+            "n_antennas",
             "k_ues",
             "l_pilots",
             "trials",
@@ -149,6 +150,8 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
+        if not all(isinstance(snr, numbers.Real) for snr in self.snr_db_list):
+            raise ConfigError(f"snr_db_list entries must be real numbers, got {self.snr_db_list!r}")
         # at 300 dB the noise amplitude is 1e-15 of the signal's, a few units in
         # the last place of a double, so a higher SNR is noiseless (inf) in
         # effect; below -300 dB the signal is buried as deep in the noise
@@ -759,6 +762,9 @@ def dump_spectrum(
     """
     if kind not in ("angular", "distance", "xz"):
         raise ConfigError(f"unknown spectrum kind {kind!r}")
+    for name, value in (("snr_db", snr_db), ("azimuth", azimuth), ("elevation", elevation)):
+        if value is not None and not isinstance(value, numbers.Real):
+            raise ConfigError(f"{name} must be a real number, got {value!r}")
     if (azimuth is None) != (elevation is None):
         raise ConfigError("give both azimuth and elevation, or neither")
     if azimuth is not None:

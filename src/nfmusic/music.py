@@ -13,10 +13,11 @@ eigenvectors ``U_s`` (Schmidt, IEEE TAP 1986), which costs K projections per
 steering vector instead of M - K; the difference is clamped at zero, where
 rounding can push an exactly orthogonal vector below it.  ``||a||**2`` is fixed
 by the model, never computed: M for the unit-modulus planar-wave and polar
-responses on an M-element steering subgrid, 1 for the unit-normalized exact one.
+responses on an M-element steering array, 1 for the unit-normalized exact one.
 
-On the ``side`` x ``side`` steering subgrid the planar-wave vector is a
-Kronecker product, ``a(az, el) = e_x(u) (x) e_y(v)`` with ``u = cos(el) sin(az)``
+A smoothed subspace steers on its own array: the centred ``side`` x ``side``
+square of the subarray size.  On it the planar-wave vector is a Kronecker
+product, ``a(az, el) = e_x(u) (x) e_y(v)`` with ``u = cos(el) sin(az)``
 and ``v = sin(el)``, so the angular scan never forms ``a``: it contracts
 ``U_s^H`` with the y factor in one matmul and with the x factor in one batched
 matmul per elevation, O(K * side) per grid cell instead of O(K * side**2).
@@ -24,12 +25,12 @@ matmul per elevation, O(K * side) per grid cell instead of O(K * side**2).
 Neither the angular steering factors, nor the angle-free terms of the
 polar-phase response, nor the unit-normalized exact-model location bank
 depends on the data, so each is built once and kept read-only in a small
-cache: the angular factors per (array geometry, subgrid side, grid),
-``side * 16`` bytes per grid cell plus the y factor; the distance bank per
-(array geometry, subgrid side, distance grid), ``M * D * 8`` bytes for M
-steering elements and D distances plus ``2D + 2M`` floats, so a distance scan
-pays only its per-angle remainder, an M x D complex exp; the location bank
-per (array geometry, grid, chunk of cells).  The location bank is cached one
+cache: the angular factors per (steering array, grid), ``side * 16`` bytes
+per grid cell plus the y factor; the distance bank per (steering array,
+distance grid), ``M * D * 8`` bytes for M steering elements and D distances
+plus ``2D + 2M`` floats, so a distance scan pays only its per-angle
+remainder, an M x D complex exp; the location bank per (array geometry,
+grid, chunk of cells).  The location bank is cached one
 ``_CHUNK``-column chunk at a time and only the last chunk stays resident, at
 most ``_CHUNK * M * 16`` bytes; building a chunk allocates one ``_BLOCK``-cell
 block of temporaries beyond it.  A grid larger than one chunk rebuilds its
@@ -163,48 +164,40 @@ def _guarded_quotient(norm: float, captured: np.ndarray) -> np.ndarray:
     return 1.0 / (np.maximum(norm - captured, 0.0) + EPS_SCALE * norm)
 
 
-def _subgrid_side(un: NoiseSubspace, g: ArrayGeometry) -> int:
+def _steering_array(un: NoiseSubspace, g: ArrayGeometry) -> ArrayGeometry:
+    """The array a smoothed subspace steers on: the centred square of
+    ``un.dim`` elements with ``g``'s spacing and wavelength (``g`` itself when
+    no smoothing was applied).
+
+    A smoothed covariance averages subarrays at offsets 0..c_r, so its phase
+    reference is the mean subarray position, the centre of ``g``.  Centering
+    there cancels the leading-order distance bias; for the planar-wave angular
+    scan the shift is only a constant phase and does not change the spectrum.
+    """
     side = math.isqrt(un.dim)
-    if side * side != un.dim or side > g.side:
+    if side * side != un.dim or un.dim > g.n_antennas:
         raise ValueError(
             f"noise subspace dimension {un.dim} is not a square subgrid of the array"
         )
-    return side
-
-
-def _steering_subgrid(g: ArrayGeometry, side: int) -> np.ndarray:
-    """Steering centers for a smoothed subspace: the subgrid shifted to the
-    mean subarray position.
-
-    A smoothed covariance averages subarrays at offsets 0..c_r, so the
-    effective phase reference sits half the total shift away from the first
-    subarray.  Centering there cancels the leading-order distance bias; for
-    the planar-wave angular scan the shift is only a constant phase and does
-    not change the spectrum.
-    """
-    offset = (g.side - side) * g.spacing / 2.0
-    return g.subgrid_centers(side) + np.array([offset, offset, 0.0])
+    return ArrayGeometry(un.dim, g.element_diag, g.wavelength)
 
 
 @functools.lru_cache(maxsize=4)
-def _angular_bank(
-    g: ArrayGeometry, side: int, grid: GridSpec
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors of the planar-wave steering vectors over an
-    (azimuth, elevation) grid on the ``side`` x ``side`` steering subgrid of
-    ``g``.
+def _angular_bank(sub: ArrayGeometry, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column factors of the planar-wave steering vectors of the
+    steering array ``sub`` over an (azimuth, elevation) grid.
 
     The x factor ``e_x`` has shape (n_el, side, n_az) and the y factor ``e_y``
     (side, n_el); the steering vector of cell (i, j) is
     ``np.kron(e_x[j, :, i], e_y[:, j])``.  Both factors are planar-wave
-    responses of the subgrid's axis-only centres, (x_n, 0, 0) and (0, y_m, 0).
+    responses of the array's axis-only centres, (x_n, 0, 0) and (0, y_m, 0).
     Both arrays are read-only: every caller, pool workers included, shares them.
     """
     az, el = grid.axis_points()
-    centers = _steering_subgrid(g, side).reshape(side, side, 3)
-    e_x = farfield_response(g, az, el[:, None], centers[:, 0] * [1.0, 0.0, 0.0])
+    centers = sub.centers.reshape(sub.side, sub.side, 3)
+    e_x = farfield_response(sub, az, el[:, None], centers[:, 0] * [1.0, 0.0, 0.0])
     e_x = np.ascontiguousarray(e_x.transpose(1, 0, 2))
-    e_y = farfield_response(g, 0.0, el, centers[0, :] * [0.0, 1.0, 0.0])
+    e_y = farfield_response(sub, 0.0, el, centers[0, :] * [0.0, 1.0, 0.0])
     e_x.flags.writeable = False
     e_y.flags.writeable = False
     return e_x, e_y
@@ -237,13 +230,13 @@ def _location_bank(
 
 
 @functools.lru_cache(maxsize=4)
-def _distance_bank(g: ArrayGeometry, side: int, grid: GridSpec) -> PolarTerms:
+def _distance_bank(sub: ArrayGeometry, grid: GridSpec) -> PolarTerms:
     """Angle-free polar terms (:func:`nfmusic.channel.polar_terms`) of the
-    ``side`` x ``side`` steering subgrid of ``g`` over a distance grid.
+    steering array ``sub`` over a distance grid.
 
     Every array is read-only: every caller, pool workers included, shares them.
     """
-    terms = polar_terms(grid.axis_points()[0], _steering_subgrid(g, side))
+    terms = polar_terms(grid.axis_points()[0], sub.centers)
     for array in terms:
         array.flags.writeable = False
     return terms
@@ -284,13 +277,14 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
 def spectrum_2d_angular(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> SpectrumGrid:
     """Spectrum over (azimuth, elevation) using the planar-wave response.
 
-    The steering vectors live on the leading square subgrid matching the
+    The steering vectors live on the centred square subgrid matching the
     noise-subspace dimension (the full array when no smoothing was applied).
     """
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
-    side = _subgrid_side(un, g)
-    e_x, e_y = _angular_bank(g, side, grid)
+    sub = _steering_array(un, g)
+    side = sub.side
+    e_x, e_y = _angular_bank(sub, grid)
     # U_s^H as (K, side, side) contracted with e_y over y, then per elevation
     # with e_x over x: (n_el, K, side) @ (n_el, side, n_az) -> (n_el, K, n_az)
     partial = (un.signal.conj().T.reshape(-1, side) @ e_y).reshape(-1, side, e_y.shape[1])
@@ -309,7 +303,8 @@ def spectrum_1d_distance(
     """Spectrum over distance at fixed angles, using the polar-phase response."""
     if grid.names() != ("distance",):
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
-    steering = polar_steering(g, _distance_bank(g, _subgrid_side(un, g), grid), azimuth, elevation)
+    sub = _steering_array(un, g)
+    steering = polar_steering(sub, _distance_bank(sub, grid), azimuth, elevation)
     values = _guarded_quotient(un.dim, _signal_energy(un, steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 

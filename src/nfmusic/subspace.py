@@ -32,15 +32,8 @@ class Covariance:
     @functools.cached_property
     def matrix(self) -> np.ndarray:
         x = self.snapshots
-        r = x.T @ x.conj()
-        # numpy divides by n + 0j as a product with 1 / n, so scaling the float
-        # view by 1 / n gives the same bits, up to the sign of an exact zero
-        parts = r.view(np.float64)
-        parts *= 1.0 / x.shape[0]
-        h = np.conjugate(r.T, order="C")
-        h += r
-        h *= 0.5
-        return h
+        r = x.T @ x.conj() / x.shape[0]
+        return (r + r.conj().T) / 2
 
 
 @dataclass(frozen=True)

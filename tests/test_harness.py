@@ -80,6 +80,7 @@ class TestConfigDefaults:
             dict(distance_range=(math.nan, 5.0)),
             dict(distance_spacing="inverse-distance"),
             dict(cart_grid_points=1),
+            dict(snr_db_list=("20",)),
         ],
     )
     def test_nonfinite_and_out_of_range_values_rejected(self, fields):
@@ -89,6 +90,7 @@ class TestConfigDefaults:
     @pytest.mark.parametrize(
         "field, value",
         [
+            ("n_antennas", 16.0),
             ("k_ues", 2.0),
             ("l_pilots", 2.5),
             ("trials", 1.5),
@@ -646,9 +648,10 @@ class TestScenarioFig1:
         assert dump[0] == "axis1,axis2,value"
         assert len(dump) == 1 + 60 * 60
 
-    def test_minus_inf_snr_rejected(self):
+    @pytest.mark.parametrize("snr_db", [-math.inf, "20"])
+    def test_minus_inf_snr_rejected(self, snr_db):
         with pytest.raises(ConfigError, match="snr_db_list"):
-            scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=-math.inf)
+            scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=snr_db)
 
     @pytest.mark.parametrize(
         "l_values",
@@ -770,17 +773,19 @@ class TestDumpSpectrum:
         assert not (tmp_path / "p.csv").exists()
 
     @pytest.mark.parametrize(
-        "kind, trial, match",
+        "kind, kwargs, match",
         [
-            ("polar", 0, "unknown spectrum kind"),
-            ("angular", 1.5, "trial must be an integer >= 0"),
-            ("angular", -1, "trial must be an integer >= 0"),
-            ("angular", "0", "trial must be an integer >= 0"),
+            ("polar", {}, "unknown spectrum kind"),
+            ("angular", dict(trial=1.5), "trial must be an integer >= 0"),
+            ("angular", dict(trial=-1), "trial must be an integer >= 0"),
+            ("angular", dict(trial="0"), "trial must be an integer >= 0"),
+            ("angular", dict(snr_db="20"), "snr_db must be a real number"),
+            ("distance", dict(azimuth="0.1", elevation=0.0), "azimuth must be a real number"),
         ],
     )
-    def test_bad_argument_is_a_config_error_before_writing(self, kind, trial, match, tmp_path):
+    def test_bad_argument_is_a_config_error_before_writing(self, kind, kwargs, match, tmp_path):
         with pytest.raises(ConfigError, match=match):
-            harness.dump_spectrum(_tiny_config(), kind, tmp_path / "s.csv", trial=trial)
+            harness.dump_spectrum(_tiny_config(), kind, tmp_path / "s.csv", **kwargs)
         assert not (tmp_path / "s.csv").exists()
 
     def test_distance_dump_with_explicit_angles(self, tmp_path):

@@ -255,10 +255,11 @@ class TestSpectrum2dAngular:
 
     def test_steering_bank_is_cached_read_only(self, geo16):
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 13), GridAxis("elevation", -0.7, 0.7, 9)))
-        first = music._angular_bank(geo16, 3, grid)
-        # keyed on the geometry's value: an equal array shares the entry
-        twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
-        assert music._angular_bank(twin, 3, grid) is first
+        sub = ArrayGeometry(9, geo16.element_diag, geo16.wavelength)
+        first = music._angular_bank(sub, grid)
+        # keyed on the steering array's value: an equal array shares the entry
+        twin = ArrayGeometry(9, geo16.element_diag, geo16.wavelength)
+        assert music._angular_bank(twin, grid) is first
         e_x, e_y = first
         assert e_x.shape == (9, 3, 13) and e_y.shape == (3, 9)
         for array in first:
@@ -291,7 +292,7 @@ class TestSpectrum2dAngular:
         block = received_block(a, pilots, 10.0, stream(n_antennas, c_r, k, 1))
         un = noise_subspace(smoothed_covariance(block, c_r), k)
         grid = GridSpec((GridAxis("azimuth", -1.1, 1.0, 11), GridAxis("elevation", -0.8, 0.6, 7)))
-        centers = music._steering_subgrid(g, math.isqrt(un.dim))
+        centers = ArrayGeometry(un.dim, g.element_diag, g.wavelength).centers
         az, el = grid.axis_points()
         quotient = TestSignalSubspaceForm._quotient
         want = [[quotient(un, farfield_response(g, x, y, centers)) for y in el] for x in az]
@@ -339,7 +340,7 @@ class TestSignalSubspaceForm:
         1 for every unit-normalized exact-model vector."""
         m = side * side
         g = ArrayGeometry(361, 0.05 * math.sqrt(2), 0.1)
-        centers = music._steering_subgrid(g, side)
+        centers = ArrayGeometry(m, g.element_diag, g.wavelength).centers
         az, el = np.meshgrid(np.linspace(-1.4, 1.4, 29), np.linspace(-1.0, 1.0, 21))
         az, el = az.ravel(), el.ravel()
         distances = GridAxis("distance", 0.3, 60.0, 40, "inverse").points()
@@ -361,7 +362,7 @@ class TestSignalSubspaceForm:
         un = noise_subspace(smoothed_covariance(block, 1), 2)
         grid = GridSpec((GridAxis("azimuth", -1.0, 1.0, 21), GridAxis("elevation", -0.7, 0.7, 15)))
         az, el = grid.axis_points()
-        centers = geo16.subgrid_centers(3)
+        centers = ArrayGeometry(9, geo16.element_diag, geo16.wavelength).centers
         want = [[self._quotient(un, farfield_response(geo16, x, y, centers)) for y in el] for x in az]
         got = spectrum_2d_angular(un, grid, geo16).values
         assert np.allclose(got, want, rtol=1e-9, atol=0)
@@ -377,7 +378,7 @@ class TestSignalSubspaceForm:
         block = received_block(a, gen_pilots(2, 8, stream(12, 0)), 15.0, stream(12, 1))
         un = noise_subspace(smoothed_covariance(block, c_r), 2)
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
-        centers = music._steering_subgrid(g, math.isqrt(un.dim))
+        centers = ArrayGeometry(un.dim, g.element_diag, g.wavelength).centers
         steering = polar_response(g, 0.3, -0.1, grid.axis_points()[0], centers)
         want = music._guarded_quotient(steering.shape[0], music._signal_energy(un, steering))
         for _ in range(2):  # a cold and a warm distance bank
@@ -415,10 +416,11 @@ class TestSignalSubspaceForm:
 class TestSpectrum1dDistance:
     def test_distance_bank_is_cached_read_only(self, geo16):
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
-        first = music._distance_bank(geo16, 3, grid)
-        # keyed on the geometry's value: an equal array shares the entry
-        twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
-        assert music._distance_bank(twin, 3, grid) is first
+        sub = ArrayGeometry(9, geo16.element_diag, geo16.wavelength)
+        first = music._distance_bank(sub, grid)
+        # keyed on the steering array's value: an equal array shares the entry
+        twin = ArrayGeometry(9, geo16.element_diag, geo16.wavelength)
+        assert music._distance_bank(twin, grid) is first
         assert first.x.shape == first.y.shape == (9, 1)
         assert first.radial.shape == (9, 31) and first.twice_d.shape == (31,)
         for array in first:
@@ -451,6 +453,35 @@ class TestSpectrum1dDistance:
         s1 = spectrum_1d_distance(un1, p.azimuth, p.elevation, grid, geo16)
         s2 = spectrum_1d_distance(un2, p.azimuth, p.elevation, grid, geo16)
         assert np.argmax(s1.values) == np.argmax(s2.values)
+
+
+class TestSteeringArray:
+    def test_is_the_leading_block_shifted_to_the_mean_subarray(self):
+        """A c_r=1 subspace at N=100 steers on g's leading 9 x 9 block moved
+        half a spacing along x and y, the mean of the four subarray offsets,
+        so its centres average to the array's centre."""
+        g = ArrayGeometry(100, 0.05 * math.sqrt(2), 0.1)
+        a = channel_matrix(g, [UeLocation(0.2, 0.1, 2.0), UeLocation(-0.3, -0.2, 3.0)])
+        block = received_block(a, gen_pilots(2, 4, stream(5, 0)), 20.0, stream(5, 1))
+        un = noise_subspace(smoothed_covariance(block, 1), 2)
+        sub = music._steering_array(un, g)
+        leading = g.centers.reshape(10, 10, 3)[:9, :9].reshape(81, 3)
+        shift = np.array([g.spacing / 2, g.spacing / 2, 0.0])
+        assert sub.n_antennas == 81
+        assert np.allclose(sub.centers, leading + shift, rtol=0, atol=1e-15)
+        assert np.allclose(sub.centers.mean(axis=0), 0.0, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [10, 25])
+    def test_rejects_a_dimension_that_is_not_a_square_subgrid(self, geo16, dim):
+        """A non-square dimension, or a square one beyond the 16-element
+        array, fails in both smoothed-subspace scans."""
+        un = noise_subspace(sample_covariance(np.eye(dim)), 1)
+        angles = GridSpec((GridAxis("azimuth", -1.0, 1.0, 5), GridAxis("elevation", -0.7, 0.7, 5)))
+        distances = GridSpec((GridAxis("distance", 1.0, 6.0, 5),))
+        with pytest.raises(ValueError, match="not a square subgrid"):
+            spectrum_2d_angular(un, angles, geo16)
+        with pytest.raises(ValueError, match="not a square subgrid"):
+            spectrum_1d_distance(un, 0.2, 0.1, distances, geo16)
 
 
 class TestFindPeaks:
