@@ -50,7 +50,6 @@ from .subspace import (
     Covariance,
     NoiseSubspace,
     extract_subarrays,
-    hermitian_eig,
     noise_subspace,
     sample_covariance,
     smoothed_covariance,

@@ -131,6 +131,23 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        # a number of the wrong type or shape would escape the checks below as a
+        # TypeError or ValueError
+        for name in ("wavelength", "element_diag", "min_angular_separation"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) and not (name == "element_diag" and value is None):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        for name in ("azimuth_range", "elevation_range", "distance_range", "snr_db_list"):
+            value = getattr(self, name)
+            if name == "distance_range" and value is None:
+                continue
+            if not (
+                isinstance(value, tuple)
+                and (name == "snr_db_list" or len(value) == 2)
+                and all(isinstance(v, numbers.Real) for v in value)
+            ):
+                shape = "a tuple" if name == "snr_db_list" else "a (lo, hi) pair"
+                raise ConfigError(f"{name} must be {shape} of real numbers, got {value!r}")
         if self.element_diag is None:
             object.__setattr__(self, "element_diag", self.wavelength / math.sqrt(2.0))
         if self.c_r is None:
@@ -150,8 +167,6 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
-        if not all(isinstance(snr, numbers.Real) for snr in self.snr_db_list):
-            raise ConfigError(f"snr_db_list entries must be real numbers, got {self.snr_db_list!r}")
         # at 300 dB the noise amplitude is 1e-15 of the signal's, a few units in
         # the last place of a double, so a higher SNR is noiseless (inf) in
         # effect; below -300 dB the signal is buried as deep in the noise
@@ -708,8 +723,8 @@ def scenario_fig1(
     positions; with enough snapshots all users appear, with fewer than K
     they conflate.
     """
-    if not l_values:
-        raise ConfigError("l_values must be nonempty")
+    if not isinstance(l_values, (tuple, list)) or not l_values:
+        raise ConfigError(f"l_values must be a nonempty tuple or list, got {l_values!r}")
     for l_pilots in l_values:
         _check_count("l_values entries", l_pilots)
     # snr_db goes through the config so it is checked like a sweep's SNRs

@@ -166,8 +166,8 @@ def _guarded_quotient(norm: float, captured: np.ndarray) -> np.ndarray:
 
 def _steering_array(un: NoiseSubspace, g: ArrayGeometry) -> ArrayGeometry:
     """The array a smoothed subspace steers on: the centred square of
-    ``un.dim`` elements with ``g``'s spacing and wavelength (``g`` itself when
-    no smoothing was applied).
+    ``un.dim`` elements with ``g``'s spacing and wavelength (an array equal to
+    ``g`` when no smoothing was applied).
 
     A smoothed covariance averages subarrays at offsets 0..c_r, so its phase
     reference is the mean subarray position, the centre of ``g``.  Centering

@@ -15,8 +15,6 @@ import numpy as np
 
 from .signal import SnapshotBlock
 
-HERMITIAN_RTOL = 1e-10
-
 
 @dataclass(frozen=True)
 class Covariance:
@@ -115,27 +113,6 @@ def smoothed_covariance(block: SnapshotBlock, c_r: int) -> Covariance:
         raise ValueError("snapshot length must be a perfect square")
     subs = extract_subarrays(block.received.T.reshape(-1, side, side), c_r)
     return sample_covariance(subs.reshape(-1, subs.shape[-1]))
-
-
-def _checked_hermitian(r) -> np.ndarray:
-    """``r`` as a square array; rejects inputs whose Hermitian defect exceeds
-    ``HERMITIAN_RTOL`` relative to its Frobenius norm."""
-    m = np.asarray(r)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = np.linalg.norm(m)
-    defect = np.conjugate(m.T, order="C")
-    defect -= m
-    if scale > 0 and np.linalg.norm(defect) > HERMITIAN_RTOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return m
-
-
-def hermitian_eig(r) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending; rejects
-    input as ``_checked_hermitian`` does."""
-    m = _checked_hermitian(r)
-    return np.linalg.eigh(0.5 * (m + m.conj().T))
 
 
 def noise_subspace(cov: Covariance, k_sources: int) -> NoiseSubspace:

@@ -81,6 +81,18 @@ class TestConfigDefaults:
             dict(distance_spacing="inverse-distance"),
             dict(cart_grid_points=1),
             dict(snr_db_list=("20",)),
+            dict(snr_db_list=20.0),
+            dict(wavelength="0.1"),
+            dict(wavelength=None),
+            dict(element_diag="0.07"),
+            dict(min_angular_separation="0.1"),
+            dict(min_angular_separation=None),
+            dict(azimuth_range=(-1, "1")),
+            dict(azimuth_range=None),
+            dict(azimuth_range=(-1.0, 0.0, 1.0)),
+            dict(elevation_range=(0.1,)),
+            dict(distance_range=(1.0, "5")),
+            dict(distance_range=5.0),
         ],
     )
     def test_nonfinite_and_out_of_range_values_rejected(self, fields):
@@ -278,6 +290,17 @@ class TestConfigSchema:
     def test_ill_typed_value_names_its_line(self, field):
         with pytest.raises(ConfigError, match=f"line 3: bad value for '{field.name}'"):
             parse_config_text(f"# header\n\n{field.name}=x\n")
+
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in _FIELDS if f.type not in (str, tuple[str, ...])],
+        ids=lambda f: f.name,
+    )
+    def test_ill_typed_python_value_rejected(self, field):
+        """The Python twin of the line test: a config built in code rejects a
+        string for a numeric field with ConfigError, not a TypeError."""
+        with pytest.raises(ConfigError, match=field.name):
+            ExperimentConfig(**{field.name: "x"})
 
     def test_pair_needs_two_values(self):
         with pytest.raises(ConfigError, match="line 1: .*expected 2"):
@@ -655,8 +678,8 @@ class TestScenarioFig1:
 
     @pytest.mark.parametrize(
         "l_values",
-        [(), (0,), (2.5,), (10, -1), (10, "3")],
-        ids=["empty", "zero", "float", "negative", "str"],
+        [(), (0,), (2.5,), (10, -1), (10, "3"), 10],
+        ids=["empty", "zero", "float", "negative", "str", "scalar"],
     )
     def test_bad_pilot_lengths_rejected_before_placement(self, l_values, monkeypatch):
         monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))

@@ -8,7 +8,6 @@ from nfmusic.geometry import ArrayGeometry, UeLocation
 from nfmusic.signal import gen_pilots, received_block, stream
 from nfmusic.subspace import (
     extract_subarrays,
-    hermitian_eig,
     noise_subspace,
     sample_covariance,
     smoothed_covariance,
@@ -208,31 +207,6 @@ class TestSmoothedCovariance:
         assert np.linalg.eigvalsh(r).min() >= -1e-10 * np.trace(r).real
 
 
-class TestHermitianEig:
-    def test_identity(self):
-        vals, vecs = hermitian_eig(np.eye(5, dtype=complex))
-        assert np.allclose(vals, 1.0)
-        assert np.allclose(vecs @ np.diag(vals) @ vecs.conj().T, np.eye(5), atol=1e-12)
-
-    def test_diagonal(self):
-        vals, _ = hermitian_eig(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(vals, [1.0, 2.0, 3.0])
-
-    def test_reconstruction_of_random_hermitian(self):
-        rng = np.random.default_rng(9)
-        x = random_complex(rng, (8, 8))
-        r = x + x.conj().T
-        vals, vecs = hermitian_eig(r)
-        recon = vecs @ np.diag(vals) @ vecs.conj().T
-        assert np.linalg.norm(recon - r) / np.linalg.norm(r) < 1e-10
-        assert np.allclose(vecs.conj().T @ vecs, np.eye(8), atol=1e-10)
-        assert np.all(np.diff(vals) >= -1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def _noiseless_four_users():
     """Channel matrix of four users and the rank-4 sample covariance of six
     noiseless pilots from them."""
@@ -343,7 +317,7 @@ class TestNoiseSubspaceMatchesEigendecomposition:
         assert un.matrix.shape == (m, m - k) and un.signal.shape == (m, k)
         full = np.hstack([un.matrix, un.signal])
         assert np.linalg.norm(full.conj().T @ full - np.eye(m), 2) <= 1e-12
-        vals, vecs = hermitian_eig(cov.matrix)
+        vals, vecs = np.linalg.eigh(cov.matrix)
         # the signal columns capture the K largest eigenvalues (Ky Fan)
         captured = np.trace(un.signal.conj().T @ cov.matrix @ un.signal).real
         assert captured == pytest.approx(vals[-k:].sum(), rel=1e-12, abs=1e-14)
