@@ -5,8 +5,8 @@ the parametric pipeline against the non-parametric baselines.  Every random
 draw comes from a counter-based stream keyed by (seed, snr index, trial,
 role), so results are independent of scheduling and thread count.  Trials,
 the plane-slice scenario and spectrum dumps synthesize their data through
-the same two helpers, and the config parser and the CSV writers read their
-schemas from the dataclass fields.
+the same two helpers, and the config parser, the config's type checks and
+the CSV writers read their schemas from the dataclass fields.
 """
 
 import concurrent.futures
@@ -131,40 +131,17 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        # a number of the wrong type or shape would escape the checks below as a
-        # TypeError or ValueError
-        for name in ("wavelength", "element_diag", "min_angular_separation"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real) and not (name == "element_diag" and value is None):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        for name in ("azimuth_range", "elevation_range", "distance_range", "snr_db_list"):
-            value = getattr(self, name)
-            if name == "distance_range" and value is None:
-                continue
-            if not (
-                isinstance(value, tuple)
-                and (name == "snr_db_list" or len(value) == 2)
-                and all(isinstance(v, numbers.Real) for v in value)
-            ):
-                shape = "a tuple" if name == "snr_db_list" else "a (lo, hi) pair"
-                raise ConfigError(f"{name} must be {shape} of real numbers, got {value!r}")
+        # types first: a value of the wrong type would escape the rules below
+        for name, field_type in _FIELD_TYPES.items():
+            _check_type(name, field_type, getattr(self, name))
         if self.element_diag is None:
             object.__setattr__(self, "element_diag", self.wavelength / math.sqrt(2.0))
         if self.c_r is None:
             object.__setattr__(self, "c_r", 0 if self.k_ues == 1 else 1)
-        for name in (
-            "n_antennas",
-            "k_ues",
-            "l_pilots",
-            "trials",
-            "azimuth_grid_points",
-            "elevation_grid_points",
-            "distance_grid_points",
-            "cart_grid_points",
-        ):
-            _check_count(name, getattr(self, name))
-        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        for name, low in _INT_LOWS.items():
+            value = getattr(self, name)
+            if value < low:
+                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
         if not self.snr_db_list:
             raise ConfigError("snr_db_list must be nonempty")
         # at 300 dB the noise amplitude is 1e-15 of the signal's, a few units in
@@ -174,10 +151,8 @@ class ExperimentConfig:
             raise ConfigError("snr_db_list entries must be in [-300, 300] dB or inf (noiseless)")
         if len(set(self.snr_db_list)) != len(self.snr_db_list):
             raise ConfigError("snr_db_list entries must be distinct")
-        for lo, hi, what in (
-            (*self.azimuth_range, "azimuth_range"),
-            (*self.elevation_range, "elevation_range"),
-        ):
+        for what in ("azimuth_range", "elevation_range"):
+            lo, hi = getattr(self, what)
             if not (-math.pi / 2 < lo <= hi < math.pi / 2):
                 raise ConfigError(f"{what} must satisfy -pi/2 < lo <= hi < pi/2")
         sep = self.min_angular_separation
@@ -236,7 +211,7 @@ class ExperimentConfig:
                     f"power of a user at {d:g} m underflows the smallest normal double"
                 )
         side = g.side
-        if not isinstance(self.c_r, numbers.Integral) or not 0 <= self.c_r < side:
+        if not 0 <= self.c_r < side:
             raise ConfigError(f"c_r must be an integer in [0, {side - 1}], got {self.c_r!r}")
         if self.k_ues >= (side - self.c_r) ** 2:
             raise ConfigError(
@@ -298,32 +273,60 @@ class ExperimentConfig:
 _ANGULAR_KEYS = ("azimuth_range", "elevation_range", "min_angular_separation")
 
 
-def _field_parser(tp):
-    """Converter from config text to a value of the annotated field type ``tp``.
-
-    Optional fields parse as their inner type; tuples are comma separated, with
-    a fixed length unless declared ``tuple[X, ...]``; empty names are dropped
-    from string lists.
-    """
+def _field_type(tp) -> tuple[bool, type, object]:
+    """(optional, item type, tuple length: None for a scalar, ... for any) of an annotation."""
     args = typing.get_args(tp)
-    if type(None) in args:
+    optional = type(None) in args
+    if optional:
         (tp,) = [a for a in args if a is not type(None)]
         args = typing.get_args(tp)
     if typing.get_origin(tp) is not tuple:
-        return tp
+        return optional, tp, None
+    return optional, args[0], ... if args[-1] is Ellipsis else len(args)
+
+
+# item type: (the values it admits, one of them, several of them)
+_ITEMS = {
+    int: (numbers.Integral, "an integer", "integers"),
+    float: (numbers.Real, "a real number", "real numbers"),
+    str: (str, "a string", "strings"),
+}
+
+
+def _check_type(name: str, field_type, value) -> None:
+    """Raise a ConfigError naming ``name`` unless ``value`` fits the walk ``field_type``."""
+    optional, item, length = field_type
+    kind, one, many = _ITEMS[item]
+    if length is None:
+        ok, want = isinstance(value, kind), one
+    else:
+        ok = isinstance(value, tuple) and length in (..., len(value))
+        ok = ok and all(isinstance(v, kind) for v in value)
+        want = f"a tuple of {many}" if length is ... else f"a tuple of {length} {many}"
+    if not (ok or optional and value is None):
+        raise ConfigError(f"{name} must be {want}{' or None' if optional else ''}, got {value!r}")
+
+
+def _field_parser(field_type):
+    """Converter from config text to a value of the walk ``field_type``: tuples are
+    comma separated, of the walked length; string lists drop empty names."""
+    _, item, length = field_type
+    if length is None:
+        return item
 
     def parse(val: str) -> tuple:
-        parts = [p.strip() for p in val.split(",")]
-        if args[0] is str:
-            parts = [p for p in parts if p]
-        if args[-1] is not Ellipsis and len(parts) != len(args):
-            raise ValueError(f"expected {len(args)} comma-separated values")
-        return tuple(args[0](p) for p in parts)
+        parts = [p for p in map(str.strip, val.split(",")) if p or item is not str]
+        if length is not ... and len(parts) != length:
+            raise ValueError(f"expected {length} comma-separated values")
+        return tuple(item(p) for p in parts)
 
     return parse
 
 
-_FIELD_PARSERS = {f.name: _field_parser(f.type) for f in dataclasses.fields(ExperimentConfig)}
+# each annotation is walked once, for the text parser and the type check
+_FIELD_TYPES = {f.name: _field_type(f.type) for f in dataclasses.fields(ExperimentConfig)}
+# every int field but the seed counts something, so it is >= 1; the seed is >= 0
+_INT_LOWS = {n: 1 for n, t in _FIELD_TYPES.items() if t == (False, int, None)} | {"seed": 0}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -346,18 +349,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key not in _FIELD_PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](val)
+            values[key] = _field_parser(_FIELD_TYPES[key])(val)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    for key in _ANGULAR_KEYS:
-        if key in values:
-            v = values[key]
-            values[key] = (
-                tuple(math.radians(x) for x in v) if isinstance(v, tuple) else math.radians(v)
-            )
+    for key in values.keys() & _ANGULAR_KEYS:
+        v = values[key]
+        values[key] = tuple(map(math.radians, v)) if isinstance(v, tuple) else math.radians(v)
     return ExperimentConfig(**values)
 
 
@@ -778,8 +778,7 @@ def dump_spectrum(
     if kind not in ("angular", "distance", "xz"):
         raise ConfigError(f"unknown spectrum kind {kind!r}")
     for name, value in (("snr_db", snr_db), ("azimuth", azimuth), ("elevation", elevation)):
-        if value is not None and not isinstance(value, numbers.Real):
-            raise ConfigError(f"{name} must be a real number, got {value!r}")
+        _check_type(name, _field_type(Optional[float]), value)
     if (azimuth is None) != (elevation is None):
         raise ConfigError("give both azimuth and elevation, or neither")
     if azimuth is not None:

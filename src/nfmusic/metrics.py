@@ -10,6 +10,7 @@ assignment algorithms", IEEE TAES 2016, ported step for step from scipy's
 """
 
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -231,7 +232,7 @@ def aggregate(
                     method=method,
                     snr_db=snr,
                     mean_nmse=float(np.mean(nmses)) if nmses else math.nan,
-                    median_nmse=float(np.median(nmses)) if nmses else math.nan,
+                    median_nmse=statistics.median(nmses) if nmses else math.nan,
                     mean_bf_gain=float(np.mean(gains)) if gains else math.nan,
                     trials_ok=len(kept),
                     trials_failed=len(by_trial) - len(kept),

@@ -93,6 +93,7 @@ class TestConfigDefaults:
             dict(elevation_range=(0.1,)),
             dict(distance_range=(1.0, "5")),
             dict(distance_range=5.0),
+            dict(methods=["proposed"]),
         ],
     )
     def test_nonfinite_and_out_of_range_values_rejected(self, fields):
@@ -302,6 +303,17 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=field.name):
             ExperimentConfig(**{field.name: "x"})
 
+    @pytest.mark.parametrize(
+        "field",
+        [f for f in _FIELDS if f.type in (str, tuple[str, ...])],
+        ids=lambda f: f.name,
+    )
+    def test_ill_typed_python_string_value_rejected(self, field):
+        """The string fields' twin: a number for a name, or for a tuple of
+        names, is a ConfigError naming the field."""
+        with pytest.raises(ConfigError, match=field.name):
+            ExperimentConfig(**{field.name: 5})
+
     def test_pair_needs_two_values(self):
         with pytest.raises(ConfigError, match="line 1: .*expected 2"):
             parse_config_text("distance_range=2,4,6\n")
@@ -362,6 +374,28 @@ def _tiny_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
+
+
+def _modules_after_fresh_run() -> list[str]:
+    """The modules loaded by importing the package and running a one-trial
+    sweep in a fresh interpreter, since the test process may hold more."""
+    code = (
+        "import sys, nfmusic\n"
+        "cfg = nfmusic.ExperimentConfig(n_antennas=16, k_ues=2, trials=1,\n"
+        "    snr_db_list=(20.0,), azimuth_grid_points=10, elevation_grid_points=8,\n"
+        "    distance_grid_points=6)\n"
+        "nfmusic.run_experiment(cfg)\n"
+        "print('\\n'.join(sorted(sys.modules)))\n"
+    )
+    src = str(Path(harness.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    return result.stdout.split()
 
 
 class TestRunExperiment:
@@ -596,25 +630,13 @@ class TestDeterminism:
         assert after == 2
 
     def test_run_loads_no_scipy(self):
-        """Importing the package and running a sweep load no ``scipy`` module,
-        in a fresh interpreter since the test process may hold one."""
-        code = (
-            "import sys, nfmusic\n"
-            "cfg = nfmusic.ExperimentConfig(n_antennas=16, k_ues=2, trials=1,\n"
-            "    snr_db_list=(20.0,), azimuth_grid_points=10, elevation_grid_points=8,\n"
-            "    distance_grid_points=6)\n"
-            "nfmusic.run_experiment(cfg)\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        )
-        src = str(Path(harness.__file__).resolve().parents[1])
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            check=True,
-        )
-        assert result.stdout == "[]\n"
+        """Importing the package and running a sweep load no ``scipy`` module."""
+        assert not [m for m in _modules_after_fresh_run() if m.split(".")[0] == "scipy"]
+
+    def test_run_loads_no_numpy_ma(self):
+        """A sweep's aggregate takes no masked-array median, so no ``nfmusic run``
+        process pays the import of ``numpy.ma``."""
+        assert "numpy.ma" not in _modules_after_fresh_run()
 
     def test_csv_round_trip_consistency(self, tmp_path):
         cfg = _tiny_config()

@@ -232,6 +232,13 @@ class TestAggregate:
         assert agg.mean_nmse == pytest.approx((0.2 + 0.5 + 1.5) / 3)
         assert agg.mean_bf_gain == pytest.approx(0.85)
 
+    @given(st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=40))
+    def test_median_equals_numpy_median(self, nmses):
+        """The median of the per-trial NMSEs is numpy's median to the bit,
+        also for an even trial count, where it averages the middle pair."""
+        rows = [self._row("m", 0.0, t, 0, nm, 1.0, peaks=1) for t, nm in enumerate(nmses)]
+        assert aggregate(rows, ["m"], [0.0], 1)[0].median_nmse == float(np.median(nmses))
+
     def test_failed_trials_excluded_and_counted(self):
         rows = [
             self._row("m", 0.0, 0, 0, 0.2, 0.9),
