@@ -1,7 +1,7 @@
 """Print the pass rates of acceptance criteria 2 and 3 with one factor changed at a time.
 
 Usage: PYTHONPATH=src python scripts/gate_ceilings.py
-(or without PYTHONPATH when nfmusic is installed; about 10 s on 2 CPUs)
+(or without PYTHONPATH when nfmusic is installed; about 14 s on 2 CPUs)
 
 Criterion 3 runs ``two_step_estimate`` on its own setup: seed 1, 200 trials,
 users at zero elevation, the reference grids, and a trial passes when every

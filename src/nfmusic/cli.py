@@ -7,12 +7,15 @@ configured (or overridden) output directory.
 
 import argparse
 import dataclasses
+import functools
 import math
 import os
 import sys
 from pathlib import Path
 
 from .harness import (
+    SNR_REFS,
+    SPECTRUM_KINDS,
     ConfigError,
     ExperimentConfig,
     dump_spectrum,
@@ -24,7 +27,7 @@ from .harness import (
 
 def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if getattr(args, "snr_ref", None) is not None:
         cfg = dataclasses.replace(cfg, snr_ref=args.snr_ref)
@@ -101,34 +104,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Near-field channel estimation benchmark harness",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="flat key=value config file (angles in degrees)")
+    common.add_argument("--seed", type=int, help="override the config seed")
+    command = functools.partial(sub.add_parser, parents=[common])
 
-    run = sub.add_parser("run", help="run the Monte-Carlo benchmark sweep")
-    run.add_argument("--config", help="flat key=value config file (angles in degrees)")
+    run = command("run", help="run the Monte-Carlo benchmark sweep")
     run.add_argument("--out-dir", help="output directory (default from config)")
     run.add_argument("--threads", type=int, default=1, help="parallel trial workers")
-    run.add_argument("--seed", type=int, help="override the config seed")
     run.add_argument(
         "--snr-ref",
-        choices=("relative", "absolute"),
+        choices=SNR_REFS,
         help="noise reference: mean per-antenna received power, or literal 1/SNR",
     )
     run.add_argument("--progress", action="store_true", help="print per-SNR progress")
     run.set_defaults(func=_cmd_run)
 
-    fig1 = sub.add_parser("fig1", help="plane-slice spectra with many vs few pilots")
-    fig1.add_argument("--config", help="config file")
+    fig1 = command("fig1", help="plane-slice spectra with many vs few pilots")
     fig1.add_argument("--out-dir", help="output directory")
-    fig1.add_argument("--seed", type=int, help="override the config seed")
     fig1.add_argument("--snr-db", type=float, default=20.0)
     fig1.set_defaults(func=_cmd_fig1)
 
-    dump = sub.add_parser("dump-spectrum", help="dump one spectrum of one trial as CSV")
-    dump.add_argument("--config", help="config file")
-    dump.add_argument("--kind", choices=("angular", "distance", "xz"), required=True)
+    dump = command("dump-spectrum", help="dump one spectrum of one trial as CSV")
+    dump.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
     dump.add_argument("--out", required=True, help="output CSV path")
     dump.add_argument("--snr-db", type=float, help="SNR point (default: last in config)")
     dump.add_argument("--trial", type=int, default=0)
-    dump.add_argument("--seed", type=int, help="override the config seed")
     dump.add_argument("--azimuth-deg", type=float, help="fixed azimuth for kind=distance")
     dump.add_argument("--elevation-deg", type=float, help="fixed elevation for kind=distance")
     dump.set_defaults(func=_cmd_dump_spectrum)

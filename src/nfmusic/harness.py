@@ -5,8 +5,9 @@ the parametric pipeline against the non-parametric baselines.  Every random
 draw comes from a counter-based stream keyed by (seed, snr index, trial,
 role), so results are independent of scheduling and thread count.  Trials,
 the plane-slice scenario and spectrum dumps synthesize their data through
-the same two helpers, and the config parser, the config's type checks and
-the CSV writers read their schemas from the dataclass fields.
+the same two helpers.  The config parser and the CSV writers read their
+schemas from the dataclass fields, and one type check serves every config
+field and entry-point argument through its annotation.
 """
 
 import concurrent.futures
@@ -14,6 +15,7 @@ import contextlib
 import ctypes
 import dataclasses
 import functools
+import inspect
 import logging
 import math
 import numbers
@@ -76,6 +78,8 @@ from .subspace import noise_subspace, smoothed_covariance
 logger = logging.getLogger(__name__)
 
 PLACEMENT_BUDGET = 100_000
+SNR_REFS = ("relative", "absolute")
+SPECTRUM_KINDS = ("angular", "distance", "xz")
 # fig1 counts a peak as a found user within these distances (m) in x and in z:
 # 3 cells of the reference config's 100-point xz grid, fixed so that a grid
 # change cannot move the gate.
@@ -84,11 +88,6 @@ FIG1_MATCH_TOL = (0.5968531836437698, 0.2955886179412772)
 
 class ConfigError(ValueError):
     pass
-
-
-def _check_count(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or value < 1:
-        raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -138,19 +137,11 @@ class ExperimentConfig:
             object.__setattr__(self, "element_diag", self.wavelength / math.sqrt(2.0))
         if self.c_r is None:
             object.__setattr__(self, "c_r", 0 if self.k_ues == 1 else 1)
-        for name, low in _INT_LOWS.items():
-            value = getattr(self, name)
-            if value < low:
-                raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-        if not self.snr_db_list:
-            raise ConfigError("snr_db_list must be nonempty")
         # at 300 dB the noise amplitude is 1e-15 of the signal's, a few units in
         # the last place of a double, so a higher SNR is noiseless (inf) in
         # effect; below -300 dB the signal is buried as deep in the noise
         if not all(snr == math.inf or -300.0 <= snr <= 300.0 for snr in self.snr_db_list):
             raise ConfigError("snr_db_list entries must be in [-300, 300] dB or inf (noiseless)")
-        if len(set(self.snr_db_list)) != len(self.snr_db_list):
-            raise ConfigError("snr_db_list entries must be distinct")
         for what in ("azimuth_range", "elevation_range"):
             lo, hi = getattr(self, what)
             if not (-math.pi / 2 < lo <= hi < math.pi / 2):
@@ -227,15 +218,11 @@ class ExperimentConfig:
         for name in ("azimuth_grid_points", "elevation_grid_points"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2")
-        if self.snr_ref not in ("relative", "absolute"):
-            raise ConfigError("snr_ref must be 'relative' or 'absolute'")
+        if self.snr_ref not in SNR_REFS:
+            raise ConfigError(f"snr_ref must be one of {SNR_REFS}, got {self.snr_ref!r}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
-        if not self.methods:
-            raise ConfigError("methods must be nonempty")
-        if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("methods entries must be distinct")
 
     def geometry(self) -> ArrayGeometry:
         return ArrayGeometry(self.n_antennas, self.element_diag, self.wavelength)
@@ -291,20 +278,34 @@ _ITEMS = {
     float: (numbers.Real, "a real number", "real numbers"),
     str: (str, "a string", "strings"),
 }
+# an integer counts something, so it is >= 1, except these, which may be 0
+_ZERO_BASED = ("seed", "c_r", "trial")
 
 
 def _check_type(name: str, field_type, value) -> None:
-    """Raise a ConfigError naming ``name`` unless ``value`` fits the walk ``field_type``."""
+    """Raise a ConfigError naming ``name`` unless ``value`` fits the walk ``field_type``;
+    a tuple of any length must be nonempty with distinct entries."""
     optional, item, length = field_type
     kind, one, many = _ITEMS[item]
-    if length is None:
-        ok, want = isinstance(value, kind), one
-    else:
-        ok = isinstance(value, tuple) and length in (..., len(value))
-        ok = ok and all(isinstance(v, kind) for v in value)
-        want = f"a tuple of {many}" if length is ... else f"a tuple of {length} {many}"
+    low = 0 if name in _ZERO_BASED else 1
+    if item is int:
+        one, many = f"{one} >= {low}", f"{many} >= {low}"
+    ok = length is None or isinstance(value, tuple) and length in (..., len(value))
+    items = (value,) if length is None else value
+    ok = ok and all(isinstance(v, kind) and (item is not int or v >= low) for v in items)
+    want = one if length is None else f"a tuple of {length} {many}"
+    if length is ...:
+        # the entries' types are checked first, so only hashable ones reach set()
+        ok = ok and len(set(value)) == len(value) > 0
+        want = f"a nonempty tuple of distinct {many}"
     if not (ok or optional and value is None):
         raise ConfigError(f"{name} must be {want}{' or None' if optional else ''}, got {value!r}")
+
+
+def _check_arguments(func, **values) -> None:
+    """Check keyword values against ``func``'s annotations, looking through wrappers."""
+    for name, value in values.items():
+        _check_type(name, _field_type(inspect.unwrap(func).__annotations__[name]), value)
 
 
 def _field_parser(field_type):
@@ -325,8 +326,6 @@ def _field_parser(field_type):
 
 # each annotation is walked once, for the text parser and the type check
 _FIELD_TYPES = {f.name: _field_type(f.type) for f in dataclasses.fields(ExperimentConfig)}
-# every int field but the seed counts something, so it is >= 1; the seed is >= 0
-_INT_LOWS = {n: 1 for n, t in _FIELD_TYPES.items() if t == (False, int, None)} | {"seed": 0}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -597,7 +596,7 @@ def run_experiment(
     With ``progress``, a line is printed every 25 trials of an SNR point and
     at its last trial.
     """
-    _check_count("threads", threads)
+    _check_arguments(run_experiment, threads=threads)
     started = time.monotonic()
     g = cfg.geometry()
     grids = (cfg.angular_grid(), cfg.distance_grid())
@@ -723,10 +722,7 @@ def scenario_fig1(
     positions; with enough snapshots all users appear, with fewer than K
     they conflate.
     """
-    if not isinstance(l_values, (tuple, list)) or not l_values:
-        raise ConfigError(f"l_values must be a nonempty tuple or list, got {l_values!r}")
-    for l_pilots in l_values:
-        _check_count("l_values entries", l_pilots)
+    _check_arguments(scenario_fig1, l_values=l_values)
     # snr_db goes through the config so it is checked like a sweep's SNRs
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
     g = flat.geometry()
@@ -775,10 +771,11 @@ def dump_spectrum(
     (default: the last), because the trial's random streams are keyed by its
     position there.
     """
-    if kind not in ("angular", "distance", "xz"):
+    if kind not in SPECTRUM_KINDS:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
-    for name, value in (("snr_db", snr_db), ("azimuth", azimuth), ("elevation", elevation)):
-        _check_type(name, _field_type(Optional[float]), value)
+    _check_arguments(
+        dump_spectrum, snr_db=snr_db, trial=trial, azimuth=azimuth, elevation=elevation
+    )
     if (azimuth is None) != (elevation is None):
         raise ConfigError("give both azimuth and elevation, or neither")
     if azimuth is not None:
@@ -792,8 +789,6 @@ def dump_spectrum(
             f"snr_db {snr_db:g} is not in snr_db_list {list(cfg.snr_db_list)}; "
             "its random streams are keyed by the list position"
         )
-    if not isinstance(trial, numbers.Integral) or trial < 0:
-        raise ConfigError(f"trial must be an integer >= 0, got {trial!r}")
     snr_index = cfg.snr_db_list.index(snr_db)
     g = cfg.geometry()
     _, a_true = _place_users(cfg, g, (snr_index, trial))

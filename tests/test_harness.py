@@ -94,6 +94,8 @@ class TestConfigDefaults:
             dict(distance_range=(1.0, "5")),
             dict(distance_range=5.0),
             dict(methods=["proposed"]),
+            dict(methods=(["ls"],)),
+            dict(snr_db_list=(1.0, [2.0])),
         ],
     )
     def test_nonfinite_and_out_of_range_values_rejected(self, fields):
@@ -700,8 +702,8 @@ class TestScenarioFig1:
 
     @pytest.mark.parametrize(
         "l_values",
-        [(), (0,), (2.5,), (10, -1), (10, "3"), 10],
-        ids=["empty", "zero", "float", "negative", "str", "scalar"],
+        [(), (0,), (2.5,), (10, -1), (10, "3"), 10, [10, 3], (3, 3)],
+        ids=["empty", "zero", "float", "negative", "str", "scalar", "list", "repeated"],
     )
     def test_bad_pilot_lengths_rejected_before_placement(self, l_values, monkeypatch):
         monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
@@ -1053,6 +1055,17 @@ class TestCli:
         assert "azimuth" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dump_spectrum_unknown_kind_is_a_usage_error(self, tmp_path):
+        """The CLI's --kind choices are the kinds dump_spectrum accepts, so a
+        kind it rejects stops argparse with status 2 before any config loads."""
+        with pytest.raises(ConfigError, match="unknown spectrum kind"):
+            harness.dump_spectrum(_tiny_config(), "polar", tmp_path / "p.csv")
+        out = tmp_path / "spec.csv"
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dump-spectrum", "--kind", "polar", "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     def test_dump_spectrum_negative_trial_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n")
@@ -1142,6 +1155,20 @@ class TestCli:
         assert rc == 2
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
+
+    def test_argument_checks_look_through_a_wrapper(self, monkeypatch):
+        """A tracer may replace an entry point with a wrapper that names the
+        original as ``__wrapped__``; the entry point's own checks still run."""
+        inner = harness.run_experiment
+
+        def traced(*args, **kwargs):
+            return inner(*args, **kwargs)
+
+        traced.__wrapped__ = inner
+        monkeypatch.setattr(harness, "run_experiment", traced)
+        with pytest.raises(ConfigError, match="threads"):
+            harness.run_experiment(_tiny_config(trials=1), threads=0)
+        assert len(harness.run_experiment(_tiny_config(trials=1)).records) > 0
 
     @pytest.mark.parametrize(
         "name, content",
