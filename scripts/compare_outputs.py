@@ -7,10 +7,12 @@ For every CSV of the set it prints one line: ``identical`` when the two files
 are byte-identical; for a spectrum that differs, the largest relative
 difference of its values and whether the K tallest ``find_peaks`` cells are
 the same on both sides; for a sweep table that differs, the number of rows
-that differ, followed by each such row from both sides.  Exits 1 when a file
+that differ, followed by each such row from both sides, where a row past the
+end of the shorter table reads ``(no row)``.  Exits 1 when a file
 is missing on either side, 0 otherwise: a difference is reported, not judged.
 """
 
+import itertools
 import sys
 from pathlib import Path
 
@@ -42,7 +44,9 @@ def compare_spectra(lines_a: list[str], lines_b: list[str], k: int) -> str:
 
 
 def compare_rows(lines_a: list[str], lines_b: list[str]) -> str:
-    differing = [(i, x, y) for i, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y]
+    """Rows past the end of the shorter table differ from a missing row."""
+    pairs = itertools.zip_longest(lines_a, lines_b, fillvalue="(no row)")
+    differing = [(i, x, y) for i, (x, y) in enumerate(pairs) if x != y]
     text = f"{len(differing)} of {len(lines_a) - 1} rows differ"
     if len(lines_a) != len(lines_b):
         text += f" (row counts {len(lines_a) - 1} vs {len(lines_b) - 1})"

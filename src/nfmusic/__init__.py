@@ -3,7 +3,6 @@
 from .channel import (
     ChannelMatrix,
     array_response,
-    channel_coefficient,
     channel_exact_integral,
     channel_matrix,
     farfield_response,

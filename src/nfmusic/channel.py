@@ -95,11 +95,6 @@ def array_response(g: ArrayGeometry, x, y, z) -> np.ndarray:
     return amp * _spherical_phase(r, g.wavelength)
 
 
-def channel_coefficient(g: ArrayGeometry, loc: UeLocation, n: int, m: int) -> complex:
-    """Closed-form channel from a user at ``loc`` to element (n, m), 1-based."""
-    return complex(array_response(g, loc.x, loc.y, loc.z)[g.index(n, m)])
-
-
 def farfield_response(
     g: ArrayGeometry, azimuth, elevation, centers: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -152,26 +147,19 @@ def polar_steering(g: ArrayGeometry, terms: PolarTerms, azimuth, elevation) -> n
     return _spherical_phase(r, g.wavelength, out)
 
 
-def polar_response(
-    g: ArrayGeometry,
-    azimuth,
-    elevation,
-    distance,
-    centers: Optional[np.ndarray] = None,
-) -> np.ndarray:
+def polar_response(g: ArrayGeometry, azimuth, elevation, distance) -> np.ndarray:
     """Unit-modulus spherical-phase response parameterized in polar form.
 
     Phase per element is -(2 pi / wavelength) times the polar-form distance
     sqrt(d**2 + x**2 + y**2 - 2 d (cos(el) sin(az) x + sin(el) y)) to the
-    element centre (x, y) in ``centers`` (default: the whole array), so the
-    vector is a literal phase-only version of the exact response; only the
-    per-element amplitude is dropped.  The common distance-dependent phase is
-    kept (spectral quotients are invariant to it).  It is
-    :func:`polar_steering` of :func:`polar_terms`, so a search over distance
-    can keep the angle-free terms and pay only the per-angle remainder.
+    element centre (x, y) of ``g``, so the vector is a literal phase-only
+    version of the exact response; only the per-element amplitude is dropped.
+    The common distance-dependent phase is kept (spectral quotients are
+    invariant to it).  It is :func:`polar_steering` of :func:`polar_terms`,
+    so a search over distance can keep the angle-free terms and pay only the
+    per-angle remainder.
     """
-    centers = g.centers if centers is None else centers
-    return polar_steering(g, polar_terms(distance, centers, azimuth, elevation), azimuth, elevation)
+    return polar_steering(g, polar_terms(distance, g.centers, azimuth, elevation), azimuth, elevation)
 
 
 def channel_matrix(g: ArrayGeometry, locations: Sequence[UeLocation]) -> ChannelMatrix:

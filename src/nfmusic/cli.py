@@ -9,7 +9,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -18,6 +17,8 @@ from .harness import (
     SPECTRUM_KINDS,
     ConfigError,
     ExperimentConfig,
+    check_output_dir,
+    check_output_file,
     dump_spectrum,
     parse_config,
     run_experiment,
@@ -34,19 +35,9 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _check_directory(path: Path, name: str) -> None:
-    """Raise ConfigError unless ``path``, or the nearest existing path above
-    it, is a directory, so a command fails before its trials, not at the write."""
-    for existing in (path, *path.parents):
-        if existing.exists():
-            if not existing.is_dir():
-                raise ConfigError(f"{name} {path}: {existing} is not a directory")
-            return
-
-
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
     name, out_dir = ("--out-dir", args.out_dir) if args.out_dir else ("out_dir", cfg.out_dir)
-    _check_directory(Path(out_dir), name)
+    check_output_dir(out_dir, name)
     return Path(out_dir)
 
 
@@ -79,10 +70,7 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_dump_spectrum(args) -> int:
     cfg = _load_config(args)
-    # "DIR/" and "DIR/." name a directory even where DIR does not exist yet
-    if os.path.basename(args.out) in ("", ".", "..") or Path(args.out).is_dir():
-        raise ConfigError(f"--out {args.out}: names a directory, not a file")
-    _check_directory(Path(args.out).parent, "--out")
+    check_output_file(args.out, "--out")
     azimuth = math.radians(args.azimuth_deg) if args.azimuth_deg is not None else None
     elevation = math.radians(args.elevation_deg) if args.elevation_deg is not None else None
     path = dump_spectrum(

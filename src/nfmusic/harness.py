@@ -20,6 +20,7 @@ import logging
 import math
 import numbers
 import operator
+import os
 import time
 import typing
 import warnings as _warnings
@@ -284,7 +285,8 @@ _ZERO_BASED = ("seed", "c_r", "trial")
 
 def _check_type(name: str, field_type, value) -> None:
     """Raise a ConfigError naming ``name`` unless ``value`` fits the walk ``field_type``;
-    a tuple of any length must be nonempty with distinct entries."""
+    a bool is not a number, and a tuple of any length must be nonempty with
+    distinct entries."""
     optional, item, length = field_type
     kind, one, many = _ITEMS[item]
     low = 0 if name in _ZERO_BASED else 1
@@ -292,7 +294,10 @@ def _check_type(name: str, field_type, value) -> None:
         one, many = f"{one} >= {low}", f"{many} >= {low}"
     ok = length is None or isinstance(value, tuple) and length in (..., len(value))
     items = (value,) if length is None else value
-    ok = ok and all(isinstance(v, kind) and (item is not int or v >= low) for v in items)
+    ok = ok and all(
+        isinstance(v, kind) and not isinstance(v, bool) and (item is not int or v >= low)
+        for v in items
+    )
     want = one if length is None else f"a tuple of {length} {many}"
     if length is ...:
         # the entries' types are checked first, so only hashable ones reach set()
@@ -306,6 +311,27 @@ def _check_arguments(func, **values) -> None:
     """Check keyword values against ``func``'s annotations, looking through wrappers."""
     for name, value in values.items():
         _check_type(name, _field_type(inspect.unwrap(func).__annotations__[name]), value)
+
+
+def check_output_dir(path, name: str) -> None:
+    """Raise a ConfigError naming ``name`` unless ``path``, or the nearest
+    existing path above it, is a directory, so a run fails before its work,
+    not at the write."""
+    path = Path(path)
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                raise ConfigError(f"{name} {path}: {existing} is not a directory")
+            return
+
+
+def check_output_file(path, name: str) -> None:
+    """Raise a ConfigError naming ``name`` unless ``path`` can name a file
+    under a directory (see :func:`check_output_dir`)."""
+    # "DIR/" and "DIR/." name a directory even where DIR does not exist yet
+    if os.path.basename(path) in ("", ".", "..") or Path(path).is_dir():
+        raise ConfigError(f"{name} {path}: names a directory, not a file")
+    check_output_dir(Path(path).parent, name)
 
 
 def _field_parser(field_type):
@@ -597,6 +623,8 @@ def run_experiment(
     at its last trial.
     """
     _check_arguments(run_experiment, threads=threads)
+    if out_dir is not None:
+        check_output_dir(out_dir, "out_dir")
     started = time.monotonic()
     g = cfg.geometry()
     grids = (cfg.angular_grid(), cfg.distance_grid())
@@ -723,6 +751,8 @@ def scenario_fig1(
     they conflate.
     """
     _check_arguments(scenario_fig1, l_values=l_values)
+    if out_dir is not None:
+        check_output_dir(out_dir, "out_dir")
     # snr_db goes through the config so it is checked like a sweep's SNRs
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
     g = flat.geometry()
@@ -776,6 +806,7 @@ def dump_spectrum(
     _check_arguments(
         dump_spectrum, snr_db=snr_db, trial=trial, azimuth=azimuth, elevation=elevation
     )
+    check_output_file(out_path, "out_path")
     if (azimuth is None) != (elevation is None):
         raise ConfigError("give both azimuth and elevation, or neither")
     if azimuth is not None:

@@ -148,8 +148,6 @@ def match_estimates(
     """
     if not true_locs:
         return []
-    if not est_locs:
-        return [None] * len(true_locs)
     cost = [[location_cost(t, e, d_scale) for e in est_locs] for t in true_locs]
     rows, cols = _linear_sum_assignment(cost)
     perm: list[Optional[int]] = [None] * len(true_locs)

@@ -133,7 +133,6 @@ class SpectrumGrid:
 class Peak:
     indices: tuple[int, ...]
     coords: tuple[float, ...]
-    value: float
 
 
 @dataclass(frozen=True)
@@ -338,8 +337,6 @@ def find_peaks(spectrum: SpectrumGrid, k: int) -> PeakSet:
     values = spectrum.values
     mask = _interior_maxima(values)
     idx = np.argwhere(mask) + 1
-    if idx.size == 0:
-        return PeakSet(peaks=(), requested=k)
     peak_vals = values[tuple(idx.T)]
     linear = np.ravel_multi_index(tuple(idx.T), values.shape)
     order = np.lexsort((linear, -peak_vals))[:k]
@@ -348,7 +345,6 @@ def find_peaks(spectrum: SpectrumGrid, k: int) -> PeakSet:
         Peak(
             indices=tuple(int(i) for i in idx[o]),
             coords=tuple(float(axis_pts[a][idx[o][a]]) for a in range(len(axis_pts))),
-            value=float(peak_vals[o]),
         )
         for o in order
     )

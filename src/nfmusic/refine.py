@@ -6,6 +6,7 @@ channel columns.  It mostly compensates phase error from location-parameter
 quantization but also fixes amplitude mismatch.
 """
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -18,12 +19,6 @@ NORMAL_COND_LIMIT = 1e12
 
 class IllConditionedError(ValueError):
     """Raised when the stacked least-squares system is numerically rank deficient."""
-
-    def __init__(self, condition: float):
-        super().__init__(
-            f"stacked normal matrix condition {condition:.3e} exceeds {NORMAL_COND_LIMIT:.0e}"
-        )
-        self.condition = condition
 
 
 def reconstruct_channels(
@@ -56,11 +51,11 @@ def estimate_correctors(
         )
     stacked = np.vstack([a_hat * pilots[:, col][None, :] for col in range(l)])
     alpha, _, _, sing = np.linalg.lstsq(stacked, received.reshape(-1, order="F"), rcond=None)
-    if sing[-1] == 0.0:
-        raise IllConditionedError(np.inf)
-    cond_normal = (sing[0] / sing[-1]) ** 2
+    cond_normal = (sing[0] / sing[-1]) ** 2 if sing[-1] else math.inf
     if cond_normal > NORMAL_COND_LIMIT:
-        raise IllConditionedError(float(cond_normal))
+        raise IllConditionedError(
+            f"stacked normal matrix condition {cond_normal:.3e} exceeds {NORMAL_COND_LIMIT:.0e}"
+        )
     if not np.all(np.isfinite(alpha)):
         raise ValueError("corrector entries must be finite")
     return alpha

@@ -7,7 +7,6 @@ import pytest
 from nfmusic.channel import (
     ChannelMatrix,
     array_response,
-    channel_coefficient,
     channel_exact_integral,
     channel_matrix,
     farfield_response,
@@ -43,25 +42,32 @@ def brute_coefficient(g, loc, n, m):
     return amp * cmath.exp(-2j * math.pi * r / g.wavelength)
 
 
+def coefficient(g, loc, n, m):
+    """Entry (n, m), 1-based, of the exact response to a user at ``loc``."""
+    return array_response(g, loc.x, loc.y, loc.z)[g.index(n, m)]
+
+
 class TestChannelCoefficient:
     def test_directly_above_element(self, geo):
         cx, cy, _ = geo.centers[geo.index(3, 7)]
         z = 2.0
-        h = channel_coefficient(geo, UeLocation(cx, cy, z), 3, 7)
+        h = coefficient(geo, UeLocation(cx, cy, z), 3, 7)
         expected = geo.element_diag / (math.sqrt(8 * math.pi) * z)
         assert abs(h) == pytest.approx(expected, rel=1e-12)
 
     def test_unit_phase_at_integer_wavelength_distance(self, geo):
         # above element center at z = 5 wavelengths: r = 0.5 m exactly
         cx, cy, _ = geo.centers[geo.index(5, 5)]
-        h = channel_coefficient(geo, UeLocation(cx, cy, 0.5), 5, 5)
+        h = coefficient(geo, UeLocation(cx, cy, 0.5), 5, 5)
         assert h.imag == pytest.approx(0.0, abs=1e-9)
         assert h.real > 0
 
     def test_against_independent_evaluation(self, geo):
-        loc = UeLocation(1.0, 0.5, 3.0)
-        got = channel_coefficient(geo, loc, 1, 1)
-        assert got == pytest.approx(brute_coefficient(geo, loc, 1, 1), rel=1e-12)
+        """Corner and neighbouring elements also pin the row-major ordering."""
+        for loc in (UeLocation(1.0, 0.5, 3.0), UeLocation(0.3, -0.2, 2.5)):
+            for n, m in ((1, 1), (1, geo.side), (2, 1), (geo.side, geo.side)):
+                got = coefficient(geo, loc, n, m)
+                assert got == pytest.approx(brute_coefficient(geo, loc, n, m), rel=1e-12)
 
 
 class TestArrayResponse:
@@ -69,14 +75,6 @@ class TestArrayResponse:
         a = array_response(geo, 0.0, 0.0, 2.0).reshape(geo.side, geo.side)
         assert np.allclose(a, a[::-1, :], rtol=1e-9)
         assert np.allclose(a, a[:, ::-1], rtol=1e-9)
-
-    def test_ordering_matches_coefficients(self, geo):
-        loc = UeLocation(0.3, -0.2, 2.5)
-        a = array_response(geo, loc.x, loc.y, loc.z)
-        for n, m in ((1, 1), (1, geo.side), (2, 1), (geo.side, geo.side)):
-            assert a[geo.index(n, m)] == pytest.approx(
-                channel_coefficient(geo, loc, n, m), rel=1e-12
-            )
 
     def test_norm_matches_elementwise_loop(self, geo):
         loc = UeLocation(0.0, 0.0, 2.0)
@@ -228,10 +226,10 @@ class TestBatchedResponses:
 
     def test_polar_over_all_coordinates(self, geo, points):
         az, el, d = points["az"], points["el"], points["d"]
-        sub = ArrayGeometry(81, geo.element_diag, geo.wavelength).centers
+        sub = ArrayGeometry(81, geo.element_diag, geo.wavelength)
         self._assert_columns(
-            polar_response(geo, az, el, d, sub),
-            lambda j: polar_response(geo, az[j], el[j], d[j], sub),
+            polar_response(sub, az, el, d),
+            lambda j: polar_response(sub, az[j], el[j], d[j]),
             len(d),
             81,
         )
@@ -240,12 +238,12 @@ class TestBatchedResponses:
         """Terms built once over a distance grid and steered to each angle give
         the per-point polar response bit for bit."""
         az, el, d = points["az"], points["el"], points["d"]
-        sub = ArrayGeometry(81, geo.element_diag, geo.wavelength).centers
-        terms = polar_terms(d, sub)
+        sub = ArrayGeometry(81, geo.element_diag, geo.wavelength)
+        terms = polar_terms(d, sub.centers)
         for i in range(len(az)):
             self._assert_columns(
                 polar_steering(geo, terms, az[i], el[i]),
-                lambda j: polar_response(geo, az[i], el[i], d[j], sub),
+                lambda j: polar_response(sub, az[i], el[i], d[j]),
                 len(d),
                 81,
             )
@@ -306,7 +304,7 @@ class TestExactIntegral:
             cx, cy, _ = geo.centers[geo.index(n, m)]
             for d in (d_lower, 2.0, 5.0, 10.0):
                 loc = UeLocation(cx, cy, d)
-                closed = channel_coefficient(geo, loc, n, m)
+                closed = coefficient(geo, loc, n, m)
                 quad = channel_exact_integral(geo, loc, n, m)
                 assert quad.converged
                 assert abs(quad.value - closed) / abs(closed) < 0.01
@@ -316,7 +314,7 @@ class TestExactIntegral:
         devs = []
         for d in (1.5, 3.0, 6.0, 12.0):
             loc = UeLocation(cx, cy, d)
-            closed = channel_coefficient(geo, loc, 4, 4)
+            closed = coefficient(geo, loc, 4, 4)
             devs.append(abs(channel_exact_integral(geo, loc, 4, 4).value - closed) / abs(closed))
         assert all(a > b for a, b in zip(devs, devs[1:]))
 
@@ -326,7 +324,7 @@ class TestExactIntegral:
         loc = polar_to_cart(PolarLocation(0.4, 0.1, 3.0))
 
         def rel(g):
-            closed = channel_coefficient(g, loc, 3, 4)
+            closed = coefficient(g, loc, 3, 4)
             return abs(channel_exact_integral(g, loc, 3, 4).value - closed) / abs(closed)
 
         # oblique incidence: the electrically smaller element is far closer

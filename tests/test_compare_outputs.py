@@ -80,6 +80,31 @@ def test_changed_table_row_is_shown_from_both_sides(tmp_path, capsys):
     assert all(report[n] == "identical" for n in csv_names() if n not in tables)
 
 
+@pytest.mark.parametrize(
+    "rows_b, row_counts, row, row_a, row_b",
+    [
+        ((*TABLE_ROWS, "rls,20,0.25"), "3 vs 4", 4, "(no row)", "rls,20,0.25"),
+        (TABLE_ROWS[:2], "3 vs 2", 3, TABLE_ROWS[2], "(no row)"),
+    ],
+    ids=["appended", "dropped"],
+)
+def test_row_past_the_shorter_table_is_shown(
+    rows_b, row_counts, row, row_a, row_b, tmp_path, capsys
+):
+    _write_outputs(tmp_path / "a")
+    _write_outputs(tmp_path / "b", table_rows=rows_b)
+    rc, report = _compare(tmp_path, capsys)
+    assert rc == 0
+    tables = [n for n in csv_names() if n.endswith(("trials.csv", "aggregate.csv"))]
+    for name in tables:
+        assert report[name].splitlines() == [
+            f"1 of 3 rows differ (row counts {row_counts})",
+            f"row {row}:",
+            f"A {row_a}",
+            f"B {row_b}",
+        ]
+
+
 def test_scaled_spectrum_value_keeps_its_peaks(tmp_path, capsys):
     scaled = dict(PLANE_PEAKS)
     scaled[(2, 5)] *= 1.25

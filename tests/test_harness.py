@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -301,9 +302,15 @@ class TestConfigSchema:
     )
     def test_ill_typed_python_value_rejected(self, field):
         """The Python twin of the line test: a config built in code rejects a
-        string for a numeric field with ConfigError, not a TypeError."""
+        string for a numeric field with ConfigError, not a TypeError, and a
+        bool for a number, alone or in a tuple, by the type rule."""
         with pytest.raises(ConfigError, match=field.name):
             ExperimentConfig(**{field.name: "x"})
+        sample = getattr(_SAMPLE, field.name)
+        flag = (True,) * len(sample) if isinstance(sample, tuple) else True
+        want = rf"{field.name} must be .*, got {re.escape(repr(flag))}"
+        with pytest.raises(ConfigError, match=want):
+            ExperimentConfig(**{field.name: flag})
 
     @pytest.mark.parametrize(
         "field",
@@ -463,7 +470,7 @@ class TestRunExperiment:
 
     def test_corrector_failure_fails_only_corrected_method(self, monkeypatch):
         def ill_conditioned(*args, **kwargs):
-            raise IllConditionedError(math.inf)
+            raise IllConditionedError("stacked normal matrix condition inf exceeds 1e+12")
 
         monkeypatch.setattr(harness, "estimate_correctors", ill_conditioned)
         cfg = _tiny_config(methods=("proposed", "proposed_nocorrect", "ls", "rls"), trials=2)
@@ -695,15 +702,15 @@ class TestScenarioFig1:
         assert dump[0] == "axis1,axis2,value"
         assert len(dump) == 1 + 60 * 60
 
-    @pytest.mark.parametrize("snr_db", [-math.inf, "20"])
+    @pytest.mark.parametrize("snr_db", [-math.inf, "20", True])
     def test_minus_inf_snr_rejected(self, snr_db):
         with pytest.raises(ConfigError, match="snr_db_list"):
             scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=snr_db)
 
     @pytest.mark.parametrize(
         "l_values",
-        [(), (0,), (2.5,), (10, -1), (10, "3"), 10, [10, 3], (3, 3)],
-        ids=["empty", "zero", "float", "negative", "str", "scalar", "list", "repeated"],
+        [(), (0,), (2.5,), (10, -1), (10, "3"), 10, [10, 3], (3, 3), (10, True)],
+        ids=["empty", "zero", "float", "negative", "str", "scalar", "list", "repeated", "bool"],
     )
     def test_bad_pilot_lengths_rejected_before_placement(self, l_values, monkeypatch):
         monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
@@ -828,6 +835,8 @@ class TestDumpSpectrum:
             ("angular", dict(trial="0"), "trial must be an integer >= 0"),
             ("angular", dict(snr_db="20"), "snr_db must be a real number"),
             ("distance", dict(azimuth="0.1", elevation=0.0), "azimuth must be a real number"),
+            ("angular", dict(trial=True), "trial must be an integer >= 0"),
+            ("angular", dict(snr_db=True), "snr_db must be a real number"),
         ],
     )
     def test_bad_argument_is_a_config_error_before_writing(self, kind, kwargs, match, tmp_path):
@@ -1136,7 +1145,7 @@ class TestCli:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
 
-    @pytest.mark.parametrize("threads", [2.5, 1.0, "2", None])
+    @pytest.mark.parametrize("threads", [2.5, 1.0, "2", None, True])
     def test_non_integer_thread_count_rejected_before_any_trial(self, threads, monkeypatch):
         monkeypatch.setattr(harness, "_run_trial", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ConfigError, match="threads must be an integer"):
@@ -1214,6 +1223,35 @@ class TestCli:
         assert cli_main([*argv, "--config", "exp.cfg"]) == 2
         assert name in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile", "exp.cfg"]
+        assert (tmp_path / "afile").read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "entry, kwargs, name",
+        [
+            ("run_experiment", dict(out_dir="afile"), "out_dir"),
+            ("run_experiment", dict(out_dir="afile/sub"), "out_dir"),
+            ("scenario_fig1", dict(out_dir="afile"), "out_dir"),
+            ("dump_spectrum", dict(kind="angular", out_path="adir"), "out_path"),
+            ("dump_spectrum", dict(kind="angular", out_path="missing/"), "out_path"),
+            ("dump_spectrum", dict(kind="xz", out_path="afile/spec.csv"), "out_path"),
+        ],
+        ids=[
+            "run_existing_file", "run_under_file", "fig1_existing_file",
+            "dump_existing_dir", "dump_trailing_slash", "dump_under_file",
+        ],
+    )
+    def test_python_entry_point_checks_output_path_first(
+        self, entry, kwargs, name, tmp_path, monkeypatch
+    ):
+        """Called from Python, each entry point rejects an unusable output path
+        before it places a single user."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
+        (tmp_path / "afile").write_text("keep\n")
+        (tmp_path / "adir").mkdir()
+        with pytest.raises(ConfigError, match=name):
+            getattr(harness, entry)(_tiny_config(trials=1), **kwargs)
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
         assert (tmp_path / "afile").read_text() == "keep\n"
 
     def test_bad_config_returns_error_code(self, tmp_path, capsys):

@@ -378,8 +378,8 @@ class TestSignalSubspaceForm:
         block = received_block(a, gen_pilots(2, 8, stream(12, 0)), 15.0, stream(12, 1))
         un = noise_subspace(smoothed_covariance(block, c_r), 2)
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
-        centers = ArrayGeometry(un.dim, g.element_diag, g.wavelength).centers
-        steering = polar_response(g, 0.3, -0.1, grid.axis_points()[0], centers)
+        sub = ArrayGeometry(un.dim, g.element_diag, g.wavelength)
+        steering = polar_response(sub, 0.3, -0.1, grid.axis_points()[0])
         want = music._guarded_quotient(steering.shape[0], music._signal_energy(un, steering))
         for _ in range(2):  # a cold and a warm distance bank
             got = spectrum_1d_distance(un, 0.3, -0.1, grid, g).values
@@ -524,7 +524,8 @@ class TestFindPeaks:
         brute.sort(reverse=True)
         assert peaks.found == 3
         assert [p.indices for p in peaks.peaks] == [(i, j) for _, i, j in brute[:3]]
-        assert [p.value for p in peaks.peaks] == sorted((p.value for p in peaks.peaks), reverse=True)
+        heights = [vals[p.indices] for p in peaks.peaks]
+        assert heights == sorted(heights, reverse=True)
 
     def test_tie_breaks_by_lowest_linear_index(self):
         vals = np.ones(11)
@@ -572,7 +573,7 @@ class TestFindPeaks:
         peaks = find_peaks(SpectrumGrid(grid, values), k)
         want = self._brute_peaks(values)[:k]
         assert [p.indices for p in peaks.peaks] == want
-        assert [p.value for p in peaks.peaks] == [values[idx] for idx in want]
+        assert [values[p.indices] for p in peaks.peaks] == [values[idx] for idx in want]
         points = grid.axis_points()
         for p in peaks.peaks:
             assert p.coords == tuple(points[a][i] for a, i in enumerate(p.indices))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -141,8 +142,18 @@ class TestEstimateCorrectors:
 
     def test_rank_deficient_raises(self):
         a = np.ones((6, 2), dtype=complex)  # identical columns
-        with pytest.raises(IllConditionedError):
+        with pytest.raises(IllConditionedError, match=r"condition \S+ exceeds 1e\+12"):
             estimate_correctors(a, np.ones((2, 1)), np.ones((6, 1)) + 0j)
+
+    def test_zero_column_has_infinite_condition(self):
+        """A zero column makes the smallest singular value exactly 0: the
+        condition is inf, reported without a division warning."""
+        a = np.ones((6, 2), dtype=complex)
+        a[:, 1] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IllConditionedError, match=r"condition inf exceeds 1e\+12"):
+                estimate_correctors(a, np.ones((2, 2)), np.ones((6, 2)) + 0j)
 
 
 class TestApplyCorrection:
