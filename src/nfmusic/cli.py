@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    SNR_REFS,
     SPECTRUM_KINDS,
     ConfigError,
     ExperimentConfig,
@@ -30,8 +29,6 @@ def _load_config(args) -> ExperimentConfig:
     cfg = parse_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    if getattr(args, "snr_ref", None) is not None:
-        cfg = dataclasses.replace(cfg, snr_ref=args.snr_ref)
     return cfg
 
 
@@ -100,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = command("run", help="run the Monte-Carlo benchmark sweep")
     run.add_argument("--out-dir", help="output directory (default from config)")
     run.add_argument("--threads", type=int, default=1, help="parallel trial workers")
-    run.add_argument(
-        "--snr-ref",
-        choices=SNR_REFS,
-        help="noise reference: mean per-antenna received power, or literal 1/SNR",
-    )
     run.add_argument("--progress", action="store_true", help="print per-SNR progress")
     run.set_defaults(func=_cmd_run)
 

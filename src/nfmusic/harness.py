@@ -79,7 +79,6 @@ from .subspace import noise_subspace, smoothed_covariance
 logger = logging.getLogger(__name__)
 
 PLACEMENT_BUDGET = 100_000
-SNR_REFS = ("relative", "absolute")
 SPECTRUM_KINDS = ("angular", "distance", "xz")
 # fig1 counts a peak as a found user within these distances (m) in x and in z:
 # 3 cells of the reference config's 100-point xz grid, fixed so that a grid
@@ -125,9 +124,7 @@ class ExperimentConfig:
     elevation_grid_points: int = 120
     distance_grid_points: int = 100
     cart_grid_points: int = 100
-    distance_spacing: str = "inverse"  # or "uniform"
     methods: tuple[str, ...] = ("proposed", "proposed_nocorrect", "ls", "rls")
-    snr_ref: str = "relative"  # or "absolute"
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -176,7 +173,7 @@ class ExperimentConfig:
                 )
             object.__setattr__(self, "distance_range", (d_lower, d_upper))
         for keys, build in (
-            ("distance_range, distance_grid_points, distance_spacing", self.distance_grid),
+            ("distance_range, distance_grid_points", self.distance_grid),
             ("cart_grid_points", self.xz_grid),
         ):
             try:
@@ -184,10 +181,10 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError(f"{keys}: {exc}") from exc
         # a trial squares each user's coordinates to score its location, the channel
-        # model raises distances to the 2.5th power, and the relative-SNR noise
-        # reference is a user's mean per-antenna power |a|^2 / N: users straight
-        # ahead at either end of the range, and the weakest one, at the far end and
-        # the widest angles, show whether all three stay in float range
+        # model raises distances to the 2.5th power, and the noise reference is a
+        # user's mean per-antenna power |a|^2 / N: users straight ahead at either end
+        # of the range, and the weakest one, at the far end and the widest angles,
+        # show whether all three stay in float range
         d_min, d_max = self.distance_range
         az, el = (max(map(abs, r)) for r in (self.azimuth_range, self.elevation_range))
         for angles, d in (((0.0, 0.0), d_min), ((0.0, 0.0), d_max), ((az, el), d_max)):
@@ -219,8 +216,6 @@ class ExperimentConfig:
         for name in ("azimuth_grid_points", "elevation_grid_points"):
             if getattr(self, name) < 2:
                 raise ConfigError(f"{name} must be >= 2")
-        if self.snr_ref not in SNR_REFS:
-            raise ConfigError(f"snr_ref must be one of {SNR_REFS}, got {self.snr_ref!r}")
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; known: {tuple(METHODS)}")
@@ -242,9 +237,8 @@ class ExperimentConfig:
         )
 
     def distance_grid(self) -> GridSpec:
-        axis = GridAxis(
-            "distance", *self.distance_range, self.distance_grid_points, self.distance_spacing
-        )
+        """Distance search grid, its points uniform in 1/d."""
+        axis = GridAxis("distance", *self.distance_range, self.distance_grid_points, "inverse")
         return GridSpec((axis,))
 
     def xz_grid(self) -> GridSpec:
@@ -332,6 +326,17 @@ def check_output_file(path, name: str) -> None:
     if os.path.basename(path) in ("", ".", "..") or Path(path).is_dir():
         raise ConfigError(f"{name} {path}: names a directory, not a file")
     check_output_dir(Path(path).parent, name)
+
+
+def _output_files(out_dir, names: Sequence[str]) -> list[Optional[Path]]:
+    """``out_dir / name`` for each of ``names``, each checked to name a file (see
+    :func:`check_output_file`) before any work; all None when ``out_dir`` is None."""
+    if out_dir is None:
+        return [None] * len(names)
+    paths = [Path(out_dir) / name for name in names]
+    for path in paths:
+        check_output_file(path, "out_dir")
+    return paths
 
 
 def _field_parser(field_type):
@@ -465,12 +470,9 @@ def _observe(
     key: tuple[int, int],
 ) -> SnapshotBlock:
     """Pilots and the received block for ``a_true``, drawn from the pilot and
-    noise streams at ``key``, with the configured noise reference."""
+    noise streams at ``key``."""
     pilots = gen_pilots(cfg.k_ues, l_pilots, stream(cfg.seed, *key, ROLE_PILOTS))
-    noise_ref = None if cfg.snr_ref == "relative" else 1.0
-    return received_block(
-        a_true, pilots, snr_db, stream(cfg.seed, *key, ROLE_NOISE), noise_ref=noise_ref
-    )
+    return received_block(a_true, pilots, snr_db, stream(cfg.seed, *key, ROLE_NOISE))
 
 
 def _two_step(cfg, g, block, grids, truth, context):
@@ -623,8 +625,7 @@ def run_experiment(
     at its last trial.
     """
     _check_arguments(run_experiment, threads=threads)
-    if out_dir is not None:
-        check_output_dir(out_dir, "out_dir")
+    trials_csv, aggregate_csv = _output_files(out_dir, ("trials.csv", "aggregate.csv"))
     started = time.monotonic()
     g = cfg.geometry()
     grids = (cfg.angular_grid(), cfg.distance_grid())
@@ -650,9 +651,8 @@ def run_experiment(
     report = MetricReport(records=tuple(records), aggregates=tuple(aggregates))
 
     if out_dir is not None:
-        out = Path(out_dir)
-        write_trial_csv(report.records, out / "trials.csv")
-        write_aggregate_csv(report.aggregates, out / "aggregate.csv")
+        write_trial_csv(report.records, trials_csv)
+        write_aggregate_csv(report.aggregates, aggregate_csv)
 
     elapsed = time.monotonic() - started
     if elapsed > 600.0:
@@ -751,8 +751,7 @@ def scenario_fig1(
     they conflate.
     """
     _check_arguments(scenario_fig1, l_values=l_values)
-    if out_dir is not None:
-        check_output_dir(out_dir, "out_dir")
+    dump_paths = _output_files(out_dir, [f"fig1_L{l_pilots}.csv" for l_pilots in l_values])
     # snr_db goes through the config so it is checked like a sweep's SNRs
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
     g = flat.geometry()
@@ -761,15 +760,14 @@ def scenario_fig1(
     grid = flat.xz_grid()
 
     cases = []
-    for l_pilots in l_values:
+    for l_pilots, dump_path in zip(l_values, dump_paths):
         block = _observe(flat, a_true, l_pilots, snr_db, (l_pilots, 0))
         # a zero shift keeps one subarray, the whole array
         spec = spectrum_3d(noise_subspace(smoothed_covariance(block, 0), flat.k_ues), grid, g)
         peaks = find_peaks(spec, flat.k_ues)
         matched = _match_peaks_to_truth(peaks, truths_xz)
-        dump_path = None
-        if out_dir is not None:
-            dump_path = dump_spectrum_csv(spec, Path(out_dir) / f"fig1_L{l_pilots}.csv")
+        if dump_path is not None:
+            dump_spectrum_csv(spec, dump_path)
         cases.append(
             Fig1Case(
                 l_pilots=l_pilots,

@@ -61,15 +61,12 @@ def received_block(
     pilots: np.ndarray,
     snr_db: float,
     rng: Optional[np.random.Generator] = None,
-    noise_ref: Optional[float] = None,
 ) -> SnapshotBlock:
     """Synthesize received snapshots Q = A @ S + W.
 
-    The noise variance is ``noise_ref / 10**(snr_db / 10)``.  By default
-    ``noise_ref`` is the mean per-antenna received signal power
-    ``norm(A, 'fro')**2 / N``, which makes SNR sweeps meaningful for channels
-    whose raw gains are far below one; pass ``noise_ref=1.0`` for the literal
-    reading where the noise variance is 1/SNR.
+    The SNR is against the mean per-antenna received signal power: the noise
+    variance is ``norm(A, 'fro')**2 / N / 10**(snr_db / 10)``, which makes SNR
+    sweeps meaningful for channels whose raw gains are far below one.
 
     ``snr_db=math.inf`` skips noise entirely (then ``rng`` may be None);
     ``-inf`` and NaN are rejected.
@@ -84,9 +81,7 @@ def received_block(
     clean = entries @ pilots
     if snr_db == math.inf:
         return SnapshotBlock(pilots=pilots, received=clean, noise_var=0.0)
-    if noise_ref is None:
-        n_antennas = entries.shape[0]
-        noise_ref = float(np.linalg.norm(entries) ** 2 / n_antennas)
+    noise_ref = float(np.linalg.norm(entries) ** 2 / entries.shape[0])
     noise_var = noise_ref / 10.0 ** (snr_db / 10.0)
     if rng is None:
         raise ValueError("rng is required when snr_db is finite")

@@ -61,8 +61,6 @@ class TestConfigDefaults:
         with pytest.raises(ConfigError, match="unknown methods"):
             ExperimentConfig(methods=("proposed", "music3d"))
         with pytest.raises(ConfigError):
-            ExperimentConfig(snr_ref="sometimes")
-        with pytest.raises(ConfigError):
             ExperimentConfig(snr_db_list=(10.0, 10.0))
         with pytest.raises(ConfigError, match="methods"):
             ExperimentConfig(methods=("proposed", "proposed", "ls"))
@@ -79,7 +77,6 @@ class TestConfigDefaults:
             dict(element_diag=math.inf),
             dict(distance_range=(1.0, math.inf)),
             dict(distance_range=(math.nan, 5.0)),
-            dict(distance_spacing="inverse-distance"),
             dict(cart_grid_points=1),
             dict(snr_db_list=("20",)),
             dict(snr_db_list=20.0),
@@ -219,8 +216,11 @@ class TestConfigParsing:
         assert cfg.out_dir == "/tmp/results"
 
     def test_unknown_key_is_hard_error(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config_text("n_antennas=16\nbogus_key=3\n")
+        # older config files may still set snr_ref or distance_spacing
+        for line in ("bogus_key=3", "snr_ref=relative", "distance_spacing=inverse"):
+            key = line.partition("=")[0]
+            with pytest.raises(ConfigError, match=f"line 2: unknown key '{key}'"):
+                parse_config_text(f"n_antennas=16\n{line}\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -254,9 +254,7 @@ _SAMPLE = ExperimentConfig(
     elevation_grid_points=21,
     distance_grid_points=11,
     cart_grid_points=7,
-    distance_spacing="uniform",
     methods=("ls", "rls"),
-    snr_ref="absolute",
     out_dir="elsewhere",
 )
 _ANGULAR = ("azimuth_range", "elevation_range", "min_angular_separation")
@@ -963,23 +961,6 @@ class TestCli:
         assert (tmp_path / "out" / "aggregate.csv").exists()
         assert "proposed" in capsys.readouterr().out
 
-    def test_snr_ref_option_matches_config_value(self, tmp_path):
-        text = (
-            "n_antennas=64\nk_ues=2\nl_pilots=2\ntrials=2\nsnr_db_list=10\n"
-            "azimuth_grid_points=40\nelevation_grid_points=30\ndistance_grid_points=30\n"
-        )
-        (tmp_path / "relative.cfg").write_text(text)
-        (tmp_path / "absolute.cfg").write_text(text + "snr_ref=absolute\n")
-        runs = {
-            "option": ["--config", str(tmp_path / "relative.cfg"), "--snr-ref", "absolute"],
-            "config": ["--config", str(tmp_path / "absolute.cfg")],
-            "relative": ["--config", str(tmp_path / "relative.cfg")],
-        }
-        for name, args in runs.items():
-            assert cli_main(["run", *args, "--out-dir", str(tmp_path / name)]) == 0
-        trials = {name: (tmp_path / name / "trials.csv").read_bytes() for name in runs}
-        assert trials["option"] == trials["config"] != trials["relative"]
-
     def test_fig1_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=64\nk_ues=2\ncart_grid_points=30\n")
@@ -1131,7 +1112,6 @@ class TestCli:
         "line, key",
         [
             ("cart_grid_points=1", "cart_grid_points"),
-            ("distance_spacing=log", "distance_spacing"),
             ("distance_grid_points=1", "distance_grid_points"),
             ("distance_range=1,inf", "distance_range"),
             ("element_diag=0.01", "distance_range"),  # the default near field is empty
@@ -1234,25 +1214,51 @@ class TestCli:
             ("dump_spectrum", dict(kind="angular", out_path="adir"), "out_path"),
             ("dump_spectrum", dict(kind="angular", out_path="missing/"), "out_path"),
             ("dump_spectrum", dict(kind="xz", out_path="afile/spec.csv"), "out_path"),
+            ("run_experiment", dict(out_dir="taken"), "out_dir taken/trials.csv"),
+            ("run_experiment", dict(out_dir="taken"), "out_dir taken/aggregate.csv"),
+            ("scenario_fig1", dict(out_dir="taken"), "out_dir taken/fig1_L10.csv"),
+            ("scenario_fig1", dict(out_dir="taken"), "out_dir taken/fig1_L3.csv"),
         ],
         ids=[
             "run_existing_file", "run_under_file", "fig1_existing_file",
             "dump_existing_dir", "dump_trailing_slash", "dump_under_file",
+            "run_trials_csv_is_dir", "run_aggregate_csv_is_dir",
+            "fig1_first_dump_is_dir", "fig1_last_dump_is_dir",
         ],
     )
     def test_python_entry_point_checks_output_path_first(
         self, entry, kwargs, name, tmp_path, monkeypatch
     ):
-        """Called from Python, each entry point rejects an unusable output path
-        before it places a single user."""
+        """Called from Python, each entry point rejects an unusable output path,
+        the directory or any file it would write there, before it places a
+        single user."""
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
         (tmp_path / "afile").write_text("keep\n")
         (tmp_path / "adir").mkdir()
+        if name.startswith("out_dir taken/"):
+            # the one file named in the message is a directory; the others are free
+            (tmp_path / name.partition(" ")[2]).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
         with pytest.raises(ConfigError, match=name):
             getattr(harness, entry)(_tiny_config(trials=1), **kwargs)
-        assert sorted(p.name for p in tmp_path.rglob("*")) == ["adir", "afile"]
+        assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "afile").read_text() == "keep\n"
+
+    @pytest.mark.parametrize("command, taken", [("run", "aggregate.csv"), ("fig1", "fig1_L3.csv")])
+    def test_output_file_that_is_a_directory_returns_error_code(
+        self, command, taken, tmp_path, capsys, monkeypatch
+    ):
+        """A file the command would write under --out-dir that is an existing
+        directory exits 2 before a user is placed, and nothing is written."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
+        (tmp_path / "exp.cfg").write_text("n_antennas=16\nk_ues=2\ntrials=1\n")
+        (tmp_path / "out" / taken).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert cli_main([command, "--config", "exp.cfg", "--out-dir", "out"]) == 2
+        assert f"out/{taken}: names a directory" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_bad_config_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"

@@ -19,7 +19,6 @@ def test_library_example_runs():
 def test_config_example_parses():
     (block,) = re.findall(r"```ini\n(# exp\.cfg\n.*?)```", README.read_text(), flags=re.S)
     cfg = parse_config_text(block)
-    assert cfg.distance_spacing == "inverse"
     assert cfg == ExperimentConfig(
         azimuth_range=cfg.azimuth_range,
         elevation_range=cfg.elevation_range,

@@ -46,12 +46,21 @@ class TestReceivedBlock:
         assert np.array_equal(block.received, a @ s)
         assert block.noise_var == 0.0
 
-    def test_zero_channel_gives_pure_noise_at_reference_variance(self):
-        a = np.zeros((50, 3), dtype=complex)
+    @pytest.mark.parametrize("snr_db", [-7.5, 0.0, 10.0, 23.0])
+    def test_noise_var_is_mean_received_power_over_snr(self, snr_db):
+        # raw near-field gains are far below one; the SNR is against their power
+        rng = np.random.default_rng(11)
+        a = 1e-3 * (rng.standard_normal((36, 3)) + 1j * rng.standard_normal((36, 3)))
+        block = received_block(a, gen_pilots(3, 4, stream(11, 0)), snr_db, stream(11, 1))
+        assert block.noise_var == np.linalg.norm(a) ** 2 / 36 / 10 ** (snr_db / 10)
+
+    def test_noise_has_reference_variance(self):
+        rng = np.random.default_rng(4)
+        a = 1e-2 * (rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3)))
         s = gen_pilots(3, 400, stream(4, 0))
-        block = received_block(a, s, 10.0, stream(4, 1), noise_ref=2.0)
-        expected_var = 2.0 / 10.0
-        measured = np.mean(np.abs(block.received) ** 2)
+        block = received_block(a, s, 10.0, stream(4, 1))
+        expected_var = np.linalg.norm(a) ** 2 / 50 / 10.0
+        measured = np.mean(np.abs(block.received - a @ s) ** 2)
         assert measured == pytest.approx(expected_var, rel=0.1)
 
     def test_empirical_snr_matches_request(self):
@@ -77,17 +86,13 @@ class TestReceivedBlock:
 
     def test_noise_independent_of_pilots(self):
         # correlation between matched pilot and noise draws over many trials
+        a = np.array([[0.5 - 0.5j]])
+        s = np.ones((1, 1), dtype=complex)
         ps, ws = [], []
         for t in range(10_000):
             ps.append(gen_pilots(1, 1, stream(9, t, 0))[0, 0])
-            block = received_block(
-                np.zeros((1, 1), dtype=complex),
-                np.ones((1, 1), dtype=complex),
-                0.0,
-                stream(9, t, 1),
-                noise_ref=1.0,
-            )
-            ws.append(block.received[0, 0])
+            block = received_block(a, s, 0.0, stream(9, t, 1))
+            ws.append((block.received - a @ s)[0, 0])
         p = np.array(ps)
         w = np.array(ws)
         rho = np.corrcoef(p.real, w.real)[0, 1]
