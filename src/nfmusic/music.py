@@ -4,6 +4,8 @@ The steering vectors come from the models in :mod:`nfmusic.channel`, the same
 ones that synthesize and reconstruct channels: ``spectrum_3d`` steers with the
 exact response (unit-normalized), ``spectrum_2d_angular`` with the planar-wave
 response, and ``spectrum_1d_distance`` with the polar-phase response.
+Peaks are picked by ``find_peaks`` on the angular scan and the plane slice;
+a distance scan, on its grid uniform in 1/d, gives its first maximum.
 
 Every spectrum value is ``1 / (a^H U_n U_n^H a + eps)`` for a steering vector
 ``a`` and a noise subspace ``U_n``; the guard ``eps = 1e-15 * ||a||**2`` keeps
@@ -60,24 +62,21 @@ ANGULAR_AXES = ("azimuth", "elevation")
 class GridAxis:
     """One search-grid axis with finite bounds ``lo < hi`` and ``count >= 2``.
 
-    ``spacing`` is "uniform" or, for distance axes, "inverse" (points uniform
-    in 1/d, concentrating resolution at short range).
+    An axis named "distance" is strictly positive with points uniform in 1/d
+    (polar-domain sampling, Cui & Dai, IEEE TCOM 2022); any other is uniform.
     """
 
     name: str
     lo: float
     hi: float
     count: int
-    spacing: str = "uniform"
 
     def __post_init__(self):
         if self.count < 2:
             raise ValueError(f"axis {self.name!r} needs at least 2 points, got {self.count}")
         if not -math.inf < self.lo < self.hi < math.inf:
             raise ValueError(f"axis {self.name!r} needs finite lo < hi, got {self.lo}, {self.hi}")
-        if self.spacing not in ("uniform", "inverse"):
-            raise ValueError(f"spacing must be 'uniform' or 'inverse', got {self.spacing!r}")
-        if (self.name == "distance" or self.spacing == "inverse") and self.lo <= 0:
+        if self.name == "distance" and self.lo <= 0:
             raise ValueError(f"axis {self.name!r} must be strictly positive")
 
     def points(self) -> np.ndarray:
@@ -86,7 +85,7 @@ class GridAxis:
 
     @functools.cached_property
     def _points(self) -> np.ndarray:
-        if self.spacing == "inverse":
+        if self.name == "distance":
             points = 1.0 / np.linspace(1.0 / self.lo, 1.0 / self.hi, self.count)
         else:
             points = np.linspace(self.lo, self.hi, self.count)
@@ -379,11 +378,10 @@ def two_step_estimate(
 
     Pipeline: subarray-smoothed covariance -> noise subspace -> one angular
     spectrum whose k tallest peaks give the angles -> one distance spectrum
-    per angle.  Fewer than k angular peaks give fewer locations.
-
-    A distance spectrum without an interior peak falls back to its grid
-    argmax (counted in ``boundary_fallbacks``) so a far user at the edge of
-    the search range still yields an estimate.
+    per angle, whose first maximum gives the distance, so a far user at the
+    edge of the search range still yields one.  Fewer than k angular peaks
+    give fewer locations; ``boundary_fallbacks`` counts the distances taken
+    at a grid end.
     """
     un = noise_subspace(smoothed_covariance(block, c_r), k_sources)
     angular_spectrum = spectrum_2d_angular(un, angle_grid, g)
@@ -394,13 +392,9 @@ def two_step_estimate(
     for peak in find_peaks(angular_spectrum, k_sources).peaks:
         az, el = peak.coords
         spec_d = spectrum_1d_distance(un, az, el, distance_grid, g)
-        pset = find_peaks(spec_d, 1)
-        if pset.found:
-            d_hat = pset.peaks[0].coords[0]
-        else:
-            arg = int(np.argmax(spec_d.values))
-            d_hat = float(distance_grid.axis_points()[0][arg])
-            fallbacks += 1
+        arg = int(np.argmax(spec_d.values))
+        fallbacks += arg in (0, spec_d.values.size - 1)
+        d_hat = float(distance_grid.axis_points()[0][arg])
         locations.append(PolarLocation(azimuth=az, elevation=el, distance=d_hat))
         dist_spectra.append(spec_d)
 

@@ -892,14 +892,14 @@ class TestCsvFormat:
         included, dump exactly the per-cell "%.9g,...\\n" lines."""
         axes = []
         for name in data.draw(st.sampled_from([("a",), ("a", "b")])):
+            # a "distance" axis has its points uniform in 1/d
             if data.draw(st.booleans()):
                 lo = data.draw(st.floats(0.01, 100.0))
-                spacing = "inverse"
+                name = "distance"
             else:
                 lo = data.draw(st.floats(-100.0, 100.0))
-                spacing = "uniform"
             hi = lo + data.draw(st.floats(1e-3, 100.0))
-            axes.append(GridAxis(name, lo, hi, data.draw(st.integers(2, 40)), spacing))
+            axes.append(GridAxis(name, lo, hi, data.draw(st.integers(2, 40))))
         grid = GridSpec(tuple(axes))
         # drawing each of up to 1,600 cells through hypothesis is slow; a
         # drawn seed picks magnitudes in [1e-300, 1e300] and edge values

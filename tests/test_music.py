@@ -52,22 +52,22 @@ class TestGridAxis:
         assert np.allclose(ax.points(), [-1.0, -0.5, 0.0, 0.5, 1.0])
 
     def test_inverse_distance_points(self):
-        ax = GridAxis("distance", 2.0, 10.0, 3, spacing="inverse")
+        ax = GridAxis("distance", 2.0, 10.0, 3)
         pts = ax.points()
         assert pts[0] == pytest.approx(2.0)
         assert pts[-1] == pytest.approx(10.0)
         # uniform in 1/d: middle point is the harmonic midpoint
         assert pts[1] == pytest.approx(1.0 / ((1 / 2.0 + 1 / 10.0) / 2))
 
-    @pytest.mark.parametrize("spacing", ["uniform", "inverse"])
-    def test_points_are_computed_once_and_read_only(self, spacing):
-        ax = GridAxis("distance", 1.0, 4.0, 5, spacing)
+    @pytest.mark.parametrize("name", ["x", "distance"])
+    def test_points_are_computed_once_and_read_only(self, name):
+        ax = GridAxis(name, 1.0, 4.0, 5)
         pts = ax.points()
         assert ax.points() is pts
         assert GridSpec((ax,)).axis_points()[0] is pts
         with pytest.raises(ValueError):
             pts[0] = 0.0
-        assert np.array_equal(GridAxis("distance", 1.0, 4.0, 5, spacing).points(), pts)
+        assert np.array_equal(GridAxis(name, 1.0, 4.0, 5).points(), pts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -76,8 +76,6 @@ class TestGridAxis:
             GridAxis("azimuth", 1.0, 0.0, 4)
         with pytest.raises(ValueError):
             GridAxis("distance", 0.0, 4.0, 4)
-        with pytest.raises(ValueError):
-            GridAxis("distance", 1.0, 4.0, 4, spacing="log")
         for lo, hi in ((1.0, math.inf), (math.nan, 4.0), (-math.inf, 1.0)):
             with pytest.raises(ValueError, match="finite"):
                 GridAxis("azimuth", lo, hi, 4)
@@ -343,7 +341,7 @@ class TestSignalSubspaceForm:
         centers = ArrayGeometry(m, g.element_diag, g.wavelength).centers
         az, el = np.meshgrid(np.linspace(-1.4, 1.4, 29), np.linspace(-1.0, 1.0, 21))
         az, el = az.ravel(), el.ravel()
-        distances = GridAxis("distance", 0.3, 60.0, 40, "inverse").points()
+        distances = GridAxis("distance", 0.3, 60.0, 40).points()
         terms = polar_terms(distances, centers)
         banks = [farfield_response(g, az, el, centers)]
         banks += [polar_steering(g, terms, a, e) for a, e in zip(az[::7], el[::7])]
@@ -660,6 +658,33 @@ class TestTwoStep:
         r1 = two_step_estimate(block, geo16, 1, 1, angle_grid, dist_grid)
         r2 = two_step_estimate(scaled, geo16, 1, 1, angle_grid, dist_grid)
         assert r1.locations == r2.locations
+
+    @pytest.mark.parametrize(
+        "values, want, fallbacks",
+        [
+            (np.r_[5.0, 1.0, 3.0, np.ones(10)], 0, 1),  # the first cell tops an interior peak
+            (np.linspace(13.0, 1.0, 13), 0, 1),  # no interior peak, falling
+            (np.linspace(1.0, 13.0, 13), 12, 1),  # no interior peak, rising
+            (np.r_[1.0, 4.0, 3.0, np.ones(10)], 1, 0),  # the interior peak is the maximum
+        ],
+        ids=["first-above-interior", "falling", "rising", "interior"],
+    )
+    def test_distance_is_first_maximum_of_scan(self, geo16, monkeypatch, values, want, fallbacks):
+        """Each distance is its scan's first maximum; a maximum at either grid
+        end counts as a boundary fallback, an interior one does not."""
+        angle_grid = GridSpec(
+            (GridAxis("azimuth", -1.0, 1.0, 18), GridAxis("elevation", -0.8, 0.8, 11))
+        )
+        dist_grid = GridSpec((GridAxis("distance", 1.0, 3.0, 13),))
+        monkeypatch.setattr(
+            music, "spectrum_1d_distance", lambda *args: SpectrumGrid(args[3], values)
+        )
+        a = channel_matrix(geo16, [UeLocation(0.2, 0.1, 1.5)])
+        block = received_block(a, gen_pilots(1, 3, stream(7, 0)), 20.0, stream(7, 1))
+        res = two_step_estimate(block, geo16, 1, 1, angle_grid, dist_grid)
+        (loc,) = res.locations
+        assert loc.distance == dist_grid.axis_points()[0][want]
+        assert res.boundary_fallbacks == fallbacks
 
     def test_locations_in_descending_angular_peak_height(self, geo16):
         angle_grid = GridSpec(
