@@ -4,15 +4,18 @@ Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 (or without PYTHONPATH when nfmusic is installed)
 
 The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
-sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the ``fig1``
+sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the
+reference sweep again on 2 worker threads (``reference_2w``), the ``fig1``
 plane-slice spectra at seeds 1-3, one ``dump-spectrum`` CSV of each kind
 (``angular``, ``distance`` at the estimated angles, and the exact-model plane
 slice ``xz``), one ``distance`` dump at explicit angles, all of the reference
 config, and one ``angular`` and one ``distance`` dump of the ``large_array``
-config (a 19 x 19 steering subgrid instead of 9 x 9): 36 files.
+config (a 19 x 19 steering subgrid instead of 9 x 9): 42 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
-byte-identical.
+byte-identical.  A sweep run on worker threads must write the bytes of the
+same sweep on one worker; the script exits 1, naming each file, when it does
+not.
 """
 
 import dataclasses
@@ -53,6 +56,8 @@ SWEEPS = {
         distance_grid_points=6,
     ),
 }
+# sweep name -> (the SWEEPS entry it reruns, worker threads)
+POOLED = {"reference_2w": ("reference", 2)}
 FIG1_L = (10, 3)
 # dump name -> (SWEEPS config, kind, azimuth, elevation); angles in radians,
 # None to estimate
@@ -70,7 +75,7 @@ def csv_names() -> list[str]:
     """Every CSV of the set, as a path relative to OUT_DIR, in write order."""
     names = [
         f"{name}_seed{seed}/{csv}"
-        for name in SWEEPS
+        for name in (*SWEEPS, *POOLED)
         for seed in SEEDS
         for csv in ("trials.csv", "aggregate.csv")
     ]
@@ -83,6 +88,10 @@ def write_outputs(out: Path) -> list[Path]:
     for name, cfg in SWEEPS.items():
         for seed in SEEDS:
             run_experiment(dataclasses.replace(cfg, seed=seed), out_dir=out / f"{name}_seed{seed}")
+    for name, (sweep, threads) in POOLED.items():
+        for seed in SEEDS:
+            cfg = dataclasses.replace(SWEEPS[sweep], seed=seed)
+            run_experiment(cfg, out_dir=out / f"{name}_seed{seed}", threads=threads)
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
@@ -90,6 +99,19 @@ def write_outputs(out: Path) -> list[Path]:
         path = out / f"spectrum_{name}.csv"
         dump_spectrum(SWEEPS[config], kind, path, azimuth=azimuth, elevation=elevation)
     return [out / name for name in csv_names()]
+
+
+def pooled_mismatches(out: Path) -> list[str]:
+    """Every file of a ``POOLED`` sweep under ``out`` whose bytes differ from
+    the one-worker sweep's file of the same name."""
+    return [
+        f"{name}_seed{seed}/{csv}"
+        for name, (sweep, _) in POOLED.items()
+        for seed in SEEDS
+        for csv in ("trials.csv", "aggregate.csv")
+        if (out / f"{name}_seed{seed}" / csv).read_bytes()
+        != (out / f"{sweep}_seed{seed}" / csv).read_bytes()
+    ]
 
 
 def main(argv: list[str]) -> int:
@@ -100,7 +122,10 @@ def main(argv: list[str]) -> int:
     for path in write_outputs(out):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{path.relative_to(out)} {digest}")
-    return 0
+    mismatches = pooled_mismatches(out)
+    for name in mismatches:
+        print(f"{name} differs from its one-worker sweep", file=sys.stderr)
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -424,33 +424,6 @@ def place_ues(cfg: ExperimentConfig, rng: np.random.Generator) -> list[UeLocatio
     return [polar_to_cart(p) for p in accepted]
 
 
-def _row(
-    method: str,
-    snr_db: float,
-    trial: int,
-    ue: int,
-    peaks_found: int,
-    channels: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    locations: Optional[tuple[PolarLocation, PolarLocation]] = None,
-) -> TrialRecord:
-    """One user's record.  NMSE and beamforming gain come from the (true,
-    estimated) channel columns in ``channels``, the angle and distance errors
-    from the (true, estimated) ``locations``; each pair left out reads NaN."""
-    scores = {}
-    if channels is not None:
-        scores.update(nmse=nmse(*channels), bf_gain=beamforming_gain(*channels))
-    if locations is not None:
-        truth, est = locations
-        scores.update(
-            az_err_rad=abs(est.azimuth - truth.azimuth),
-            el_err_rad=abs(est.elevation - truth.elevation),
-            dist_err_m=abs(est.distance - truth.distance),
-        )
-    return TrialRecord(
-        method=method, snr_db=snr_db, trial=trial, ue=ue, peaks_found=peaks_found, **scores
-    )
-
-
 def _place_users(
     cfg: ExperimentConfig, g: ArrayGeometry, key: tuple[int, int]
 ) -> tuple[list[UeLocation], ChannelMatrix]:
@@ -481,32 +454,32 @@ def _two_step(cfg, g, block, grids, truth, context):
         result = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, *grids)
     except ValueError as exc:
         logger.warning("%s trial %d at %.1f dB: search failed: %s", *context, exc)
-        return {}, {}, 0
+        return [], [], None, 0
     found = result.locations
     perm = match_estimates(truth, found, near_field_bounds(g)[1])
-    matched = {k: found[p] for k, p in enumerate(perm) if p is not None}
-    columns = {}
-    if matched:
-        columns = dict(zip(matched, reconstruct_channels(list(matched.values()), g).entries.T))
-    return matched, columns, len(result.locations)
+    users = [k for k, p in enumerate(perm) if p is not None]
+    located = [found[perm[k]] for k in users]
+    a_hat = reconstruct_channels(located, g).entries if users else None
+    return users, located, a_hat, len(found)
 
 
 def _ls(cfg, g, block, grids, truth, context):
     """Every user's channel by least squares on the pilots."""
-    return {}, dict(enumerate(ls_baseline(block.received, block.pilots).T)), cfg.k_ues
+    return list(range(cfg.k_ues)), None, ls_baseline(block.received, block.pilots), cfg.k_ues
 
 
 def _rls(cfg, g, block, grids, truth, context):
     """Every user's channel by least squares regularised by the noise variance."""
     a_hat = rls_baseline(block.received, block.pilots, block.noise_var)
-    return {}, dict(enumerate(a_hat.T)), cfg.k_ues
+    return list(range(cfg.k_ues)), None, a_hat, cfg.k_ues
 
 
 # method -> (estimate, corrected).  An estimate maps (cfg, g, block, the
 # (angular, distance) grids, the users' true polar locations, and the (method,
-# trial, SNR) its warnings name) to each matched user's estimated location and
-# each estimated user's channel column, both keyed by user, and the number of
-# peaks found.  A corrected method rescales its columns with the LS corrector.
+# trial, SNR) its warnings name) to the estimated users in ascending order,
+# their locations (None for a method that does not locate), their (N, users)
+# channel block and the number of peaks found.  A corrected method rescales
+# its block with the LS corrector.
 METHODS = {
     "proposed": (_two_step, True),
     "proposed_nocorrect": (_two_step, False),
@@ -534,7 +507,7 @@ def _run_trial(
     locs, a_true = _place_users(cfg, g, (snr_index, trial))
     truth = [cart_to_polar(l) for l in locs]
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
-    estimates = {}  # estimate -> (user -> location, user -> channel, peaks found)
+    estimates = {}  # estimate -> (users, their locations, their channels, peaks found)
 
     rows: list[TrialRecord] = []
     for method in cfg.methods:
@@ -542,27 +515,31 @@ def _run_trial(
         context = (method, trial, snr_db)
         if estimate not in estimates:
             estimates[estimate] = estimate(cfg, g, block, grids, truth, context)
-        matched, columns, peaks_found = estimates[estimate]
-        if corrected and columns:
-            a_hat = np.column_stack(list(columns.values()))
+        users, located, a_hat, peaks_found = estimates[estimate]
+        if corrected and users:
             try:
-                alpha = estimate_correctors(a_hat, block.pilots[list(columns), :], block.received)
-                columns = dict(zip(columns, (a_hat * alpha).T))
+                a_hat = a_hat * estimate_correctors(a_hat, block.pilots[users, :], block.received)
             except IllConditionedError as exc:
                 logger.warning("%s trial %d at %.1f dB: corrector failed: %s", *context, exc)
-                matched, columns = {}, {}
-        rows.extend(
-            _row(
-                method,
-                snr_db,
-                trial,
-                k,
-                peaks_found,
-                (a_true.entries[:, k], columns[k]) if k in columns else None,
-                (truth[k], matched[k]) if k in matched else None,
-            )
-            for k in range(cfg.k_ues)
-        )
+                users = []
+        scored = {}
+        if users:
+            a_users = a_true.entries[:, users]
+            scores = nmse(a_users, a_hat), beamforming_gain(a_users, a_hat)
+            scored = dict(zip(users, zip(*scores, located or [None] * len(users))))
+        method_fields = dict(method=method, snr_db=snr_db, trial=trial, peaks_found=peaks_found)
+        for k, t in enumerate(truth):
+            fields = {}  # a user without scores keeps the record's NaN defaults
+            if k in scored:
+                score, gain, est = scored[k]
+                fields = {"nmse": score, "bf_gain": gain}
+                if est is not None:
+                    fields.update(
+                        az_err_rad=abs(est.azimuth - t.azimuth),
+                        el_err_rad=abs(est.elevation - t.elevation),
+                        dist_err_m=abs(est.distance - t.distance),
+                    )
+            rows.append(TrialRecord(ue=k, **method_fields, **fields))
     return rows
 
 

@@ -19,29 +19,46 @@ import numpy as np
 from .geometry import PolarLocation
 
 
-def nmse(a_true: np.ndarray, a_hat: np.ndarray) -> float:
-    """Normalized squared error ||a_true - a_hat||**2 / ||a_true||**2."""
-    a_true = np.asarray(a_true)
-    a_hat = np.asarray(a_hat)
+def _rows(a_true, a_hat) -> list[np.ndarray]:
+    """Two vectors, or the columns of two (N, K) blocks, as contiguous rows."""
+    a_true, a_hat = np.asarray(a_true), np.asarray(a_hat)
     if a_true.shape != a_hat.shape:
         raise ValueError("vectors must share a shape")
-    denom = np.linalg.norm(a_true) ** 2
-    if denom == 0:
+    return [np.atleast_2d(np.ascontiguousarray(a.T)) for a in (a_true, a_hat)]
+
+
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of each row, summed as ``np.linalg.norm`` sums a vector: real and
+    imaginary parts by BLAS dot.  The scores then finish on Python floats, whose
+    ``**`` and ``abs`` round as numpy's scalars do (its array loops do not
+    always), so that a block's columns score with the bits of one-vector calls."""
+    return np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+
+
+def nmse(a_true: np.ndarray, a_hat: np.ndarray):
+    """Normalized squared error ||a_true - a_hat||**2 / ||a_true||**2: a float
+    for vectors, a list of the column errors for (N, K) blocks."""
+    t, h = _rows(a_true, a_hat)
+    denom = _norms(t).tolist()
+    if not all(denom):
         raise ValueError("true vector is zero")
-    return float(np.linalg.norm(a_true - a_hat) ** 2 / denom)
+    out = [e**2 / d**2 for e, d in zip(_norms(t - h).tolist(), denom)]
+    return out if np.ndim(a_true) > 1 else out[0]
 
 
-def beamforming_gain(a_true: np.ndarray, a_hat: np.ndarray) -> float:
-    """Squared normalized inner product between estimate-based beamformer and truth.
+def beamforming_gain(a_true: np.ndarray, a_hat: np.ndarray):
+    """Squared normalized inner product between estimate-based beamformer and
+    truth: a float for vectors, a list of the column gains for (N, K) blocks.
 
     Equals 1 when a_hat is any nonzero complex multiple of a_true, 0 when
     orthogonal; invariant to the scale of either argument.
     """
-    nt = np.linalg.norm(a_true)
-    nh = np.linalg.norm(a_hat)
-    if nt == 0 or nh == 0:
+    t, h = _rows(a_true, a_hat)
+    nt, nh = _norms(t), _norms(h)
+    if not (nt.all() and nh.all()):
         raise ValueError("vectors must be nonzero")
-    return float(abs(np.vdot(a_hat / nh, np.asarray(a_true) / nt)) ** 2)
+    out = [abs(c) ** 2 for c in np.vecdot(h / nh[:, None], t / nt[:, None]).tolist()]
+    return out if np.ndim(a_true) > 1 else out[0]
 
 
 def _direction(p: PolarLocation) -> np.ndarray:
@@ -51,10 +68,13 @@ def _direction(p: PolarLocation) -> np.ndarray:
     )
 
 
+def _cost(dir_a: np.ndarray, dir_b: np.ndarray, gap: float, d_scale: float) -> float:
+    return math.acos(min(max(np.dot(dir_a, dir_b), -1.0), 1.0)) + gap / d_scale
+
+
 def location_cost(a: PolarLocation, b: PolarLocation, d_scale: float) -> float:
     """Angle between direction vectors plus distance gap normalized by d_scale."""
-    cosang = float(np.clip(np.dot(_direction(a), _direction(b)), -1.0, 1.0))
-    return math.acos(cosang) + abs(a.distance - b.distance) / d_scale
+    return _cost(_direction(a), _direction(b), abs(a.distance - b.distance), d_scale)
 
 
 def _augmenting_path(cost, u, v, path, row4col, i):
@@ -148,7 +168,9 @@ def match_estimates(
     """
     if not true_locs:
         return []
-    cost = [[location_cost(t, e, d_scale) for e in est_locs] for t in true_locs]
+    truths = [(_direction(t), t.distance) for t in true_locs]
+    ests = [(_direction(e), e.distance) for e in est_locs]
+    cost = [[_cost(u, v, abs(dt - de), d_scale) for v, de in ests] for u, dt in truths]
     rows, cols = _linear_sum_assignment(cost)
     perm: list[Optional[int]] = [None] * len(true_locs)
     for r, c in zip(rows, cols):

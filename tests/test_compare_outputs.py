@@ -8,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import compare_outputs  # noqa: E402
-from output_digests import csv_names  # noqa: E402
+from output_digests import csv_names, pooled_mismatches  # noqa: E402
 
 from nfmusic.harness import dump_spectrum_csv
 from nfmusic.music import GridAxis, GridSpec, SpectrumGrid
@@ -61,6 +61,13 @@ def test_identical_trees(tmp_path, capsys):
     rc, report = _compare(tmp_path, capsys)
     assert rc == 0
     assert report == {name: "identical" for name in csv_names()}
+
+
+def test_pooled_sweep_must_equal_its_one_worker_sweep(tmp_path):
+    _write_outputs(tmp_path)
+    assert pooled_mismatches(tmp_path) == []
+    (tmp_path / "reference_2w_seed2" / "trials.csv").write_text("method,snr_db,nmse\n")
+    assert pooled_mismatches(tmp_path) == ["reference_2w_seed2/trials.csv"]
 
 
 def test_changed_table_row_is_shown_from_both_sides(tmp_path, capsys):

@@ -549,7 +549,7 @@ class TestRunExperiment:
     def test_baseline_row_needs_no_trial_loop_change(self, monkeypatch):
         def oracle(cfg, g, block, grids, truth, context):
             channels = harness.reconstruct_channels(truth, g).entries
-            return dict(enumerate(truth)), dict(enumerate(channels.T)), cfg.k_ues
+            return list(range(cfg.k_ues)), truth, channels, cfg.k_ues
 
         monkeypatch.setitem(METHODS, "oracle", (oracle, False))
         cfg = _tiny_config(methods=("oracle", "ls"), trials=2, snr_db_list=(10.0, 20.0))

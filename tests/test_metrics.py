@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nfmusic.geometry import PolarLocation
+from nfmusic import metrics
+from nfmusic.geometry import PolarLocation, UeLocation, cart_to_polar
+from nfmusic.harness import ExperimentConfig, scenario_fig1
 from nfmusic.metrics import (
     _linear_sum_assignment,
     TrialRecord,
@@ -19,6 +21,27 @@ from nfmusic.metrics import (
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# (N, K) column blocks: one user, the reference array and the large array
+BLOCK_SHAPES = [(16, 1), (100, 4), (400, 6)]
+
+
+def _true_and_estimate(shape):
+    """A random truth block and an estimate of it off by a random error, as a
+    trial's estimates are."""
+    rng = np.random.default_rng(shape[0])
+    a_true = random_complex(rng, shape)
+    return a_true, a_true + 0.3 * random_complex(rng, shape)
+
+
+def _assert_scores_each_column(score, a_true, a_hat):
+    """The block's scores equal the per-column vector scores to within 4 ulp
+    (the order of each sum is up to numpy and its BLAS), and a vector's score
+    is a float."""
+    columns = [score(a_true[:, k], a_hat[:, k]) for k in range(a_true.shape[1])]
+    assert all(type(c) is float for c in columns)
+    np.testing.assert_array_max_ulp(np.array(score(a_true, a_hat)), np.array(columns), maxulp=4)
 
 
 class TestNmse:
@@ -37,6 +60,22 @@ class TestNmse:
     def test_rejects_zero_truth(self):
         with pytest.raises(ValueError):
             nmse(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_block_scores_each_column(self, shape):
+        _assert_scores_each_column(nmse, *_true_and_estimate(shape))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_block_rejects_zero_truth_column(self, shape):
+        a_true, a_hat = _true_and_estimate(shape)
+        a_true[:, -1] = 0
+        with pytest.raises(ValueError):
+            nmse(a_true, a_hat)
+
+    def test_zero_estimate_column_scores_one(self):
+        a_true, a_hat = _true_and_estimate((100, 4))
+        a_hat[:, 2] = 0
+        assert nmse(a_true, a_hat)[2] == pytest.approx(1.0)
 
     def test_not_scale_invariant(self):
         # distinguishes squared error from the beamforming metric and is the
@@ -84,6 +123,18 @@ class TestBeamformingGain:
     def test_rejects_zero_vectors(self):
         with pytest.raises(ValueError):
             beamforming_gain(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_block_scores_each_column(self, shape):
+        _assert_scores_each_column(beamforming_gain, *_true_and_estimate(shape))
+
+    @pytest.mark.parametrize("zeroed", ["truth", "estimate"])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_block_rejects_zero_column(self, shape, zeroed):
+        blocks = dict(zip(("truth", "estimate"), _true_and_estimate(shape)))
+        blocks[zeroed][:, 0] = 0
+        with pytest.raises(ValueError):
+            beamforming_gain(blocks["truth"], blocks["estimate"])
 
 
 def _total_cost(true_locs, est_locs, perm, d_scale):
@@ -146,6 +197,73 @@ class TestMatchEstimates:
         rng = np.random.default_rng(10)
         truths = self._random_locs(rng, 3)
         assert match_estimates(truths, [], 10.0) == [None, None, None]
+
+
+def _reference_cost(a, b, d_scale):
+    """The location cost as it was first written: angle between the direction
+    vectors, clipped by ``np.clip``, plus the normalized distance gap."""
+
+    def direction(p):
+        ce = math.cos(p.elevation)
+        return np.array([ce * math.sin(p.azimuth), math.sin(p.elevation), ce * math.cos(p.azimuth)])
+
+    cosang = float(np.clip(np.dot(direction(a), direction(b)), -1.0, 1.0))
+    return math.acos(cosang) + abs(a.distance - b.distance) / d_scale
+
+
+def _fig1_panel_case(seed):
+    """True and estimated polar locations of the plane-slice benchmark's panel
+    case at ``seed`` (reference config, 20 dB, the L=10 peaks), and its d_scale."""
+    cfg = ExperimentConfig(snr_db_list=(0.0, 10.0, 20.0), seed=seed, trials=1)
+    report = scenario_fig1(cfg, snr_db=20.0, l_values=(10, 3))
+    peaks = next(c for c in report.cases if c.l_pilots == 10).peaks.peaks
+    truth = [cart_to_polar(u) for u in report.true_locations]
+    est = [cart_to_polar(UeLocation(x=p.coords[0], y=0.0, z=p.coords[1])) for p in peaks]
+    return truth, est, cfg.distance_range[1]
+
+
+polar_locations = st.builds(
+    PolarLocation,
+    azimuth=st.floats(-1.5, 1.5),
+    elevation=st.floats(-1.5, 1.5),
+    distance=st.floats(0.1, 100.0),
+)
+
+
+class TestMatchCostBits:
+    """Every pair's cost inside ``match_estimates`` has the bits of the cost as
+    first written, so nearly tied pairings stay as they were."""
+
+    def _costs_and_perm(self, truth, est, d_scale, monkeypatch):
+        seen = []
+
+        def spy(cost):
+            seen.append(cost)
+            return _linear_sum_assignment(cost)
+
+        monkeypatch.setattr(metrics, "_linear_sum_assignment", spy)
+        perm = match_estimates(truth, est, d_scale)
+        reference = [[_reference_cost(t, e, d_scale).hex() for e in est] for t in truth]
+        assert [[c.hex() for c in row] for row in seen[0]] == reference
+        return perm
+
+    @given(
+        truth=st.lists(polar_locations, min_size=1, max_size=5),
+        est=st.lists(polar_locations, min_size=1, max_size=5),
+        d_scale=st.floats(0.5, 50.0),
+    )
+    def test_random_locations(self, truth, est, d_scale):
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            perm = self._costs_and_perm(truth, est, d_scale, monkeypatch)
+        reference = [[_reference_cost(t, e, d_scale) for e in est] for t in truth]
+        rows, cols = _linear_sum_assignment(reference)
+        assert perm == [dict(zip(rows, cols)).get(i) for i in range(len(truth))]
+
+    # the pairings that the np.clip costs gave these near-tie cases
+    @pytest.mark.parametrize("seed, expected", [(3, [3, 2, 1, 0]), (6, [0, 3, 1, 2])])
+    def test_plane_slice_near_ties(self, seed, expected, monkeypatch):
+        truth, est, d_scale = _fig1_panel_case(seed)
+        assert self._costs_and_perm(truth, est, d_scale, monkeypatch) == expected
 
 
 # Truth-by-estimate location costs of the plane-slice benchmark's seed-3 panel

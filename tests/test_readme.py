@@ -14,6 +14,7 @@ def test_library_example_runs():
     exec(compile(block, str(README), "exec"), namespace)
     final, matched = namespace["final"], namespace["matched"]
     assert final.shape == (namespace["cfg"].n_antennas, len(matched))
+    assert len(namespace["errors"]) == len(namespace["gains"]) == len(matched)
 
 
 def test_config_example_parses():
