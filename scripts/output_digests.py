@@ -13,9 +13,10 @@ config, and one ``angular`` and one ``distance`` dump of the ``large_array``
 config (a 19 x 19 steering subgrid instead of 9 x 9): 42 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
-byte-identical.  A sweep run on worker threads must write the bytes of the
-same sweep on one worker; the script exits 1, naming each file, when it does
-not.
+byte-identical.  The ``reference_2w`` files must hold the bytes of the
+``reference`` files of the same seed; the script exits 1, naming each file,
+when they do not.  They are hashed as well, so that comparing two checkouts
+with ``scripts/compare_outputs.py`` also shows a change on the pool path.
 """
 
 import dataclasses
@@ -56,8 +57,6 @@ SWEEPS = {
         distance_grid_points=6,
     ),
 }
-# sweep name -> (the SWEEPS entry it reruns, worker threads)
-POOLED = {"reference_2w": ("reference", 2)}
 FIG1_L = (10, 3)
 # dump name -> (SWEEPS config, kind, azimuth, elevation); angles in radians,
 # None to estimate
@@ -75,7 +74,7 @@ def csv_names() -> list[str]:
     """Every CSV of the set, as a path relative to OUT_DIR, in write order."""
     names = [
         f"{name}_seed{seed}/{csv}"
-        for name in (*SWEEPS, *POOLED)
+        for name in (*SWEEPS, "reference_2w")
         for seed in SEEDS
         for csv in ("trials.csv", "aggregate.csv")
     ]
@@ -88,10 +87,9 @@ def write_outputs(out: Path) -> list[Path]:
     for name, cfg in SWEEPS.items():
         for seed in SEEDS:
             run_experiment(dataclasses.replace(cfg, seed=seed), out_dir=out / f"{name}_seed{seed}")
-    for name, (sweep, threads) in POOLED.items():
-        for seed in SEEDS:
-            cfg = dataclasses.replace(SWEEPS[sweep], seed=seed)
-            run_experiment(cfg, out_dir=out / f"{name}_seed{seed}", threads=threads)
+    for seed in SEEDS:
+        cfg = dataclasses.replace(REFERENCE, seed=seed)
+        run_experiment(cfg, out_dir=out / f"reference_2w_seed{seed}", threads=2)
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
@@ -102,15 +100,14 @@ def write_outputs(out: Path) -> list[Path]:
 
 
 def pooled_mismatches(out: Path) -> list[str]:
-    """Every file of a ``POOLED`` sweep under ``out`` whose bytes differ from
-    the one-worker sweep's file of the same name."""
+    """Every ``reference_2w`` file under ``out`` whose bytes differ from the
+    ``reference`` file of the same seed and name."""
     return [
-        f"{name}_seed{seed}/{csv}"
-        for name, (sweep, _) in POOLED.items()
+        f"reference_2w_seed{seed}/{csv}"
         for seed in SEEDS
         for csv in ("trials.csv", "aggregate.csv")
-        if (out / f"{name}_seed{seed}" / csv).read_bytes()
-        != (out / f"{sweep}_seed{seed}" / csv).read_bytes()
+        if (out / f"reference_2w_seed{seed}" / csv).read_bytes()
+        != (out / f"reference_seed{seed}" / csv).read_bytes()
     ]
 
 

@@ -69,12 +69,8 @@ def _direction(p: PolarLocation) -> np.ndarray:
 
 
 def _cost(dir_a: np.ndarray, dir_b: np.ndarray, gap: float, d_scale: float) -> float:
-    return math.acos(min(max(np.dot(dir_a, dir_b), -1.0), 1.0)) + gap / d_scale
-
-
-def location_cost(a: PolarLocation, b: PolarLocation, d_scale: float) -> float:
     """Angle between direction vectors plus distance gap normalized by d_scale."""
-    return _cost(_direction(a), _direction(b), abs(a.distance - b.distance), d_scale)
+    return math.acos(min(max(np.dot(dir_a, dir_b), -1.0), 1.0)) + gap / d_scale
 
 
 def _augmenting_path(cost, u, v, path, row4col, i):

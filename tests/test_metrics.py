@@ -13,7 +13,6 @@ from nfmusic.metrics import (
     TrialRecord,
     aggregate,
     beamforming_gain,
-    location_cost,
     match_estimates,
     nmse,
 )
@@ -35,13 +34,26 @@ def _true_and_estimate(shape):
     return a_true, a_true + 0.3 * random_complex(rng, shape)
 
 
-def _assert_scores_each_column(score, a_true, a_hat):
-    """The block's scores equal the per-column vector scores to within 4 ulp
-    (the order of each sum is up to numpy and its BLAS), and a vector's score
-    is a float."""
-    columns = [score(a_true[:, k], a_hat[:, k]) for k in range(a_true.shape[1])]
+def _reference_nmse(a_true, a_hat):
+    """NMSE of one vector as it was first written, with ``np.linalg.norm``."""
+    return float(np.linalg.norm(a_true - a_hat) ** 2 / np.linalg.norm(a_true) ** 2)
+
+
+def _reference_gain(a_true, a_hat):
+    """Beamforming gain of one vector as it was first written, with ``np.vdot``."""
+    nt, nh = np.linalg.norm(a_true), np.linalg.norm(a_hat)
+    return float(abs(np.vdot(a_hat / nh, a_true / nt)) ** 2)
+
+
+def _assert_scores_each_column(score, reference, a_true, a_hat):
+    """The block's scores have the bits of the per-column vector scores and of
+    the scores as first written, so that scoring a block leaves every output
+    byte as it was; a vector's score is a float."""
+    k_cols = range(a_true.shape[1])
+    columns = [score(a_true[:, k], a_hat[:, k]) for k in k_cols]
     assert all(type(c) is float for c in columns)
-    np.testing.assert_array_max_ulp(np.array(score(a_true, a_hat)), np.array(columns), maxulp=4)
+    assert score(a_true, a_hat) == columns
+    assert columns == [reference(a_true[:, k], a_hat[:, k]) for k in k_cols]
 
 
 class TestNmse:
@@ -63,7 +75,7 @@ class TestNmse:
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_block_scores_each_column(self, shape):
-        _assert_scores_each_column(nmse, *_true_and_estimate(shape))
+        _assert_scores_each_column(nmse, _reference_nmse, *_true_and_estimate(shape))
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_block_rejects_zero_truth_column(self, shape):
@@ -126,7 +138,7 @@ class TestBeamformingGain:
 
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_block_scores_each_column(self, shape):
-        _assert_scores_each_column(beamforming_gain, *_true_and_estimate(shape))
+        _assert_scores_each_column(beamforming_gain, _reference_gain, *_true_and_estimate(shape))
 
     @pytest.mark.parametrize("zeroed", ["truth", "estimate"])
     @pytest.mark.parametrize("shape", BLOCK_SHAPES)
@@ -137,9 +149,21 @@ class TestBeamformingGain:
             beamforming_gain(blocks["truth"], blocks["estimate"])
 
 
+def _reference_cost(a, b, d_scale):
+    """The location cost as it was first written: angle between the direction
+    vectors, clipped by ``np.clip``, plus the normalized distance gap."""
+
+    def direction(p):
+        ce = math.cos(p.elevation)
+        return np.array([ce * math.sin(p.azimuth), math.sin(p.elevation), ce * math.cos(p.azimuth)])
+
+    cosang = float(np.clip(np.dot(direction(a), direction(b)), -1.0, 1.0))
+    return math.acos(cosang) + abs(a.distance - b.distance) / d_scale
+
+
 def _total_cost(true_locs, est_locs, perm, d_scale):
     return sum(
-        location_cost(true_locs[i], est_locs[p], d_scale)
+        _reference_cost(true_locs[i], est_locs[p], d_scale)
         for i, p in enumerate(perm)
         if p is not None
     )
@@ -197,18 +221,6 @@ class TestMatchEstimates:
         rng = np.random.default_rng(10)
         truths = self._random_locs(rng, 3)
         assert match_estimates(truths, [], 10.0) == [None, None, None]
-
-
-def _reference_cost(a, b, d_scale):
-    """The location cost as it was first written: angle between the direction
-    vectors, clipped by ``np.clip``, plus the normalized distance gap."""
-
-    def direction(p):
-        ce = math.cos(p.elevation)
-        return np.array([ce * math.sin(p.azimuth), math.sin(p.elevation), ce * math.cos(p.azimuth)])
-
-    cosang = float(np.clip(np.dot(direction(a), direction(b)), -1.0, 1.0))
-    return math.acos(cosang) + abs(a.distance - b.distance) / d_scale
 
 
 def _fig1_panel_case(seed):
