@@ -6,11 +6,10 @@ Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
 sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the
 reference sweep again on 2 worker threads (``reference_2w``), the ``fig1``
-plane-slice spectra at seeds 1-3, one ``dump-spectrum`` CSV of each kind
-(``angular``, ``distance`` at the estimated angles, and the exact-model plane
-slice ``xz``), one ``distance`` dump at explicit angles, all of the reference
-config, and one ``angular`` and one ``distance`` dump of the ``large_array``
-config (a 19 x 19 steering subgrid instead of 9 x 9): 42 files.
+plane-slice spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each
+kind, the trial's own two-step ``angular`` and ``distance`` spectra, of the
+reference config and of the ``large_array`` config (a 19 x 19 steering
+subgrid instead of 9 x 9): 40 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
 byte-identical.  The ``reference_2w`` files must hold the bytes of the
@@ -21,7 +20,6 @@ with ``scripts/compare_outputs.py`` also shows a change on the pool path.
 
 import dataclasses
 import hashlib
-import math
 import sys
 from pathlib import Path
 
@@ -58,15 +56,12 @@ SWEEPS = {
     ),
 }
 FIG1_L = (10, 3)
-# dump name -> (SWEEPS config, kind, azimuth, elevation); angles in radians,
-# None to estimate
+# dump name -> (SWEEPS config, kind)
 SPECTRUM_DUMPS = {
-    "angular": ("reference", "angular", None, None),
-    "distance": ("reference", "distance", None, None),
-    "xz": ("reference", "xz", None, None),
-    "distance_at_angles": ("reference", "distance", math.radians(10.0), math.radians(5.0)),
-    "large_array_angular": ("large_array", "angular", None, None),
-    "large_array_distance": ("large_array", "distance", None, None),
+    "angular": ("reference", "angular"),
+    "distance": ("reference", "distance"),
+    "large_array_angular": ("large_array", "angular"),
+    "large_array_distance": ("large_array", "distance"),
 }
 
 
@@ -93,9 +88,8 @@ def write_outputs(out: Path) -> list[Path]:
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
-    for name, (config, kind, azimuth, elevation) in SPECTRUM_DUMPS.items():
-        path = out / f"spectrum_{name}.csv"
-        dump_spectrum(SWEEPS[config], kind, path, azimuth=azimuth, elevation=elevation)
+    for name, (config, kind) in SPECTRUM_DUMPS.items():
+        dump_spectrum(SWEEPS[config], kind, out / f"spectrum_{name}.csv")
     return [out / name for name in csv_names()]
 
 

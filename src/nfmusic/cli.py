@@ -1,14 +1,13 @@
 """Command-line entry points: run, fig1, dump-spectrum.
 
-Angle-valued command-line options and config values are in degrees; the
-library works in radians internally.  Outputs are CSV files under the
-configured (or overridden) output directory.
+Angle-valued config values are in degrees; the library works in radians
+internally.  Outputs are CSV files under the configured (or overridden)
+output directory.
 """
 
 import argparse
 import dataclasses
 import functools
-import math
 import sys
 from pathlib import Path
 
@@ -68,17 +67,7 @@ def _cmd_fig1(args) -> int:
 def _cmd_dump_spectrum(args) -> int:
     cfg = _load_config(args)
     check_output_file(args.out, "--out")
-    azimuth = math.radians(args.azimuth_deg) if args.azimuth_deg is not None else None
-    elevation = math.radians(args.elevation_deg) if args.elevation_deg is not None else None
-    path = dump_spectrum(
-        cfg,
-        kind=args.kind,
-        out_path=args.out,
-        snr_db=args.snr_db,
-        trial=args.trial,
-        azimuth=azimuth,
-        elevation=elevation,
-    )
+    path = dump_spectrum(cfg, args.kind, args.out, snr_db=args.snr_db, trial=args.trial)
     print(f"wrote {path}")
     return 0
 
@@ -105,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     fig1.add_argument("--snr-db", type=float, default=20.0)
     fig1.set_defaults(func=_cmd_fig1)
 
-    dump = command("dump-spectrum", help="dump one spectrum of one trial as CSV")
+    dump = command("dump-spectrum", help="dump one two-step spectrum of one trial as CSV")
     dump.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
     dump.add_argument("--out", required=True, help="output CSV path")
     dump.add_argument("--snr-db", type=float, help="SNR point (default: last in config)")
     dump.add_argument("--trial", type=int, default=0)
-    dump.add_argument("--azimuth-deg", type=float, help="fixed azimuth for kind=distance")
-    dump.add_argument("--elevation-deg", type=float, help="fixed elevation for kind=distance")
     dump.set_defaults(func=_cmd_dump_spectrum)
     return parser
 

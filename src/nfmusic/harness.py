@@ -53,7 +53,6 @@ from .music import (
     PeakSet,
     SpectrumGrid,
     find_peaks,
-    spectrum_1d_distance,
     spectrum_3d,
     two_step_estimate,
 )
@@ -78,7 +77,7 @@ from .subspace import noise_subspace, smoothed_covariance
 logger = logging.getLogger(__name__)
 
 PLACEMENT_BUDGET = 100_000
-SPECTRUM_KINDS = ("angular", "distance", "xz")
+SPECTRUM_KINDS = ("angular", "distance")
 # fig1 counts a peak as a found user within these distances (m) in x and in z:
 # 3 cells of the reference config's 100-point xz grid, fixed so that a grid
 # change cannot move the gate.
@@ -305,11 +304,19 @@ def _check_arguments(func, **values) -> None:
         _check_type(name, _field_type(inspect.unwrap(func).__annotations__[name]), value)
 
 
+def _output_path(path, name: str) -> Path:
+    """``path`` as a Path; a ConfigError naming ``name`` unless it is a str or
+    an os.PathLike."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a str or os.PathLike path, got {path!r}")
+    return Path(path)
+
+
 def check_output_dir(path, name: str) -> None:
     """Raise a ConfigError naming ``name`` unless ``path``, or the nearest
     existing path above it, is a directory, so a run fails before its work,
     not at the write."""
-    path = Path(path)
+    path = _output_path(path, name)
     for existing in (path, *path.parents):
         if existing.exists():
             if not existing.is_dir():
@@ -320,10 +327,11 @@ def check_output_dir(path, name: str) -> None:
 def check_output_file(path, name: str) -> None:
     """Raise a ConfigError naming ``name`` unless ``path`` can name a file
     under a directory (see :func:`check_output_dir`)."""
+    file = _output_path(path, name)
     # "DIR/" and "DIR/." name a directory even where DIR does not exist yet
-    if os.path.basename(path) in ("", ".", "..") or Path(path).is_dir():
+    if os.path.basename(path) in ("", ".", "..") or file.is_dir():
         raise ConfigError(f"{name} {path}: names a directory, not a file")
-    check_output_dir(Path(path).parent, name)
+    check_output_dir(file.parent, name)
 
 
 def _output_files(out_dir, names: Sequence[str]) -> list[Optional[Path]]:
@@ -331,7 +339,7 @@ def _output_files(out_dir, names: Sequence[str]) -> list[Optional[Path]]:
     :func:`check_output_file`) before any work; all None when ``out_dir`` is None."""
     if out_dir is None:
         return [None] * len(names)
-    paths = [Path(out_dir) / name for name in names]
+    paths = [_output_path(out_dir, "out_dir") / name for name in names]
     for path in paths:
         check_output_file(path, "out_dir")
     return paths
@@ -749,33 +757,19 @@ def dump_spectrum(
     out_path,
     snr_db: Optional[float] = None,
     trial: int = 0,
-    azimuth: Optional[float] = None,
-    elevation: Optional[float] = None,
 ) -> Path:
-    """Synthesize one trial and dump the requested spectrum as CSV.
+    """Synthesize one trial, run its two-step search, and dump one of the
+    search's own spectra as CSV.
 
-    ``kind`` is "angular" (2-D), "distance" (1-D at given or estimated
-    angles), or "xz" (plane slice through the full-array search).  The
-    "angular" dump and the "distance" dump without angles are the trial's own
-    two-step spectra: the angular one, and the distance scan at the tallest
-    angular peak.  Angles are given for "distance" only, both or neither,
-    each inside (-pi/2, pi/2).  ``snr_db`` must be one of ``cfg.snr_db_list``
-    (default: the last), because the trial's random streams are keyed by its
-    position there.
+    ``kind`` is "angular" (the 2-D angular scan) or "distance" (the 1-D
+    distance scan at the tallest angular peak).  ``snr_db`` must be one of
+    ``cfg.snr_db_list`` (default: the last), because the trial's random
+    streams are keyed by its position there.
     """
     if kind not in SPECTRUM_KINDS:
         raise ConfigError(f"unknown spectrum kind {kind!r}")
-    _check_arguments(
-        dump_spectrum, snr_db=snr_db, trial=trial, azimuth=azimuth, elevation=elevation
-    )
+    _check_arguments(dump_spectrum, snr_db=snr_db, trial=trial)
     check_output_file(out_path, "out_path")
-    if (azimuth is None) != (elevation is None):
-        raise ConfigError("give both azimuth and elevation, or neither")
-    if azimuth is not None:
-        if kind != "distance":
-            raise ConfigError(f"azimuth and elevation apply to kind 'distance' only, not {kind!r}")
-        if not (-math.pi / 2 < azimuth < math.pi / 2 and -math.pi / 2 < elevation < math.pi / 2):
-            raise ConfigError("azimuth and elevation must lie strictly inside (-90, 90) deg")
     snr_db = snr_db if snr_db is not None else cfg.snr_db_list[-1]
     if snr_db not in cfg.snr_db_list:
         raise ConfigError(
@@ -786,20 +780,11 @@ def dump_spectrum(
     g = cfg.geometry()
     _, a_true = _place_users(cfg, g, (snr_index, trial))
     block = _observe(cfg, a_true, cfg.l_pilots, snr_db, (snr_index, trial))
-
-    if kind == "xz":
-        # the plane slice searches the whole array: a zero shift keeps one subarray
-        un = noise_subspace(smoothed_covariance(block, 0), cfg.k_ues)
-        return dump_spectrum_csv(spectrum_3d(un, cfg.xz_grid(), g), out_path)
-    if azimuth is not None:
-        un = noise_subspace(smoothed_covariance(block, cfg.c_r), cfg.k_ues)
-        spec = spectrum_1d_distance(un, azimuth, elevation, cfg.distance_grid(), g)
-        return dump_spectrum_csv(spec, out_path)
     result = two_step_estimate(
         block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid()
     )
     if kind == "angular":
         return dump_spectrum_csv(result.angular_spectrum, out_path)
     if not result.distance_spectra:
-        raise ConfigError("no angular peak found; pass azimuth/elevation explicitly")
+        raise ConfigError("no angular peak found, so no distance scan to dump")
     return dump_spectrum_csv(result.distance_spectra[0], out_path)

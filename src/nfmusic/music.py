@@ -79,12 +79,9 @@ class GridAxis:
         if self.name == "distance" and self.lo <= 0:
             raise ValueError(f"axis {self.name!r} must be strictly positive")
 
+    @functools.cached_property
     def points(self) -> np.ndarray:
         """The axis points, computed once per axis and read-only."""
-        return self._points
-
-    @functools.cached_property
-    def _points(self) -> np.ndarray:
         if self.name == "distance":
             points = 1.0 / np.linspace(1.0 / self.lo, 1.0 / self.hi, self.count)
         else:
@@ -108,7 +105,7 @@ class GridSpec:
         return tuple(ax.count for ax in self.axes)
 
     def axis_points(self) -> list[np.ndarray]:
-        return [ax.points() for ax in self.axes]
+        return [ax.points for ax in self.axes]
 
     def names(self) -> tuple[str, ...]:
         return tuple(ax.name for ax in self.axes)

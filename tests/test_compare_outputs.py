@@ -119,7 +119,7 @@ def test_scaled_spectrum_value_keeps_its_peaks(tmp_path, capsys):
     _write_outputs(tmp_path / "b", plane_peaks=scaled)
     rc, report = _compare(tmp_path, capsys)
     assert rc == 0
-    assert report["spectrum_xz.csv"] == "max relative difference 0.25, 4 tallest peaks same"
+    assert report["fig1_seed1/fig1_L10.csv"] == "max relative difference 0.25, 4 tallest peaks same"
     assert report["spectrum_distance.csv"] == "identical"
 
 

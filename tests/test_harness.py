@@ -796,12 +796,26 @@ class TestDumpSpectrum:
         assert lines[0] == "axis1,axis2,value"
         assert len(lines) == 1 + 40 * 30
 
-    def test_distance_dump_without_angular_peak_rejected(self, tmp_path):
-        # a 2x2 angular grid has no interior cell, so no peak to take angles from
+    def test_distance_dump_without_angular_peak_rejected(self, tmp_path, capsys):
+        """A 2x2 angular grid has no interior cell, so the search has no peak
+        to scan distances at: a ConfigError from Python, status 2 from the
+        CLI, and nothing written either way."""
         cfg = _tiny_config(azimuth_grid_points=2, elevation_grid_points=2)
-        with pytest.raises(ConfigError, match="azimuth/elevation"):
-            harness.dump_spectrum(cfg, "distance", tmp_path / "dist.csv")
-        assert not (tmp_path / "dist.csv").exists()
+        out = tmp_path / "dist.csv"
+        with pytest.raises(ConfigError, match="no angular peak found"):
+            harness.dump_spectrum(cfg, "distance", out)
+        assert not out.exists()
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "n_antennas=64\nk_ues=2\nl_pilots=2\nsnr_db_list=20\n"
+            "azimuth_grid_points=2\nelevation_grid_points=2\ndistance_grid_points=30\n"
+        )
+        rc = cli_main(
+            ["dump-spectrum", "--config", str(cfg_path), "--kind", "distance", "--out", str(out)]
+        )
+        assert rc == 2
+        assert "no angular peak found" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("kind", ["angular", "distance"])
     def test_dump_is_the_trials_own_two_step_spectrum(self, kind, tmp_path):
@@ -832,7 +846,6 @@ class TestDumpSpectrum:
             ("angular", dict(trial=-1), "trial must be an integer >= 0"),
             ("angular", dict(trial="0"), "trial must be an integer >= 0"),
             ("angular", dict(snr_db="20"), "snr_db must be a real number"),
-            ("distance", dict(azimuth="0.1", elevation=0.0), "azimuth must be a real number"),
             ("angular", dict(trial=True), "trial must be an integer >= 0"),
             ("angular", dict(snr_db=True), "snr_db must be a real number"),
         ],
@@ -842,16 +855,6 @@ class TestDumpSpectrum:
             harness.dump_spectrum(_tiny_config(), kind, tmp_path / "s.csv", **kwargs)
         assert not (tmp_path / "s.csv").exists()
 
-    def test_distance_dump_with_explicit_angles(self, tmp_path):
-        cfg = _tiny_config()
-        out = harness.dump_spectrum(
-            cfg, "distance", tmp_path / "dist.csv", azimuth=0.2, elevation=-0.1
-        )
-        lines = out.read_text().splitlines()
-        assert lines[0] == "axis,value"
-        assert len(lines) == 1 + 30
-        first_axis = float(lines[1].split(",")[0])
-        assert first_axis == pytest.approx(cfg.distance_range[0], rel=1e-6)
 
 
 # extremes of "%.9g": subnormal, huge, exactly 9 digits, 10 digits
@@ -988,7 +991,7 @@ class TestCli:
 
     def test_dump_spectrum_creates_missing_directories(self, tmp_path):
         out = tmp_path / "a" / "b" / "spec.csv"
-        rc = cli_main(["dump-spectrum", "--kind", "xz", "--out", str(out)])
+        rc = cli_main(["dump-spectrum", "--kind", "angular", "--out", str(out)])
         assert rc == 0
         assert out.read_text().startswith("axis1,axis2,value\n")
 
@@ -1014,7 +1017,7 @@ class TestCli:
         assert not (tmp_path / "out" / "trials.csv").exists()
 
     @pytest.mark.parametrize(
-        "argv", [["fig1"], ["dump-spectrum", "--kind", "xz", "--out", "spec.csv"]]
+        "argv", [["fig1"], ["dump-spectrum", "--kind", "angular", "--out", "spec.csv"]]
     )
     def test_too_many_users_returns_error_code(self, argv, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
@@ -1026,24 +1029,27 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["--kind", "distance", "--azimuth-deg", "30"],
-            ["--kind", "distance", "--elevation-deg", "10"],
-            ["--kind", "angular", "--azimuth-deg", "10", "--elevation-deg", "0"],
-            ["--kind", "xz", "--azimuth-deg", "10", "--elevation-deg", "0"],
-            ["--kind", "distance", "--azimuth-deg", "nan", "--elevation-deg", "0"],
-            ["--kind", "distance", "--azimuth-deg", "100", "--elevation-deg", "0"],
-            ["--kind", "distance", "--azimuth-deg", "0", "--elevation-deg", "-90"],
+            ["--kind", "xz"],
+            ["--kind", "distance", "--azimuth-deg", "10", "--elevation-deg", "0"],
         ],
-        ids=["azimuth_only", "elevation_only", "angular", "xz", "nan", "beyond_90", "at_minus_90"],
+        ids=["xz", "distance_at_angles"],
     )
-    def test_dump_spectrum_rejects_bad_explicit_angles(self, argv, tmp_path, capsys):
-        cfg_path = tmp_path / "exp.cfg"
-        cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n")
+    def test_dump_spectrum_only_writes_the_two_step_spectra(self, argv, tmp_path):
+        """dump-spectrum has no plane-slice kind and no explicit-angle scan:
+        argparse stops either with status 2 before any config loads."""
         out = tmp_path / "spec.csv"
-        rc = cli_main(["dump-spectrum", "--config", str(cfg_path), "--out", str(out), *argv])
-        assert rc == 2
-        assert "azimuth" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dump-spectrum", "--out", str(out), *argv])
+        assert exc.value.code == 2
         assert not out.exists()
+
+    def test_dump_spectrum_help_lists_the_two_kinds_only(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["dump-spectrum", "--help"])
+        assert exc.value.code == 0
+        usage = capsys.readouterr().out
+        assert "{angular,distance}" in usage
+        assert "xz" not in usage and "-deg" not in usage
 
     def test_dump_spectrum_unknown_kind_is_a_usage_error(self, tmp_path):
         """The CLI's --kind choices are the kinds dump_spectrum accepts, so a
@@ -1096,8 +1102,11 @@ class TestCli:
     @pytest.mark.parametrize("text, field", UNDERFLOW_CONFIGS)
     @pytest.mark.parametrize(
         "argv",
-        [["fig1", "--out-dir", "out"], ["dump-spectrum", "--kind", "xz", "--out", "out/spec.csv"]],
-        ids=["fig1", "dump_xz"],
+        [
+            ["fig1", "--out-dir", "out"],
+            ["dump-spectrum", "--kind", "angular", "--out", "out/spec.csv"],
+        ],
+        ids=["fig1", "dump_angular"],
     )
     def test_underflowing_channel_power_returns_error_code(
         self, argv, text, field, tmp_path, capsys, monkeypatch
@@ -1178,8 +1187,8 @@ class TestCli:
         [
             (["dump-spectrum", "--kind", "angular", "--out", "missing/"], "", "--out"),
             (["dump-spectrum", "--kind", "angular", "--out", "missing/."], "", "--out"),
-            (["dump-spectrum", "--kind", "xz", "--out", "adir"], "", "--out"),
-            (["dump-spectrum", "--kind", "xz", "--out", "afile/spec.csv"], "", "--out"),
+            (["dump-spectrum", "--kind", "angular", "--out", "adir"], "", "--out"),
+            (["dump-spectrum", "--kind", "angular", "--out", "afile/spec.csv"], "", "--out"),
             (["run", "--out-dir", "afile"], "", "--out-dir"),
             (["run", "--out-dir", "afile/sub"], "", "--out-dir"),
             (["run"], "out_dir=afile\n", "out_dir"),
@@ -1213,7 +1222,7 @@ class TestCli:
             ("scenario_fig1", dict(out_dir="afile"), "out_dir"),
             ("dump_spectrum", dict(kind="angular", out_path="adir"), "out_path"),
             ("dump_spectrum", dict(kind="angular", out_path="missing/"), "out_path"),
-            ("dump_spectrum", dict(kind="xz", out_path="afile/spec.csv"), "out_path"),
+            ("dump_spectrum", dict(kind="angular", out_path="afile/spec.csv"), "out_path"),
             ("run_experiment", dict(out_dir="taken"), "out_dir taken/trials.csv"),
             ("run_experiment", dict(out_dir="taken"), "out_dir taken/aggregate.csv"),
             ("scenario_fig1", dict(out_dir="taken"), "out_dir taken/fig1_L10.csv"),
@@ -1244,6 +1253,30 @@ class TestCli:
             getattr(harness, entry)(_tiny_config(trials=1), **kwargs)
         assert sorted(tmp_path.rglob("*")) == before
         assert (tmp_path / "afile").read_text() == "keep\n"
+
+    @pytest.mark.parametrize(
+        "entry, kwargs, name",
+        [
+            ("run_experiment", dict(out_dir=5), "out_dir"),
+            ("scenario_fig1", dict(out_dir=5), "out_dir"),
+            ("dump_spectrum", dict(kind="angular", out_path=5), "out_path"),
+            ("dump_spectrum", dict(kind="angular", out_path=None), "out_path"),
+            ("dump_spectrum", dict(kind="angular", out_path=b"spec.csv"), "out_path"),
+            ("run_experiment", dict(out_dir=["out"]), "out_dir"),
+            ("scenario_fig1", dict(out_dir=b"out"), "out_dir"),
+        ],
+        ids=["run_int", "fig1_int", "dump_int", "dump_none", "dump_bytes", "run_list", "fig1_bytes"],
+    )
+    def test_ill_typed_output_path_is_a_config_error(
+        self, entry, kwargs, name, tmp_path, monkeypatch
+    ):
+        """An output path that is neither a str nor an os.PathLike is a
+        ConfigError naming the argument, raised before a user is placed."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match=f"{name} must be a str or os.PathLike"):
+            getattr(harness, entry)(_tiny_config(trials=1), **kwargs)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, taken", [("run", "aggregate.csv"), ("fig1", "fig1_L3.csv")])
     def test_output_file_that_is_a_directory_returns_error_code(
@@ -1326,6 +1359,6 @@ class TestConfigProperty:
             with contextlib.suppress(ConfigError):
                 scenario_fig1(cfg)
             with tempfile.TemporaryDirectory() as out:
-                for kind in ("angular", "distance", "xz"):
+                for kind in harness.SPECTRUM_KINDS:
                     with contextlib.suppress(ConfigError):
                         harness.dump_spectrum(cfg, kind, Path(out) / f"{kind}.csv", trial=trial)

@@ -49,11 +49,11 @@ def random_unitary(rng, n):
 class TestGridAxis:
     def test_uniform_points(self):
         ax = GridAxis("azimuth", -1.0, 1.0, 5)
-        assert np.allclose(ax.points(), [-1.0, -0.5, 0.0, 0.5, 1.0])
+        assert np.allclose(ax.points, [-1.0, -0.5, 0.0, 0.5, 1.0])
 
     def test_inverse_distance_points(self):
         ax = GridAxis("distance", 2.0, 10.0, 3)
-        pts = ax.points()
+        pts = ax.points
         assert pts[0] == pytest.approx(2.0)
         assert pts[-1] == pytest.approx(10.0)
         # uniform in 1/d: middle point is the harmonic midpoint
@@ -62,12 +62,12 @@ class TestGridAxis:
     @pytest.mark.parametrize("name", ["x", "distance"])
     def test_points_are_computed_once_and_read_only(self, name):
         ax = GridAxis(name, 1.0, 4.0, 5)
-        pts = ax.points()
-        assert ax.points() is pts
+        pts = ax.points
+        assert ax.points is pts
         assert GridSpec((ax,)).axis_points()[0] is pts
         with pytest.raises(ValueError):
             pts[0] = 0.0
-        assert np.array_equal(GridAxis(name, 1.0, 4.0, 5).points(), pts)
+        assert np.array_equal(GridAxis(name, 1.0, 4.0, 5).points, pts)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -341,7 +341,7 @@ class TestSignalSubspaceForm:
         centers = ArrayGeometry(m, g.element_diag, g.wavelength).centers
         az, el = np.meshgrid(np.linspace(-1.4, 1.4, 29), np.linspace(-1.0, 1.0, 21))
         az, el = az.ravel(), el.ravel()
-        distances = GridAxis("distance", 0.3, 60.0, 40).points()
+        distances = GridAxis("distance", 0.3, 60.0, 40).points
         terms = polar_terms(distances, centers)
         banks = [farfield_response(g, az, el, centers)]
         banks += [polar_steering(g, terms, a, e) for a, e in zip(az[::7], el[::7])]

@@ -162,7 +162,7 @@ class TestSmoothedCovariance:
     @pytest.mark.parametrize("n", [16, 100, 400])
     @pytest.mark.parametrize("l_pilots", [1, 3, 10])
     def test_zero_shift_is_bit_identical_to_sample_covariance(self, n, l_pilots):
-        # the full-array searches (fig1, the xz dump) rely on this equality
+        # the full-array plane-slice search (fig1) relies on this equality
         rng = np.random.default_rng(n + l_pilots)
         a = random_complex(rng, (n, 2))
         block = received_block(a, gen_pilots(2, l_pilots, stream(9, n)), 10.0, stream(9, l_pilots))
