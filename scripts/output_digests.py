@@ -6,10 +6,11 @@ Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
 sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the
 reference sweep again on 2 worker threads (``reference_2w``), the ``fig1``
-plane-slice spectra at seeds 1-3, and one ``dump-spectrum`` CSV of each
-kind, the trial's own two-step ``angular`` and ``distance`` spectra, of the
-reference config and of the ``large_array`` config (a 19 x 19 steering
-subgrid instead of 9 x 9): 40 files.
+plane-slice spectra at seeds 1-3, and the two ``dump-spectrum`` CSVs, the
+trial's own two-step ``spectrum_angular.csv`` and ``spectrum_distance.csv``,
+of the reference config, written into OUT_DIR itself, and of the
+``large_array`` config (a 19 x 19 steering subgrid instead of 9 x 9), written
+into ``spectrum_large_array/``: 40 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
 byte-identical.  The ``reference_2w`` files must hold the bytes of the
@@ -56,13 +57,8 @@ SWEEPS = {
     ),
 }
 FIG1_L = (10, 3)
-# dump name -> (SWEEPS config, kind)
-SPECTRUM_DUMPS = {
-    "angular": ("reference", "angular"),
-    "distance": ("reference", "distance"),
-    "large_array_angular": ("large_array", "angular"),
-    "large_array_distance": ("large_array", "distance"),
-}
+# SWEEPS config -> the directory under OUT_DIR its spectrum dump goes to
+SPECTRUM_DUMPS = {"reference": "", "large_array": "spectrum_large_array/"}
 
 
 def csv_names() -> list[str]:
@@ -74,7 +70,11 @@ def csv_names() -> list[str]:
         for csv in ("trials.csv", "aggregate.csv")
     ]
     names += [f"fig1_seed{seed}/fig1_L{l_pilots}.csv" for seed in SEEDS for l_pilots in FIG1_L]
-    return names + [f"spectrum_{name}.csv" for name in SPECTRUM_DUMPS]
+    return names + [
+        f"{subdir}spectrum_{kind}.csv"
+        for subdir in SPECTRUM_DUMPS.values()
+        for kind in ("angular", "distance")
+    ]
 
 
 def write_outputs(out: Path) -> list[Path]:
@@ -88,8 +88,8 @@ def write_outputs(out: Path) -> list[Path]:
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
-    for name, (config, kind) in SPECTRUM_DUMPS.items():
-        dump_spectrum(SWEEPS[config], kind, out / f"spectrum_{name}.csv")
+    for config, subdir in SPECTRUM_DUMPS.items():
+        dump_spectrum(SWEEPS[config], out / subdir)
     return [out / name for name in csv_names()]
 
 

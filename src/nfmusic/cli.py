@@ -12,11 +12,9 @@ import sys
 from pathlib import Path
 
 from .harness import (
-    SPECTRUM_KINDS,
     ConfigError,
     ExperimentConfig,
     check_output_dir,
-    check_output_file,
     dump_spectrum,
     parse_config,
     run_experiment,
@@ -42,10 +40,11 @@ def _cmd_run(args) -> int:
     out_dir = _out_dir(args, cfg)
     report = run_experiment(cfg, out_dir=out_dir, threads=args.threads, progress=args.progress)
     print(f"wrote {out_dir / 'trials.csv'} and {out_dir / 'aggregate.csv'}")
-    print("method       snr_db   mean_nmse   median_nmse  mean_bf_gain  ok/failed")
+    width = max(map(len, ("method", *cfg.methods)))
+    print(f"{'method':<{width}} snr_db   mean_nmse   median_nmse  mean_bf_gain  ok/failed")
     for a in report.aggregates:
         print(
-            f"{a.method:<12} {a.snr_db:>6g}   {a.mean_nmse:<11.4g} {a.median_nmse:<12.4g}"
+            f"{a.method:<{width}} {a.snr_db:>6g}   {a.mean_nmse:<11.4g} {a.median_nmse:<12.4g}"
             f" {a.mean_bf_gain:<13.4g} {a.trials_ok}/{a.trials_failed}"
         )
     return 0
@@ -66,9 +65,8 @@ def _cmd_fig1(args) -> int:
 
 def _cmd_dump_spectrum(args) -> int:
     cfg = _load_config(args)
-    check_output_file(args.out, "--out")
-    path = dump_spectrum(cfg, args.kind, args.out, snr_db=args.snr_db, trial=args.trial)
-    print(f"wrote {path}")
+    paths = dump_spectrum(cfg, _out_dir(args, cfg), snr_db=args.snr_db, trial=args.trial)
+    print(f"wrote {paths[0]} and {paths[1]}")
     return 0
 
 
@@ -81,22 +79,20 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file (angles in degrees)")
     common.add_argument("--seed", type=int, help="override the config seed")
-    command = functools.partial(sub.add_parser, parents=[common])
+    common.add_argument("--out-dir", help="output directory (default from config)")
+    # an abbreviation would let a removed option, such as --out, pass as --out-dir
+    command = functools.partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
     run = command("run", help="run the Monte-Carlo benchmark sweep")
-    run.add_argument("--out-dir", help="output directory (default from config)")
     run.add_argument("--threads", type=int, default=1, help="parallel trial workers")
     run.add_argument("--progress", action="store_true", help="print per-SNR progress")
     run.set_defaults(func=_cmd_run)
 
     fig1 = command("fig1", help="plane-slice spectra with many vs few pilots")
-    fig1.add_argument("--out-dir", help="output directory")
     fig1.add_argument("--snr-db", type=float, default=20.0)
     fig1.set_defaults(func=_cmd_fig1)
 
-    dump = command("dump-spectrum", help="dump one two-step spectrum of one trial as CSV")
-    dump.add_argument("--kind", choices=SPECTRUM_KINDS, required=True)
-    dump.add_argument("--out", required=True, help="output CSV path")
+    dump = command("dump-spectrum", help="dump the two-step spectra of one trial as CSV")
     dump.add_argument("--snr-db", type=float, help="SNR point (default: last in config)")
     dump.add_argument("--trial", type=int, default=0)
     dump.set_defaults(func=_cmd_dump_spectrum)

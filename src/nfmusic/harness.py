@@ -77,7 +77,6 @@ from .subspace import noise_subspace, smoothed_covariance
 logger = logging.getLogger(__name__)
 
 PLACEMENT_BUDGET = 100_000
-SPECTRUM_KINDS = ("angular", "distance")
 # fig1 counts a peak as a found user within these distances (m) in x and in z:
 # 3 cells of the reference config's 100-point xz grid, fixed so that a grid
 # change cannot move the gate.
@@ -324,24 +323,17 @@ def check_output_dir(path, name: str) -> None:
             return
 
 
-def check_output_file(path, name: str) -> None:
-    """Raise a ConfigError naming ``name`` unless ``path`` can name a file
-    under a directory (see :func:`check_output_dir`)."""
-    file = _output_path(path, name)
-    # "DIR/" and "DIR/." name a directory even where DIR does not exist yet
-    if os.path.basename(path) in ("", ".", "..") or file.is_dir():
-        raise ConfigError(f"{name} {path}: names a directory, not a file")
-    check_output_dir(file.parent, name)
-
-
 def _output_files(out_dir, names: Sequence[str]) -> list[Optional[Path]]:
-    """``out_dir / name`` for each of ``names``, each checked to name a file (see
-    :func:`check_output_file`) before any work; all None when ``out_dir`` is None."""
+    """``out_dir / name`` for each of ``names``, each checked to name a file in a
+    directory (see :func:`check_output_dir`) before any work; all None when
+    ``out_dir`` is None."""
     if out_dir is None:
         return [None] * len(names)
-    paths = [_output_path(out_dir, "out_dir") / name for name in names]
+    check_output_dir(out_dir, "out_dir")
+    paths = [Path(out_dir) / name for name in names]
     for path in paths:
-        check_output_file(path, "out_dir")
+        if path.is_dir():
+            raise ConfigError(f"out_dir {path}: names a directory, not a file")
     return paths
 
 
@@ -464,7 +456,7 @@ def _two_step(cfg, g, block, grids, truth, context):
         logger.warning("%s trial %d at %.1f dB: search failed: %s", *context, exc)
         return [], [], None, 0
     found = result.locations
-    perm = match_estimates(truth, found, near_field_bounds(g)[1])
+    perm = match_estimates(truth, found, cfg.distance_range[1])
     users = [k for k, p in enumerate(perm) if p is not None]
     located = [found[perm[k]] for k in users]
     a_hat = reconstruct_channels(located, g).entries if users else None
@@ -753,23 +745,21 @@ def scenario_fig1(
 
 def dump_spectrum(
     cfg: ExperimentConfig,
-    kind: str,
-    out_path,
+    out_dir,
     snr_db: Optional[float] = None,
     trial: int = 0,
-) -> Path:
-    """Synthesize one trial, run its two-step search, and dump one of the
-    search's own spectra as CSV.
+) -> tuple[Path, ...]:
+    """Synthesize one trial, run its two-step search, and dump the search's
+    own spectra as CSV under ``out_dir``; returns the two paths.
 
-    ``kind`` is "angular" (the 2-D angular scan) or "distance" (the 1-D
-    distance scan at the tallest angular peak).  ``snr_db`` must be one of
-    ``cfg.snr_db_list`` (default: the last), because the trial's random
-    streams are keyed by its position there.
+    ``spectrum_angular.csv`` is the 2-D angular scan and
+    ``spectrum_distance.csv`` the 1-D distance scan at the tallest angular
+    peak.  ``snr_db`` must be one of ``cfg.snr_db_list`` (default: the
+    last), because the trial's random streams are keyed by its position there.
     """
-    if kind not in SPECTRUM_KINDS:
-        raise ConfigError(f"unknown spectrum kind {kind!r}")
     _check_arguments(dump_spectrum, snr_db=snr_db, trial=trial)
-    check_output_file(out_path, "out_path")
+    names = ("spectrum_angular.csv", "spectrum_distance.csv")
+    paths = _output_files(_output_path(out_dir, "out_dir"), names)
     snr_db = snr_db if snr_db is not None else cfg.snr_db_list[-1]
     if snr_db not in cfg.snr_db_list:
         raise ConfigError(
@@ -783,8 +773,7 @@ def dump_spectrum(
     result = two_step_estimate(
         block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid()
     )
-    if kind == "angular":
-        return dump_spectrum_csv(result.angular_spectrum, out_path)
     if not result.distance_spectra:
         raise ConfigError("no angular peak found, so no distance scan to dump")
-    return dump_spectrum_csv(result.distance_spectra[0], out_path)
+    spectra = (result.angular_spectrum, result.distance_spectra[0])
+    return tuple(map(dump_spectrum_csv, spectra, paths))

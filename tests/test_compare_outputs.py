@@ -36,7 +36,7 @@ def _write_outputs(root: Path, table_rows=TABLE_ROWS, plane_peaks=PLANE_PEAKS) -
         path.parent.mkdir(parents=True, exist_ok=True)
         if name.endswith(("trials.csv", "aggregate.csv")):
             path.write_text("\n".join(("method,snr_db,nmse", *table_rows)) + "\n")
-        elif name.startswith("spectrum_distance"):
+        elif name.endswith("spectrum_distance.csv"):
             dump_spectrum_csv(_spectrum(LINE_PEAKS, (9,)), path)
         else:
             dump_spectrum_csv(_spectrum(plane_peaks, (8, 8)), path)

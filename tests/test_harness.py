@@ -529,6 +529,15 @@ class TestRunExperiment:
             r.az_err_rad for r in rows["proposed"]
         ]
 
+    def test_estimates_pair_on_the_configured_far_distance(self, monkeypatch):
+        """The search's estimates are matched to the users on the far end of
+        ``distance_range``, the scale the acceptance gates pair on, also where
+        the range is set and not the array's near field (6.4 m here)."""
+        spy = mock.Mock(wraps=harness.match_estimates)
+        monkeypatch.setattr(harness, "match_estimates", spy)
+        run_experiment(_tiny_config(distance_range=(1.5, 5.0), trials=2))
+        assert [call.args[2] for call in spy.call_args_list] == [5.0, 5.0]
+
     def test_search_failure_warning_names_method_trial_and_snr(self, monkeypatch, caplog):
         def fails(*args, **kwargs):
             raise ValueError("no usable subspace")
@@ -788,72 +797,75 @@ def test_searches_never_build_the_covariance_matrix(monkeypatch):
     assert all(case.peaks.found for case in report.cases)
 
 
+def _trial_spectra(cfg, snr_index, trial):
+    """The angular spectrum and the first distance spectrum of the two-step
+    search on the trial at (``snr_index``, ``trial``), synthesized here."""
+    g = cfg.geometry()
+    key = (snr_index, trial)
+    a = channel_matrix(g, place_ues(cfg, stream(cfg.seed, *key, ROLE_PLACEMENT)))
+    pilots = gen_pilots(cfg.k_ues, cfg.l_pilots, stream(cfg.seed, *key, ROLE_PILOTS))
+    snr_db = cfg.snr_db_list[snr_index]
+    block = received_block(a, pilots, snr_db, stream(cfg.seed, *key, ROLE_NOISE))
+    res = two_step_estimate(block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid())
+    return res.angular_spectrum, res.distance_spectra[0]
+
+
+SPECTRUM_FILES = ("spectrum_angular.csv", "spectrum_distance.csv")
+
+
 class TestDumpSpectrum:
-    def test_angular_dump(self, tmp_path):
+    def test_dump_writes_both_spectra_into_out_dir(self, tmp_path):
         cfg = _tiny_config()
-        out = harness.dump_spectrum(cfg, "angular", tmp_path / "ang.csv")
-        lines = out.read_text().splitlines()
+        angular, distance = harness.dump_spectrum(cfg, tmp_path / "out")
+        assert (angular, distance) == tuple(tmp_path / "out" / name for name in SPECTRUM_FILES)
+        lines = angular.read_text().splitlines()
         assert lines[0] == "axis1,axis2,value"
         assert len(lines) == 1 + 40 * 30
+        lines = distance.read_text().splitlines()
+        assert lines[0] == "axis,value"
+        assert len(lines) == 1 + 30
 
-    def test_distance_dump_without_angular_peak_rejected(self, tmp_path, capsys):
+    def test_trial_without_angular_peak_writes_neither_file(self, tmp_path, capsys):
         """A 2x2 angular grid has no interior cell, so the search has no peak
         to scan distances at: a ConfigError from Python, status 2 from the
-        CLI, and nothing written either way."""
+        CLI, and neither spectrum written either way, not even the angular."""
         cfg = _tiny_config(azimuth_grid_points=2, elevation_grid_points=2)
-        out = tmp_path / "dist.csv"
+        out = tmp_path / "out"
         with pytest.raises(ConfigError, match="no angular peak found"):
-            harness.dump_spectrum(cfg, "distance", out)
+            harness.dump_spectrum(cfg, out)
         assert not out.exists()
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
             "n_antennas=64\nk_ues=2\nl_pilots=2\nsnr_db_list=20\n"
             "azimuth_grid_points=2\nelevation_grid_points=2\ndistance_grid_points=30\n"
         )
-        rc = cli_main(
-            ["dump-spectrum", "--config", str(cfg_path), "--kind", "distance", "--out", str(out)]
-        )
+        rc = cli_main(["dump-spectrum", "--config", str(cfg_path), "--out-dir", str(out)])
         assert rc == 2
         assert "no angular peak found" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["angular", "distance"])
-    def test_dump_is_the_trials_own_two_step_spectrum(self, kind, tmp_path):
+    def test_dump_is_the_trials_own_two_step_spectra(self, tmp_path):
         cfg = _tiny_config(snr_db_list=(10.0, 20.0))
-        g = cfg.geometry()
-        key = (1, 2)  # 20 dB, trial 2
-        a = channel_matrix(g, place_ues(cfg, stream(cfg.seed, *key, ROLE_PLACEMENT)))
-        pilots = gen_pilots(cfg.k_ues, cfg.l_pilots, stream(cfg.seed, *key, ROLE_PILOTS))
-        block = received_block(a, pilots, 20.0, stream(cfg.seed, *key, ROLE_NOISE))
-        res = two_step_estimate(
-            block, g, cfg.k_ues, cfg.c_r, cfg.angular_grid(), cfg.distance_grid()
-        )
-        want = res.angular_spectrum if kind == "angular" else res.distance_spectra[0]
-        out = harness.dump_spectrum(cfg, kind, tmp_path / "s.csv", snr_db=20.0, trial=2)
-        got = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
-        assert got == ["%.9g" % v for v in want.values.ravel()]
-
-    def test_unknown_kind_rejected_before_writing(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown spectrum kind"):
-            harness.dump_spectrum(_tiny_config(), "polar", tmp_path / "p.csv")
-        assert not (tmp_path / "p.csv").exists()
+        paths = harness.dump_spectrum(cfg, tmp_path, snr_db=20.0, trial=2)
+        for want, out in zip(_trial_spectra(cfg, 1, 2), paths, strict=True):
+            got = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+            assert got == ["%.9g" % v for v in want.values.ravel()]
 
     @pytest.mark.parametrize(
-        "kind, kwargs, match",
+        "kwargs, match",
         [
-            ("polar", {}, "unknown spectrum kind"),
-            ("angular", dict(trial=1.5), "trial must be an integer >= 0"),
-            ("angular", dict(trial=-1), "trial must be an integer >= 0"),
-            ("angular", dict(trial="0"), "trial must be an integer >= 0"),
-            ("angular", dict(snr_db="20"), "snr_db must be a real number"),
-            ("angular", dict(trial=True), "trial must be an integer >= 0"),
-            ("angular", dict(snr_db=True), "snr_db must be a real number"),
+            (dict(trial=1.5), "trial must be an integer >= 0"),
+            (dict(trial=-1), "trial must be an integer >= 0"),
+            (dict(trial="0"), "trial must be an integer >= 0"),
+            (dict(snr_db="20"), "snr_db must be a real number"),
+            (dict(trial=True), "trial must be an integer >= 0"),
+            (dict(snr_db=True), "snr_db must be a real number"),
         ],
     )
-    def test_bad_argument_is_a_config_error_before_writing(self, kind, kwargs, match, tmp_path):
+    def test_bad_argument_is_a_config_error_before_writing(self, kwargs, match, tmp_path):
         with pytest.raises(ConfigError, match=match):
-            harness.dump_spectrum(_tiny_config(), kind, tmp_path / "s.csv", **kwargs)
-        assert not (tmp_path / "s.csv").exists()
+            harness.dump_spectrum(_tiny_config(), tmp_path / "out", **kwargs)
+        assert not (tmp_path / "out").exists()
 
 
 
@@ -964,6 +976,21 @@ class TestCli:
         assert (tmp_path / "out" / "aggregate.csv").exists()
         assert "proposed" in capsys.readouterr().out
 
+    def test_run_summary_columns_line_up_with_the_header(self, tmp_path, capsys):
+        """The method column is as wide as the longest method name, so every
+        row's snr_db field ends where the header's does."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "n_antennas=16\nk_ues=1\ntrials=1\nsnr_db_list=0,20\nazimuth_grid_points=6\n"
+            "elevation_grid_points=6\ndistance_grid_points=6\nmethods=ls,proposed_nocorrect\n"
+        )
+        assert cli_main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = next(i for i, line in enumerate(lines) if line.startswith("method "))
+        ends = [re.match(r"\S+\s+\S+", line).end() for line in lines[header:]]
+        assert len(ends) == 1 + 2 * 2
+        assert ends == [lines[header].index("snr_db") + len("snr_db")] * len(ends)
+
     def test_fig1_subcommand(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=64\nk_ues=2\ncart_grid_points=30\n")
@@ -976,32 +1003,41 @@ class TestCli:
         out = capsys.readouterr().out
         assert "L=10:" in out and "L=3:" in out
 
-    def test_dump_spectrum_subcommand(self, tmp_path):
+    def test_dump_spectrum_subcommand(self, tmp_path, capsys):
+        """--out-dir gets both spectra of the trial, each byte-equal to its
+        two-step spectrum as dump_spectrum_csv writes it."""
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text(
-            "n_antennas=64\nk_ues=2\nl_pilots=2\ntrials=1\nsnr_db_list=20\n"
+            "n_antennas=64\nk_ues=2\nl_pilots=2\ntrials=3\nsnr_db_list=10,20\nseed=7\n"
             "azimuth_grid_points=40\nelevation_grid_points=30\ndistance_grid_points=30\n"
         )
-        out = tmp_path / "spec.csv"
+        out = tmp_path / "out"
         rc = cli_main(
-            ["dump-spectrum", "--config", str(cfg_path), "--kind", "angular", "--out", str(out)]
+            ["dump-spectrum", "--config", str(cfg_path), "--out-dir", str(out), "--snr-db", "10",
+             "--trial", "1"]
         )
         assert rc == 0
-        assert out.exists()
+        assert sorted(p.name for p in out.iterdir()) == list(SPECTRUM_FILES)
+        spectra = _trial_spectra(harness.parse_config(cfg_path), 0, 1)
+        for spectrum, name in zip(spectra, SPECTRUM_FILES):
+            want = harness.dump_spectrum_csv(spectrum, tmp_path / "want" / name)
+            assert (out / name).read_bytes() == want.read_bytes()
+        angular, distance = (out / name for name in SPECTRUM_FILES)
+        assert capsys.readouterr().out == f"wrote {angular} and {distance}\n"
 
     def test_dump_spectrum_creates_missing_directories(self, tmp_path):
-        out = tmp_path / "a" / "b" / "spec.csv"
-        rc = cli_main(["dump-spectrum", "--kind", "angular", "--out", str(out)])
+        out = tmp_path / "a" / "b"
+        rc = cli_main(["dump-spectrum", "--out-dir", str(out)])
         assert rc == 0
-        assert out.read_text().startswith("axis1,axis2,value\n")
+        assert (out / "spectrum_angular.csv").read_text().startswith("axis1,axis2,value\n")
+        assert (out / "spectrum_distance.csv").read_text().startswith("axis,value\n")
 
     def test_dump_spectrum_rejects_snr_outside_list(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=64\nk_ues=2\nsnr_db_list=0,10,20\n")
-        out = tmp_path / "spec.csv"
+        out = tmp_path / "out"
         rc = cli_main(
-            ["dump-spectrum", "--config", str(cfg_path), "--kind", "angular", "--out", str(out),
-             "--snr-db", "7"]
+            ["dump-spectrum", "--config", str(cfg_path), "--out-dir", str(out), "--snr-db", "7"]
         )
         assert rc == 2
         assert "[0.0, 10.0, 20.0]" in capsys.readouterr().err
@@ -1016,9 +1052,7 @@ class TestCli:
         assert field in capsys.readouterr().err
         assert not (tmp_path / "out" / "trials.csv").exists()
 
-    @pytest.mark.parametrize(
-        "argv", [["fig1"], ["dump-spectrum", "--kind", "angular", "--out", "spec.csv"]]
-    )
+    @pytest.mark.parametrize("argv", [["fig1"], ["dump-spectrum"]])
     def test_too_many_users_returns_error_code(self, argv, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=16\nk_ues=17\ntrials=1\nsnr_db_list=20\n")
@@ -1031,44 +1065,40 @@ class TestCli:
         [
             ["--kind", "xz"],
             ["--kind", "distance", "--azimuth-deg", "10", "--elevation-deg", "0"],
+            ["--kind", "angular"],
+            ["--out", "x.csv"],
         ],
-        ids=["xz", "distance_at_angles"],
+        ids=["xz", "distance_at_angles", "kind", "out"],
     )
-    def test_dump_spectrum_only_writes_the_two_step_spectra(self, argv, tmp_path):
-        """dump-spectrum has no plane-slice kind and no explicit-angle scan:
-        argparse stops either with status 2 before any config loads."""
-        out = tmp_path / "spec.csv"
+    def test_dump_spectrum_only_writes_the_two_step_spectra(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        """dump-spectrum has no kind switch, no plane-slice kind, no
+        explicit-angle scan and no named output file, and takes no
+        abbreviation of --out-dir: argparse stops each with status 2 before
+        any config loads."""
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            cli_main(["dump-spectrum", "--out", str(out), *argv])
+            cli_main(["dump-spectrum", *argv])
         assert exc.value.code == 2
-        assert not out.exists()
+        assert f"unrecognized arguments: {' '.join(argv)}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_dump_spectrum_help_lists_the_two_kinds_only(self, capsys):
+    def test_dump_spectrum_help_names_no_kind_and_no_file(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["dump-spectrum", "--help"])
         assert exc.value.code == 0
         usage = capsys.readouterr().out
-        assert "{angular,distance}" in usage
+        assert "--out-dir" in usage
+        assert not re.search(r"--kind|--out\b(?!-)", usage)
         assert "xz" not in usage and "-deg" not in usage
-
-    def test_dump_spectrum_unknown_kind_is_a_usage_error(self, tmp_path):
-        """The CLI's --kind choices are the kinds dump_spectrum accepts, so a
-        kind it rejects stops argparse with status 2 before any config loads."""
-        with pytest.raises(ConfigError, match="unknown spectrum kind"):
-            harness.dump_spectrum(_tiny_config(), "polar", tmp_path / "p.csv")
-        out = tmp_path / "spec.csv"
-        with pytest.raises(SystemExit) as exc:
-            cli_main(["dump-spectrum", "--kind", "polar", "--out", str(out)])
-        assert exc.value.code == 2
-        assert not out.exists()
 
     def test_dump_spectrum_negative_trial_returns_error_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "exp.cfg"
         cfg_path.write_text("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\n")
-        out = tmp_path / "spec.csv"
+        out = tmp_path / "out"
         rc = cli_main(
-            ["dump-spectrum", "--config", str(cfg_path), "--kind", "angular", "--out", str(out),
-             "--trial", "-1"]
+            ["dump-spectrum", "--config", str(cfg_path), "--out-dir", str(out), "--trial", "-1"]
         )
         assert rc == 2
         assert "trial" in capsys.readouterr().err
@@ -1104,9 +1134,9 @@ class TestCli:
         "argv",
         [
             ["fig1", "--out-dir", "out"],
-            ["dump-spectrum", "--kind", "angular", "--out", "out/spec.csv"],
+            ["dump-spectrum", "--out-dir", "out"],
         ],
-        ids=["fig1", "dump_angular"],
+        ids=["fig1", "dump"],
     )
     def test_underflowing_channel_power_returns_error_code(
         self, argv, text, field, tmp_path, capsys, monkeypatch
@@ -1185,18 +1215,15 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, config, name",
         [
-            (["dump-spectrum", "--kind", "angular", "--out", "missing/"], "", "--out"),
-            (["dump-spectrum", "--kind", "angular", "--out", "missing/."], "", "--out"),
-            (["dump-spectrum", "--kind", "angular", "--out", "adir"], "", "--out"),
-            (["dump-spectrum", "--kind", "angular", "--out", "afile/spec.csv"], "", "--out"),
+            (["dump-spectrum", "--out-dir", "afile"], "", "--out-dir"),
+            (["dump-spectrum"], "out_dir=afile/sub\n", "out_dir"),
             (["run", "--out-dir", "afile"], "", "--out-dir"),
             (["run", "--out-dir", "afile/sub"], "", "--out-dir"),
             (["run"], "out_dir=afile\n", "out_dir"),
             (["fig1", "--out-dir", "afile"], "", "--out-dir"),
         ],
         ids=[
-            "out_trailing_slash", "out_trailing_dot", "out_existing_dir", "out_under_file",
-            "run_existing_file", "run_under_file", "run_config_file", "fig1_existing_file",
+            "dump_existing_file", "dump_config_under_file", "run_existing_file", "run_under_file", "run_config_file", "fig1_existing_file",
         ],
     )
     def test_unusable_output_path_returns_error_code(
@@ -1220,19 +1247,21 @@ class TestCli:
             ("run_experiment", dict(out_dir="afile"), "out_dir"),
             ("run_experiment", dict(out_dir="afile/sub"), "out_dir"),
             ("scenario_fig1", dict(out_dir="afile"), "out_dir"),
-            ("dump_spectrum", dict(kind="angular", out_path="adir"), "out_path"),
-            ("dump_spectrum", dict(kind="angular", out_path="missing/"), "out_path"),
-            ("dump_spectrum", dict(kind="angular", out_path="afile/spec.csv"), "out_path"),
+            ("dump_spectrum", dict(out_dir="afile"), "out_dir"),
+            ("dump_spectrum", dict(out_dir="afile/sub"), "out_dir"),
             ("run_experiment", dict(out_dir="taken"), "out_dir taken/trials.csv"),
             ("run_experiment", dict(out_dir="taken"), "out_dir taken/aggregate.csv"),
             ("scenario_fig1", dict(out_dir="taken"), "out_dir taken/fig1_L10.csv"),
             ("scenario_fig1", dict(out_dir="taken"), "out_dir taken/fig1_L3.csv"),
+            ("dump_spectrum", dict(out_dir="taken"), "out_dir taken/spectrum_angular.csv"),
+            ("dump_spectrum", dict(out_dir="taken"), "out_dir taken/spectrum_distance.csv"),
         ],
         ids=[
             "run_existing_file", "run_under_file", "fig1_existing_file",
-            "dump_existing_dir", "dump_trailing_slash", "dump_under_file",
+            "dump_existing_file", "dump_under_file",
             "run_trials_csv_is_dir", "run_aggregate_csv_is_dir",
             "fig1_first_dump_is_dir", "fig1_last_dump_is_dir",
+            "dump_angular_is_dir", "dump_distance_is_dir",
         ],
     )
     def test_python_entry_point_checks_output_path_first(
@@ -1259,9 +1288,9 @@ class TestCli:
         [
             ("run_experiment", dict(out_dir=5), "out_dir"),
             ("scenario_fig1", dict(out_dir=5), "out_dir"),
-            ("dump_spectrum", dict(kind="angular", out_path=5), "out_path"),
-            ("dump_spectrum", dict(kind="angular", out_path=None), "out_path"),
-            ("dump_spectrum", dict(kind="angular", out_path=b"spec.csv"), "out_path"),
+            ("dump_spectrum", dict(out_dir=5), "out_dir"),
+            ("dump_spectrum", dict(out_dir=None), "out_dir"),
+            ("dump_spectrum", dict(out_dir=b"out"), "out_dir"),
             ("run_experiment", dict(out_dir=["out"]), "out_dir"),
             ("scenario_fig1", dict(out_dir=b"out"), "out_dir"),
         ],
@@ -1278,7 +1307,10 @@ class TestCli:
             getattr(harness, entry)(_tiny_config(trials=1), **kwargs)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command, taken", [("run", "aggregate.csv"), ("fig1", "fig1_L3.csv")])
+    @pytest.mark.parametrize(
+        "command, taken",
+        [("run", "aggregate.csv"), ("fig1", "fig1_L3.csv"), ("dump-spectrum", "spectrum_distance.csv")],
+    )
     def test_output_file_that_is_a_directory_returns_error_code(
         self, command, taken, tmp_path, capsys, monkeypatch
     ):
@@ -1358,7 +1390,5 @@ class TestConfigProperty:
                 assert len(keys) == len(report.records) == n_rows
             with contextlib.suppress(ConfigError):
                 scenario_fig1(cfg)
-            with tempfile.TemporaryDirectory() as out:
-                for kind in harness.SPECTRUM_KINDS:
-                    with contextlib.suppress(ConfigError):
-                        harness.dump_spectrum(cfg, kind, Path(out) / f"{kind}.csv", trial=trial)
+            with tempfile.TemporaryDirectory() as out, contextlib.suppress(ConfigError):
+                harness.dump_spectrum(cfg, out, trial=trial)
