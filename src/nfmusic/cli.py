@@ -23,16 +23,16 @@ from .harness import (
 
 
 def _load_config(args) -> ExperimentConfig:
-    cfg = parse_config(args.config) if args.config else ExperimentConfig()
+    cfg = parse_config(args.config) if args.config is not None else ExperimentConfig()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
-    name, out_dir = ("--out-dir", args.out_dir) if args.out_dir else ("out_dir", cfg.out_dir)
-    check_output_dir(out_dir, name)
-    return Path(out_dir)
+    name, path = ("out_dir", cfg.out_dir) if args.out_dir is None else ("--out-dir", args.out_dir)
+    check_output_dir(path, name)
+    return Path(path)
 
 
 def _cmd_run(args) -> int:

@@ -16,6 +16,7 @@ import ctypes
 import dataclasses
 import functools
 import inspect
+import itertools
 import logging
 import math
 import numbers
@@ -653,20 +654,82 @@ write_trial_csv = functools.partial(_write_records, TrialRecord)
 write_aggregate_csv = functools.partial(_write_records, AggregateRecord)
 
 
+_EXP_LO, _EXP_HI = -14, 30  # the exponents x whose scale 10**(8 - x) is an exact double
+_TOKEN_CHARS = b"0123456789.e+-\0\0"  # token bytes other than mantissa digits; NUL pads
+_CHUNK = 1 << 16  # values per _format_values pass, which keeps its byte offsets in int32
+_format_one = b"%.9g".__mod__  # the text of a value that the array passes leave out
+
+
+@functools.cache
+def _format_tables():
+    """The digits of 0..9999 as 4-byte words, their trailing zeros (4 for 0),
+    exact powers of ten and, per (exponent, significant digits), the 16 bytes
+    of a token in a row of mantissa digits 2-9, digit 1, 7 unread bytes and
+    _TOKEN_CHARS; each layout is read off Python's own %.9g."""
+    quads = (np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    zeros = (np.arange(10_000)[:, None] % [10, 100, 1000] == 0).sum(1, dtype=np.uint8)
+    zeros[0] = 4
+    d = [8, *range(8)]  # the row byte of each mantissa digit
+    char = {c: 16 + i for i, c in enumerate(_TOKEN_CHARS)}
+    layout = np.full((_EXP_HI + 2 - _EXP_LO, 9, 16), char[0], np.int32)
+    for x, n in itertools.product(range(_EXP_LO, _EXP_HI + 2), range(1, 10)):
+        # digits 1-9 stand for mantissa digits; the others, 0 included, are constant
+        mant, e, exp = (b"%.9g" % float(f"{'123456789'[:n]}e{x - n + 1}")).partition(b"e")
+        cols = [d[c - 49] if c > 48 else char[c] for c in mant] + [char[c] for c in e + exp]
+        layout[x - _EXP_LO, n - 1, : len(cols)] = cols
+    return quads.view("<u4").ravel(), zeros, 10.0 ** np.arange(23), layout.reshape(-1, 16)
+
+
+def _format_values(values) -> list[bytes]:
+    """``b"%.9g" % v`` of each value.  With x = floor(log10 v), the mantissa
+    is m = rint(v * 10**(8 - x)), 1e9 carrying to the next exponent, when the
+    scaled value (one correctly rounded multiply or divide by an exact power
+    of ten, error under 6e-8) lies in [1e8, 1e9] and more than 1e-6 from a
+    half-integer.  Python formats every other value: a near tie, zero, a
+    negative, non-finite, subnormal or outside [1e-14, 1e31)."""
+    v = np.ravel(values).astype(float, copy=False)
+    if v.size > _CHUNK:
+        return [t for i in range(0, v.size, _CHUNK) for t in _format_values(v[i : i + _CHUNK])]
+    quads, zeros, pow10, layout = _format_tables()
+    with np.errstate(all="ignore"):
+        x = np.floor(np.log10(v))
+        ok = (x >= _EXP_LO) & (x <= _EXP_HI)
+        x = np.where(ok, x, 0).astype(np.int32)
+        scale = pow10.take(np.abs(x - 8))
+        scaled = np.where(x <= 8, v * scale, v / scale)
+        m = np.rint(scaled)
+        ok &= (scaled >= 1e8) & (m <= 1e9) & (np.abs(scaled - m) < 0.5 - 1e-6)
+    x += (carry := m == 1e9)
+    lead, rest = np.divmod(np.where(ok & ~carry, m, 1e8).astype(np.int32), 10**8)
+    mid, low = np.divmod(rest, 10**4)
+    src = np.empty((v.size, 8), "<u4")
+    src[:, 0] = quads.take(mid)
+    src[:, 1] = quads.take(low)
+    src[:, 2] = lead + ord("0")
+    src[:, 4:] = np.frombuffer(_TOKEN_CHARS, "<u4")
+    digits = 9 - zeros.take(low) - (low == 0) * zeros.take(mid)
+    idx = layout.take((x - _EXP_LO) * 9 + digits - 1, axis=0)
+    idx += np.arange(0, v.size * 32, 32, np.int32)[:, None]
+    out = src.view(np.uint8).ravel().take(idx).view("S16").ravel().tolist()
+    for i in np.flatnonzero(~ok).tolist():
+        out[i] = _format_one(v[i])
+    return out
+
+
 def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
     """Write a 1-D or 2-D spectrum as CSV, one line per grid point, the first
     axis slowest (radians/meters, 9 significant digits), creating the file's
-    directory.  Each axis point is formatted once into a line template, so
-    only the values go through ``%.9g``."""
+    directory.  Each axis point is formatted once into a line template, and
+    the values, formatted by ``_format_values``, fill its ``%s`` slots."""
     values = spectrum.values
     if values.ndim not in (1, 2):
         raise ValueError("only 1-D and 2-D spectra can be dumped")
     header = ["axis", "value"] if values.ndim == 1 else ["axis1", "axis2", "value"]
-    *outer, inner = [["%.9g," % p for p in pts.tolist()] for pts in spectrum.grid.axis_points()]
-    lines = [p + "%.9g\n" for p in inner]
+    *outer, inner = [[b"%.9g," % p for p in pts.tolist()] for pts in spectrum.grid.axis_points()]
+    lines = [p + b"%s\n" for p in inner]
     for axis in outer:
-        lines = [p.join(["", *lines]) for p in axis]
-    return _write_csv(path, header, "".join(lines) % tuple(values.ravel().tolist()))
+        lines = [p.join([b"", *lines]) for p in axis]
+    return _write_csv(path, header, (b"".join(lines) % tuple(_format_values(values))).decode())
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ assignment algorithms", IEEE TAES 2016, ported step for step from scipy's
 ``linear_sum_assignment``, so that nearly tied totals pick the same pairs.
 """
 
+import itertools
 import math
 import statistics
 from dataclasses import dataclass
@@ -221,6 +222,17 @@ def trial_failed(rows: Sequence[TrialRecord], k_ues: int) -> bool:
     return any(math.isnan(r.nmse) or r.peaks_found < k_ues for r in rows)
 
 
+def _user_means(trials: Sequence[Sequence[TrialRecord]], name: str) -> list[float]:
+    """Each trial's ``float(np.mean(...))`` of its ``name`` scores: the row means
+    of a C-contiguous (trials, users) table per user count have its bits."""
+    means = {}
+    for width in {len(rows) for rows in trials}:
+        at = [i for i, rows in enumerate(trials) if len(rows) == width]
+        table = np.array([[getattr(r, name) for r in trials[i]] for i in at])
+        means.update(zip(at, np.mean(table, axis=1).tolist()))
+    return [means[i] for i in range(len(trials))]
+
+
 def aggregate(
     records: Sequence[TrialRecord],
     methods: Sequence[str],
@@ -236,22 +248,22 @@ def aggregate(
     by_key: dict[tuple, dict[int, list[TrialRecord]]] = {}
     for r in records:
         by_key.setdefault((r.method, r.snr_db), {}).setdefault(r.trial, []).append(r)
+    groups = [by_key.get(key, {}) for key in itertools.product(methods, snr_db_list)]
+    kept = [[g[t] for t in sorted(g) if not trial_failed(g[t], k_ues)] for g in groups]
+    trials = [rows for k in kept for rows in k]
+    means = [iter(_user_means(trials, name)) for name in ("nmse", "bf_gain")]
     out = []
-    for method in methods:
-        for snr in snr_db_list:
-            by_trial = by_key.get((method, snr), {})
-            kept = [by_trial[t] for t in sorted(by_trial) if not trial_failed(by_trial[t], k_ues)]
-            nmses = [float(np.mean([r.nmse for r in rows])) for rows in kept]
-            gains = [float(np.mean([r.bf_gain for r in rows])) for rows in kept]
-            out.append(
-                AggregateRecord(
-                    method=method,
-                    snr_db=snr,
-                    mean_nmse=float(np.mean(nmses)) if nmses else math.nan,
-                    median_nmse=statistics.median(nmses) if nmses else math.nan,
-                    mean_bf_gain=float(np.mean(gains)) if gains else math.nan,
-                    trials_ok=len(kept),
-                    trials_failed=len(by_trial) - len(kept),
-                )
+    for (method, snr), g, k in zip(itertools.product(methods, snr_db_list), groups, kept):
+        nmses, gains = (list(itertools.islice(it, len(k))) for it in means)
+        out.append(
+            AggregateRecord(
+                method=method,
+                snr_db=snr,
+                mean_nmse=float(np.mean(nmses)) if nmses else math.nan,
+                median_nmse=statistics.median(nmses) if nmses else math.nan,
+                mean_bf_gain=float(np.mean(gains)) if gains else math.nan,
+                trials_ok=len(k),
+                trials_failed=len(g) - len(k),
             )
+        )
     return tuple(out)

@@ -951,6 +951,150 @@ class TestCsvFormat:
         )
 
 
+def _per_value_bytes(values) -> list[bytes]:
+    return [b"%.9g" % v for v in np.ravel(values).tolist()]
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The values that ``_format_values`` leaves to Python's own ``%.9g``."""
+    seen = []
+
+    def spy(value):
+        seen.append(value)
+        return b"%.9g" % value
+
+    monkeypatch.setattr(harness, "_format_one", spy)
+    return seen
+
+
+class TestFormatValues:
+    """``_format_values`` against ``b"%.9g" % v``; the ``fallbacks`` spy shows
+    whether a case ran the array passes or Python's formatting."""
+
+    # 1 to 9 significant digits, every digit among them
+    MANTISSAS = ["1", "9", "12", "105", "9990", "10203", "987654", "1000001", "12345678",
+                 "987654321", "100000001", "999999999"]
+
+    def test_every_table_exponent_and_digit_count(self, fallbacks):
+        """Exponents -14 to 30; 31 enters the table only by a carry.  Powers of
+        ten above 1e22 are not doubles: the nearest one may sit just under the
+        power, where log10 can round up, which sends it to Python."""
+        values = np.array(
+            [float(f"{m}e{x - len(m) + 1}") for x in range(-14, 31) for m in self.MANTISSAS]
+        )
+        assert harness._format_values(values) == _per_value_bytes(values)
+        assert set(fallbacks) <= {float(f"1e{x}") for x in range(23, 31)}
+
+    def test_half_integer_ties_go_to_python(self, fallbacks):
+        """(m + 0.5) * 10**(x - 8) and its neighbours lie within 1e-6 of a tie
+        once scaled, so Python rounds them; 3e-6 away the arrays do."""
+        rng = np.random.default_rng(3)
+        pairs = list(zip(rng.integers(10**8, 10**9, 540).tolist(), [*range(-14, 31)] * 12))
+        ties = np.array([float(f"{m}5e{x - 9}") for m, x in pairs])
+        near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+        assert harness._format_values(near) == _per_value_bytes(near)
+        assert len(fallbacks) == near.size
+        fallbacks.clear()
+        off = np.array([float(f"{m}.{h}e{x - 8}") for m, x in pairs for h in ("499997", "500003")])
+        assert harness._format_values(off) == _per_value_bytes(off)
+        assert fallbacks == []
+
+    def test_carry_to_the_next_exponent(self, fallbacks):
+        """9.999999995 * 10**x (a tie) and its neighbours go to Python; values
+        just above it round up to the next power of ten in the arrays, 1e31
+        and the fixed/scientific switches included."""
+        exponents = range(-14, 31)
+        ties = np.array([float(f"9.999999995e{x}") for x in exponents])
+        near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+        assert harness._format_values(near) == _per_value_bytes(near)
+        assert len(fallbacks) == near.size
+        fallbacks.clear()
+        carries = np.array([float(f"9.99999999{d}e{x}") for x in exponents for d in (6, 9999)])
+        got = harness._format_values(carries)
+        assert got == _per_value_bytes(carries)
+        assert fallbacks == []
+        assert {b"1e-13", b"0.0001", b"1e+09", b"1e+31"} <= set(got)
+
+    def test_notation_switches(self, fallbacks):
+        """%.9g turns scientific below 1e-4 and from 1e9; the powers of ten at
+        the switches and their neighbours may go either way, by log10's last
+        bit, and values off them run in the arrays."""
+        powers = np.array([1e-5, 1e-4, 1e9])
+        edges = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+        off = np.array([9.99999999e-6, 9.99999999e-5, 1.00000001e-5, 1.00000001e-4, 999999999.0,
+                        1.00000001e9, 1.5e-5, 1.5e-4, 1.5e9])
+        values = np.concatenate([edges, off])
+        got = harness._format_values(values)
+        assert got == _per_value_bytes(values)
+        assert set(fallbacks) <= set(edges.tolist())
+        assert got[-9:] == [b"9.99999999e-06", b"9.99999999e-05", b"1.00000001e-05",
+                            b"0.000100000001", b"999999999", b"1.00000001e+09", b"1.5e-05",
+                            b"0.00015", b"1.5e+09"]
+
+    def test_three_digit_exponents_extremes_and_non_positive_values(self, fallbacks):
+        values = np.array([1e-100, 1.23456789e-200, 2.2250738585072014e-308, 5e-324, 1e100,
+                           9.87654321e299, np.finfo(float).max, 1e31, 9.99999999e-15, 0.0, -0.0,
+                           -1.25, math.nan, math.inf, -math.inf])
+        assert harness._format_values(values) == _per_value_bytes(values)
+        assert len(fallbacks) == values.size
+
+    @pytest.mark.parametrize("error", [-0.3, 0.3])
+    def test_exact_when_log10_misjudges_the_exponent(self, error, monkeypatch, fallbacks):
+        """The mantissa checks, not log10's accuracy, decide: a log10 off by
+        0.3 misplaces the exponent of about 30% of the values, each of which
+        goes to Python, and the others still run in the arrays."""
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + error)
+        values = 10.0 ** np.random.default_rng(13).uniform(-10.0, 25.0, 4000)
+        assert harness._format_values(values) == _per_value_bytes(values)
+        assert 0.2 * values.size < len(fallbacks) < 0.4 * values.size
+
+    def test_more_values_than_one_pass(self, fallbacks):
+        rng = np.random.default_rng(11)
+        values = 10.0 ** rng.uniform(-16.0, 33.0, 2 * harness._CHUNK + 7)
+        assert harness._format_values(values) == _per_value_bytes(values)
+        assert len(fallbacks) < values.size / 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), max_size=40))
+    def test_any_floats(self, values):
+        assert harness._format_values(np.array(values, dtype=float)) == _per_value_bytes(values)
+
+    def test_spectrum_of_fallback_values_only(self, tmp_path, fallbacks):
+        grid = GridSpec((GridAxis("x", -2.0, 2.0, 30), GridAxis("z", 0.5, 3.0, 20)))
+        values = 10.0 ** np.random.default_rng(5).uniform(40.0, 300.0, grid.shape)
+        path = harness.dump_spectrum_csv(SpectrumGrid(grid, values), tmp_path / "s.csv")
+        xs, zs = grid.axis_points()
+        assert path.read_text() == "axis1,axis2,value\n" + "".join(
+            "%.9g,%.9g,%.9g\n" % (float(x), float(z), float(values[i, j]))
+            for i, x in enumerate(xs)
+            for j, z in enumerate(zs)
+        )
+        assert len(fallbacks) == values.size
+
+    def test_noiseless_fig1_dump_matches_per_cell_formula(self, tmp_path, monkeypatch, fallbacks):
+        spectra = []
+
+        def keep(spectrum, path):
+            spectra.append(spectrum)
+            return dump(spectrum, path)
+
+        dump = harness.dump_spectrum_csv
+        monkeypatch.setattr(harness, "dump_spectrum_csv", keep)
+        report = scenario_fig1(ExperimentConfig(), out_dir=tmp_path, snr_db=math.inf)
+        assert len(spectra) == len(report.cases) == 2
+        for spectrum, case in zip(spectra, report.cases):
+            xs, zs = (p.tolist() for p in spectrum.grid.axis_points())
+            want = "axis1,axis2,value\n" + "".join(
+                "%.9g,%.9g,%.9g\n" % (x, z, v)
+                for x, row in zip(xs, spectrum.values.tolist())
+                for z, v in zip(zs, row)
+            )
+            assert case.dump_path.read_text() == want
+        assert len(fallbacks) < spectrum.values.size / 100
+
+
 # lengths whose channel entries (about 1e-301, or 1e-157) are nonzero but
 # whose squares underflow, with the key each error must name
 UNDERFLOW_CONFIGS = [
@@ -1024,6 +1168,30 @@ class TestCli:
             assert (out / name).read_bytes() == want.read_bytes()
         angular, distance = (out / name for name in SPECTRUM_FILES)
         assert capsys.readouterr().out == f"wrote {angular} and {distance}\n"
+
+    def test_empty_config_is_a_config_error(self, tmp_path, monkeypatch, capsys):
+        """``--config ""`` names no readable file, so it is an error, not the
+        default 200-trial sweep."""
+        sweep = mock.Mock(side_effect=AssertionError("ran the default sweep"))
+        monkeypatch.setattr("nfmusic.cli.run_experiment", sweep)
+        assert cli_main(["run", "--config", "", "--out-dir", str(tmp_path)]) == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        sweep.assert_not_called()
+
+    def test_empty_out_dir_is_the_current_directory(self, tmp_path, monkeypatch, capsys):
+        """``--out-dir ""`` writes into the current directory, as
+        ``run_experiment(cfg, out_dir="")`` does, not into the config's."""
+        cfg_path = tmp_path / "exp.cfg"
+        cfg_path.write_text(
+            "n_antennas=16\nk_ues=1\ntrials=1\nsnr_db_list=20\nazimuth_grid_points=6\n"
+            "elevation_grid_points=6\ndistance_grid_points=6\nmethods=ls\nout_dir=elsewhere\n"
+        )
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli_main(["run", "--config", str(cfg_path), "--out-dir", ""]) == 0
+        assert sorted(p.name for p in cwd.iterdir()) == ["aggregate.csv", "trials.csv"]
+        assert capsys.readouterr().out.startswith("wrote trials.csv and aggregate.csv\n")
 
     def test_dump_spectrum_creates_missing_directories(self, tmp_path):
         out = tmp_path / "a" / "b"

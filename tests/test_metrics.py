@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -336,6 +337,33 @@ class TestLinearSumAssignment:
             _linear_sum_assignment([[math.inf, math.inf], [0.0, 1.0]])
 
 
+def _per_trial_aggregate(records, methods, snr_db_list, k_ues):
+    """``aggregate`` with one ``float(np.mean(list))`` per trial and score, as
+    first written."""
+    by_key = {}
+    for r in records:
+        by_key.setdefault((r.method, r.snr_db), {}).setdefault(r.trial, []).append(r)
+    out = []
+    for method, snr in itertools.product(methods, snr_db_list):
+        by_trial = by_key.get((method, snr), {})
+        kept = [rows for _, rows in sorted(by_trial.items())]
+        kept = [rows for rows in kept if not metrics.trial_failed(rows, k_ues)]
+        nmses = [float(np.mean([r.nmse for r in rows])) for rows in kept]
+        gains = [float(np.mean([r.bf_gain for r in rows])) for rows in kept]
+        out.append(
+            metrics.AggregateRecord(
+                method=method,
+                snr_db=snr,
+                mean_nmse=float(np.mean(nmses)) if nmses else math.nan,
+                median_nmse=statistics.median(nmses) if nmses else math.nan,
+                mean_bf_gain=float(np.mean(gains)) if gains else math.nan,
+                trials_ok=len(kept),
+                trials_failed=len(by_trial) - len(kept),
+            )
+        )
+    return tuple(out)
+
+
 class TestAggregate:
     def _row(self, method, snr, trial, ue, nm, bf, peaks=4):
         return TrialRecord(
@@ -380,6 +408,31 @@ class TestAggregate:
         assert agg.trials_ok == 1
         assert agg.trials_failed == 1
         assert agg.mean_nmse == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("k_ues", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 64, 65])
+    def test_user_means_have_the_bits_of_each_trials_own_mean(self, k_ues):
+        """Every aggregate has the bits of the per-trial ``float(np.mean(list))``
+        user averages, over reports with failed trials and empty keys, and so
+        does each trial's user average, also when trials differ in user count."""
+        rng = np.random.default_rng(k_ues)
+        for _ in range(15):
+            rows = []
+            for method, snr in itertools.product("ab", (0.0, 10.0)):
+                for trial in range(rng.integers(0, 6)):
+                    failed = rng.random() < 0.25
+                    for ue in range(k_ues):
+                        nm = math.nan if failed and ue == 0 else 10 ** rng.uniform(-4.0, 1.0)
+                        rows.append(self._row(method, snr, trial, ue, nm, rng.random(), k_ues))
+            got = aggregate(rows, ["a", "b"], [0.0, 10.0], k_ues)
+            assert repr(got) == repr(_per_trial_aggregate(rows, ["a", "b"], [0.0, 10.0], k_ues))
+        trials = [
+            [self._row("m", 0.0, 0, ue, 10 ** rng.uniform(-4.0, 1.0), rng.random())
+             for ue in range(rng.choice([1, 3, k_ues, 2 * k_ues + 1]))]
+            for _ in range(40)
+        ]
+        for name in ("nmse", "bf_gain"):
+            want = [float(np.mean([getattr(r, name) for r in rows])) for rows in trials]
+            assert metrics._user_means(trials, name) == want
 
     def test_row_order_does_not_matter(self):
         """Two methods at two SNRs, each with failed and surviving trials:
