@@ -6,11 +6,12 @@ Usage: PYTHONPATH=src python scripts/output_digests.py OUT_DIR
 The set is the reference, ``large_array``, ``all_methods`` and ``coarse``
 sweeps at seeds 1-3 (``trials.csv`` and ``aggregate.csv`` each), the
 reference sweep again on 2 worker threads (``reference_2w``), the ``fig1``
-plane-slice spectra at seeds 1-3, and the two ``dump-spectrum`` CSVs, the
-trial's own two-step ``spectrum_angular.csv`` and ``spectrum_distance.csv``,
-of the reference config, written into OUT_DIR itself, and of the
-``large_array`` config (a 19 x 19 steering subgrid instead of 9 x 9), written
-into ``spectrum_large_array/``: 40 files.
+plane-slice spectra at seeds 1-3 and, on a 9 x 9 array whose middle column
+is its own mirror at y = 0, at seed 1 (``fig1_n81_seed1``), and the two
+``dump-spectrum`` CSVs, the trial's own two-step ``spectrum_angular.csv`` and
+``spectrum_distance.csv``, of the reference config, written into OUT_DIR
+itself, and of the ``large_array`` config (a 19 x 19 steering subgrid instead
+of 9 x 9), written into ``spectrum_large_array/``: 42 files.
 Each line printed is ``path sha256`` with the path relative to OUT_DIR, so
 diffing the output of two checkouts shows whether a change kept every output
 byte-identical.  The ``reference_2w`` files must hold the bytes of the
@@ -57,6 +58,8 @@ SWEEPS = {
     ),
 }
 FIG1_L = (10, 3)
+# an odd-sided array for fig1, at seed 1 only
+FIG1_ODD = dataclasses.replace(REFERENCE, n_antennas=81, seed=1)
 # SWEEPS config -> the directory under OUT_DIR its spectrum dump goes to
 SPECTRUM_DUMPS = {"reference": "", "large_array": "spectrum_large_array/"}
 
@@ -70,6 +73,7 @@ def csv_names() -> list[str]:
         for csv in ("trials.csv", "aggregate.csv")
     ]
     names += [f"fig1_seed{seed}/fig1_L{l_pilots}.csv" for seed in SEEDS for l_pilots in FIG1_L]
+    names += [f"fig1_n81_seed1/fig1_L{l_pilots}.csv" for l_pilots in FIG1_L]
     return names + [
         f"{subdir}spectrum_{kind}.csv"
         for subdir in SPECTRUM_DUMPS.values()
@@ -88,6 +92,7 @@ def write_outputs(out: Path) -> list[Path]:
     for seed in SEEDS:
         cfg = dataclasses.replace(REFERENCE, seed=seed)
         scenario_fig1(cfg, out_dir=out / f"fig1_seed{seed}", l_values=FIG1_L)
+    scenario_fig1(FIG1_ODD, out_dir=out / "fig1_n81_seed1", l_values=FIG1_L)
     for config, subdir in SPECTRUM_DUMPS.items():
         dump_spectrum(SWEEPS[config], out / subdir)
     return [out / name for name in csv_names()]

@@ -656,7 +656,7 @@ write_aggregate_csv = functools.partial(_write_records, AggregateRecord)
 
 _EXP_LO, _EXP_HI = -14, 30  # the exponents x whose scale 10**(8 - x) is an exact double
 _TOKEN_CHARS = b"0123456789.e+-\0\0"  # token bytes other than mantissa digits; NUL pads
-_CHUNK = 1 << 16  # values per _format_values pass, which keeps its byte offsets in int32
+_CHUNK = 1 << 12  # values per _format_values pass: int32 byte offsets, heap-sized temporaries
 _format_one = b"%.9g".__mod__  # the text of a value that the array passes leave out
 
 

@@ -34,9 +34,12 @@ plus ``2D + 2M`` floats, so a distance scan pays only its per-angle
 remainder, an M x D complex exp; the location bank per (array geometry,
 grid, chunk of cells).  The location bank is cached one
 ``_CHUNK``-column chunk at a time and only the last chunk stays resident, at
-most ``_CHUNK * M * 16`` bytes; building a chunk allocates one ``_BLOCK``-cell
+most ``_CHUNK * R * 16`` bytes; building a chunk allocates one ``_BLOCK``-cell
 block of temporaries beyond it.  A grid larger than one chunk rebuilds its
-chunks on every call.
+chunks on every call.  An x or y that a grid holds at 0 makes the array's
+mirror across it a symmetry of every steering vector, so the bank keeps one
+row per mirror orbit, R of the M elements (50 of 100 on the reference (x, z)
+plane), and ``spectrum_3d`` sums ``U_s``'s rows over each orbit to match.
 """
 
 import functools
@@ -52,7 +55,7 @@ from .subspace import NoiseSubspace, noise_subspace, smoothed_covariance
 
 EPS_SCALE = 1e-15
 _CHUNK = 16384
-_BLOCK = 512
+_BLOCK = 256
 
 CARTESIAN_AXES = ("x", "y", "z")
 ANGULAR_AXES = ("azimuth", "elevation")
@@ -198,13 +201,35 @@ def _angular_bank(sub: ArrayGeometry, grid: GridSpec) -> tuple[np.ndarray, np.nd
     return e_x, e_y
 
 
+def _mirror_corner(side: int, grid: GridSpec) -> tuple[int, int]:
+    """Rows and columns of the array corner whose elements lead the mirror
+    orbits of ``grid``.  The exact response is the same, bit for bit, on
+    elements (n, m) and (side + 1 - n, m) at x = 0 and on (n, m) and
+    (n, side + 1 - m) at y = 0, so an omitted axis halves its side, rounding up."""
+    return tuple(side if name in grid.names() else (side + 1) // 2 for name in "xy")
+
+
+def _folded_signal(un: NoiseSubspace, side: int, corner: tuple[int, int]) -> np.ndarray:
+    """``U_s`` with the rows of each mirror orbit summed into the row of its
+    leading element, so that ``U_fold^H b`` over the corner rows ``b`` of a
+    steering vector equals ``U_s^H a``; ``U_s`` itself when no axis folds."""
+    if corner == (side, side):
+        return un.signal
+    i = np.arange(side)
+    n, m = (i if h == side else np.minimum(i, i[::-1]) for h in corner)
+    folded = np.zeros((corner[0] * corner[1], un.signal.shape[1]), complex)
+    np.add.at(folded, (n[:, None] * corner[1] + m).ravel(), un.signal)
+    return folded
+
+
 @functools.lru_cache(maxsize=1)
 def _location_bank(
     g: ArrayGeometry, grid: GridSpec, start: int, stop: int
 ) -> np.ndarray:
     """Unit-normalized exact-model steering vectors for the flat grid cells
     ``start`` to ``stop`` of a (x, y, z)-ordered ``grid``; an omitted x or y is
-    held at 0.
+    held at 0.  Only the rows of the elements that lead their mirror orbits
+    (:func:`_mirror_corner`) are kept, each bit-equal to its full column's.
 
     It is filled ``_BLOCK`` cells at a time, so the build allocates one
     block's temporaries beyond the bank.  The array is read-only: every
@@ -213,13 +238,16 @@ def _location_bank(
     coords = dict(zip(grid.names(), grid.axis_points()))
     axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
     shape = [ax.size for ax in axes]
-    steering = np.empty((g.n_antennas, stop - start), dtype=complex)
+    h_x, h_y = _mirror_corner(g.side, grid)
+    steering = np.empty((h_x, h_y, stop - start), dtype=complex)
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
         cells = np.unravel_index(np.arange(lo, hi), shape)
         block = array_response(g, *(ax[i] for ax, i in zip(axes, cells)))
         norms = np.linalg.norm(block, axis=0, keepdims=True)
-        np.divide(block, norms, out=steering[:, lo - start : hi - start])
+        corner = block.reshape(g.side, g.side, -1)[:h_x, :h_y]
+        np.divide(corner, norms, out=steering[..., lo - start : hi - start])
+    steering = steering.reshape(h_x * h_y, -1)
     steering.flags.writeable = False
     return steering
 
@@ -261,11 +289,12 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
             f"noise subspace dimension {un.dim} does not match the full array ({g.n_antennas})"
         )
 
+    signal_h = _folded_signal(un, g.side, _mirror_corner(g.side, grid)).conj().T
     values = np.empty(math.prod(grid.shape))
     for start in range(0, values.size, _CHUNK):
         stop = min(start + _CHUNK, values.size)
         steering = _location_bank(g, grid, start, stop)
-        values[start:stop] = _guarded_quotient(1.0, _signal_energy(un, steering))
+        values[start:stop] = _guarded_quotient(1.0, _column_energy(signal_h @ steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 

@@ -76,6 +76,19 @@ class TestArrayResponse:
         assert np.allclose(a, a[::-1, :], rtol=1e-9)
         assert np.allclose(a, a[:, ::-1], rtol=1e-9)
 
+    @pytest.mark.parametrize("n_antennas", [16, 25, 100])
+    def test_mirror_symmetry_on_the_axis_planes_is_exact(self, n_antennas):
+        """At y = 0 element (n, m) and its mirror (n, side + 1 - m) get the
+        same response bit for bit, and at x = 0 elements (n, m) and
+        (side + 1 - n, m) do, on even and odd sides alike."""
+        g = ArrayGeometry(n_antennas, 0.1 / math.sqrt(2), 0.1)
+        rng = np.random.default_rng(n_antennas)
+        u, z = rng.uniform(-2.0, 2.0, 200), rng.uniform(0.05, 5.0, 200)
+        at_y0 = array_response(g, u, 0.0, z).reshape(g.side, g.side, -1)
+        at_x0 = array_response(g, 0.0, u, z).reshape(g.side, g.side, -1)
+        assert np.array_equal(at_y0.view(np.uint64), at_y0[:, ::-1].view(np.uint64))
+        assert np.array_equal(at_x0.view(np.uint64), at_x0[::-1].view(np.uint64))
+
     def test_norm_matches_elementwise_loop(self, geo):
         loc = UeLocation(0.0, 0.0, 2.0)
         a = array_response(geo, loc.x, loc.y, loc.z)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -147,7 +148,7 @@ class TestSpectrum3d:
         # keyed on the geometry's value: an equal array shares the entry
         twin = ArrayGeometry(geo16.n_antennas, geo16.element_diag, geo16.wavelength)
         assert music._location_bank(twin, grid, 0, 35) is first
-        assert first.shape == (16, 35)
+        assert first.shape == (8, 35)
         with pytest.raises(ValueError):
             first[0, 0] = 0.0
 
@@ -184,18 +185,27 @@ class TestSpectrum3d:
                     assert np.array_equal(got, fresh[g, grid])
 
     @pytest.mark.parametrize(
-        "axes",
+        "axes, kept_m",
         [
-            (GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)),
-            (GridAxis("x", -0.5, 0.5, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 4)),
+            ((GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)), 2),
+            (
+                (
+                    GridAxis("x", -0.5, 0.5, 7),
+                    GridAxis("y", -0.5, 0.5, 5),
+                    GridAxis("z", 0.5, 2.0, 4),
+                ),
+                4,
+            ),
         ],
         ids=["xz", "xyz"],
     )
-    def test_location_bank_blocks_equal_one_response(self, geo16, axes, monkeypatch):
+    def test_location_bank_blocks_equal_one_response(self, geo16, axes, kept_m, monkeypatch):
         """A bank filled in blocks of 7 cells, the last one ragged, equals bit
         for bit one ``array_response`` over all its cells divided by its
-        column norms."""
+        column norms, on the rows of the elements (n, m) with m <= kept_m:
+        the first of each mirror pair at y = 0, every element otherwise."""
         monkeypatch.setattr(music, "_BLOCK", 7)
+        rows = [geo16.index(n, m) for n in range(1, 5) for m in range(1, kept_m + 1)]
         grid = GridSpec(axes)
         coords = dict(zip(grid.names(), grid.axis_points()))
         full = [coords.get(n, np.array([0.0])) for n in music.CARTESIAN_AXES]
@@ -206,7 +216,31 @@ class TestSpectrum3d:
             want /= np.linalg.norm(want, axis=0, keepdims=True)
             music._location_bank.cache_clear()
             got = music._location_bank(geo16, grid, start, stop)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert np.array_equal(got.view(np.uint64), want[rows].view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "names, rows", [(("x", "z"), 15), (("y", "z"), 15), (("z",), 9), (("x", "y", "z"), 25)]
+    )
+    def test_location_bank_keeps_one_row_per_mirror_orbit(self, geo16, names, rows):
+        """On a 5 x 5 array each axis held at 0 folds the 5 elements along it
+        into 3 orbits, the middle one self-mirrored."""
+        g = ArrayGeometry(25, geo16.element_diag, geo16.wavelength)
+        grid = GridSpec(tuple(GridAxis(n, 0.5, 2.0, 3) for n in names))
+        cells = math.prod(grid.shape)
+        assert music._location_bank(g, grid, 0, cells).shape == (rows, cells)
+
+    def test_unfolded_grid_scores_the_whole_bank(self, geo16):
+        """An (x, y, z) grid has no mirror orbit of two elements, so its
+        spectrum is, bit for bit, the quotient over the full bank."""
+        grid = GridSpec(
+            (GridAxis("x", -0.5, 0.5, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 4))
+        )
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        un = noise_subspace(sample_covariance(x), 2)
+        bank = music._location_bank(geo16, grid, 0, math.prod(grid.shape))
+        want = music._guarded_quotient(1.0, music._signal_energy(un, bank))
+        assert np.array_equal(spectrum_3d(un, grid, geo16).values.ravel(), want)
 
     def test_location_bank_build_peak_memory(self):
         """A cold build of the reference plane-slice bank allocates at most
@@ -399,6 +433,26 @@ class TestSignalSubspaceForm:
 
     def test_3d(self, geo16, block):
         self._check_3d(geo16, block)
+
+    @pytest.mark.parametrize("n_antennas", [16, 25])
+    @pytest.mark.parametrize("names", [("x", "z"), ("y", "z"), ("z",)], ids=["xz", "yz", "z"])
+    def test_3d_on_folded_grids(self, geo16, n_antennas, names):
+        """A grid that holds x or y at 0 scores a half bank against the
+        folded signal basis and keeps the per-point values; on the 5 x 5
+        array the middle row or column is its own mirror."""
+        g = ArrayGeometry(n_antennas, geo16.element_diag, geo16.wavelength)
+        rng = np.random.default_rng(n_antennas)
+        x = rng.standard_normal((6, n_antennas)) + 1j * rng.standard_normal((6, n_antennas))
+        un = noise_subspace(sample_covariance(x), 2)
+        bounds = {"x": (-1.0, 1.0, 7), "y": (-0.8, 0.6, 6), "z": (0.3, 3.0, 5)}
+        grid = GridSpec(tuple(GridAxis(n, *bounds[n]) for n in names))
+        coords = dict(zip(names, grid.axis_points()))
+        want = []
+        for point in itertools.product(*(coords.get(n, [0.0]) for n in "xyz")):
+            a = array_response(g, *point)
+            want.append(self._quotient(un, a / np.linalg.norm(a)))
+        got = spectrum_3d(un, grid, g).values
+        assert np.allclose(got.ravel(), want, rtol=1e-9, atol=0)
 
     def test_3d_across_chunks(self, geo16, block, monkeypatch):
         """A grid of 81 cells in chunks of 7 keeps the per-point values, and
