@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 import nfmusic as nf
-from nfmusic.signal import ROLE_NOISE, ROLE_PILOTS, ROLE_PLACEMENT
+from nfmusic.harness import _observe, _place_users
 
 SNRS = (20.0, math.inf)
 # (label, K, L, c_r, equal power)
@@ -44,14 +44,13 @@ def trial_errors(k, l_pilots, c_r, equal, snr_db, t):
     elevation, relative range error, range on a grid edge) of each of its
     users, or None for an unmatched user."""
     g, ag, dg = CFG.geometry(), CFG.angular_grid(), CFG.distance_grid()
-    place_cfg = dataclasses.replace(CFG, k_ues=k, elevation_range=(0.0, 0.0))
-    locs = nf.place_ues(place_cfg, nf.stream(1, 0, t, ROLE_PLACEMENT))
+    trial_cfg = dataclasses.replace(CFG, k_ues=k, elevation_range=(0.0, 0.0))
+    # trial t of a sweep of trial_cfg, at its first SNR point
+    locs, a = _place_users(trial_cfg, g, (0, t))
     truths = [nf.cart_to_polar(l) for l in locs]
-    a = nf.channel_matrix(g, locs).entries
     if equal:
-        a = a / np.linalg.norm(a, axis=0)
-    pilots = nf.gen_pilots(k, l_pilots, nf.stream(1, 0, t, ROLE_PILOTS))
-    block = nf.received_block(a, pilots, snr_db, nf.stream(1, 0, t, ROLE_NOISE))
+        a = nf.ChannelMatrix(a.entries / np.linalg.norm(a.entries, axis=0))
+    block = _observe(trial_cfg, a, l_pilots, snr_db, (0, t))
     result = nf.two_step_estimate(block, g, k, c_r, ag, dg)
     found = result.locations
     edges = dg.axis_points()[0][[0, -1]]
@@ -68,11 +67,12 @@ def trial_errors(k, l_pilots, c_r, equal, snr_db, t):
 
 def fig1_cost(seed):
     """Largest noiseless exact-model cost at a true user of criterion 2's L=10 case."""
+    # the users and the L=10 pilots that scenario_fig1 draws
     flat = dataclasses.replace(CFG, seed=seed, elevation_range=(0.0, 0.0))
-    locs = nf.place_ues(flat, nf.stream(seed, 0, 0, ROLE_PLACEMENT))
-    a = nf.channel_matrix(CFG.geometry(), locs).entries
-    pilots = nf.gen_pilots(4, 10, nf.stream(seed, 10, 0, ROLE_PILOTS))
-    us = nf.noise_subspace(nf.smoothed_covariance(nf.received_block(a, pilots, math.inf), 0), 4)
+    _, channels = _place_users(flat, flat.geometry(), (0, 0))
+    a = channels.entries
+    block = _observe(flat, channels, 10, math.inf, (10, 0))
+    us = nf.noise_subspace(nf.smoothed_covariance(block, 0), flat.k_ues)
     captured = np.sum(abs(us.signal.conj().T @ a) ** 2, axis=0) / np.sum(abs(a) ** 2, axis=0)
     return float(np.max(abs(1 - captured)))
 

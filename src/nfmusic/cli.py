@@ -14,7 +14,7 @@ from pathlib import Path
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    check_output_dir,
+    _output_files,
     dump_spectrum,
     parse_config,
     run_experiment,
@@ -31,7 +31,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def _out_dir(args, cfg: ExperimentConfig) -> Path:
     name, path = ("out_dir", cfg.out_dir) if args.out_dir is None else ("--out-dir", args.out_dir)
-    check_output_dir(path, name)
+    _output_files(path, (), name)
     return Path(path)
 
 

@@ -22,6 +22,7 @@ import math
 import numbers
 import operator
 import os
+import stat
 import typing
 import warnings as _warnings
 from dataclasses import dataclass
@@ -304,37 +305,33 @@ def _check_arguments(func, **values) -> None:
         _check_type(name, _field_type(inspect.unwrap(func).__annotations__[name]), value)
 
 
-def _output_path(path, name: str) -> Path:
-    """``path`` as a Path; a ConfigError naming ``name`` unless it is a str or
-    an os.PathLike."""
-    if not isinstance(path, (str, os.PathLike)):
-        raise ConfigError(f"{name} must be a str or os.PathLike path, got {path!r}")
-    return Path(path)
-
-
-def check_output_dir(path, name: str) -> None:
-    """Raise a ConfigError naming ``name`` unless ``path``, or the nearest
-    existing path above it, is a directory, so a run fails before its work,
-    not at the write."""
-    path = _output_path(path, name)
+def _output_files(out_dir, names: Sequence[str], name: str = "out_dir") -> list[Path]:
+    """``out_dir / file`` for each file of ``names``, checked so that a run fails
+    before its work, with a ConfigError naming ``name``: ``out_dir`` is a str or
+    os.PathLike under a directory, its missing parts fit that directory's name
+    length limit, and no file of ``names`` is a directory.  Permissions are not checked."""
+    if not isinstance(out_dir, (str, os.PathLike)):
+        raise ConfigError(f"{name} must be a str or os.PathLike path, got {out_dir!r}")
+    path = Path(out_dir)
     for existing in (path, *path.parents):
-        if existing.exists():
-            if not existing.is_dir():
-                raise ConfigError(f"{name} {path}: {existing} is not a directory")
-            return
-
-
-def _output_files(out_dir, names: Sequence[str]) -> list[Optional[Path]]:
-    """``out_dir / name`` for each of ``names``, each checked to name a file in a
-    directory (see :func:`check_output_dir`) before any work; all None when
-    ``out_dir`` is None."""
-    if out_dir is None:
-        return [None] * len(names)
-    check_output_dir(out_dir, "out_dir")
-    paths = [Path(out_dir) / name for name in names]
-    for path in paths:
-        if path.is_dir():
-            raise ConfigError(f"out_dir {path}: names a directory, not a file")
+        try:
+            mode = os.stat(existing).st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            continue  # not there yet: the write creates it
+        except (OSError, ValueError) as exc:  # such as a name too long or a NUL byte
+            raise ConfigError(f"{name} {path}: {exc}") from exc
+        if not stat.S_ISDIR(mode):
+            raise ConfigError(f"{name} {path}: {existing} is not a directory")
+        break
+    # stat stops at the first missing part, so it never sees a name too long below it
+    limit = os.pathconf(existing, "PC_NAME_MAX")
+    for part in path.relative_to(existing).parts:
+        if len(os.fsencode(part)) > limit:
+            raise ConfigError(f"{name} {path}: a part is longer than the {limit}-byte name limit")
+    paths = [path / file for file in names]
+    for file in paths:
+        if file.is_dir():
+            raise ConfigError(f"{name} {file}: names a directory, not a file")
     return paths
 
 
@@ -601,7 +598,8 @@ def run_experiment(
     at its last trial.
     """
     _check_arguments(run_experiment, threads=threads)
-    trials_csv, aggregate_csv = _output_files(out_dir, ("trials.csv", "aggregate.csv"))
+    if out_dir is not None:
+        trials_csv, aggregate_csv = _output_files(out_dir, ("trials.csv", "aggregate.csv"))
     g = cfg.geometry()
     grids = (cfg.angular_grid(), cfg.distance_grid())
     keys = [(si, t) for si in range(len(cfg.snr_db_list)) for t in range(cfg.trials)]
@@ -777,9 +775,10 @@ def scenario_fig1(
     positions; with enough snapshots all users appear, with fewer than K
     they conflate.
     """
-    _check_arguments(scenario_fig1, l_values=l_values)
-    dump_paths = _output_files(out_dir, [f"fig1_L{l_pilots}.csv" for l_pilots in l_values])
-    # snr_db goes through the config so it is checked like a sweep's SNRs
+    _check_arguments(scenario_fig1, snr_db=snr_db, l_values=l_values)
+    names = [f"fig1_L{l_pilots}.csv" for l_pilots in l_values]
+    dump_paths = [None] * len(names) if out_dir is None else _output_files(out_dir, names)
+    # snr_db goes through the config so its range is checked like a sweep's SNRs
     flat = dataclasses.replace(cfg, elevation_range=(0.0, 0.0), snr_db_list=(snr_db,))
     g = flat.geometry()
     locs, a_true = _place_users(flat, g, (0, 0))
@@ -822,7 +821,7 @@ def dump_spectrum(
     """
     _check_arguments(dump_spectrum, snr_db=snr_db, trial=trial)
     names = ("spectrum_angular.csv", "spectrum_distance.csv")
-    paths = _output_files(_output_path(out_dir, "out_dir"), names)
+    paths = _output_files(out_dir, names)
     snr_db = snr_db if snr_db is not None else cfg.snr_db_list[-1]
     if snr_db not in cfg.snr_db_list:
         raise ConfigError(

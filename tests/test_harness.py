@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nfmusic.harness as harness
@@ -709,9 +709,17 @@ class TestScenarioFig1:
         assert dump[0] == "axis1,axis2,value"
         assert len(dump) == 1 + 60 * 60
 
-    @pytest.mark.parametrize("snr_db", [-math.inf, "20", True])
+    @pytest.mark.parametrize("snr_db", [-math.inf, math.nan, 300.5])
     def test_minus_inf_snr_rejected(self, snr_db):
         with pytest.raises(ConfigError, match="snr_db_list"):
+            scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", ["20", True, None])
+    def test_ill_typed_snr_is_named_as_the_argument(self, snr_db, monkeypatch):
+        """A non-number ``snr_db`` is named as passed, as ``dump_spectrum`` names it,
+        before a user is placed."""
+        monkeypatch.setattr(harness, "_place_users", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ConfigError, match="snr_db must be a real number"):
             scenario_fig1(_tiny_config(cart_grid_points=10), snr_db=snr_db)
 
     @pytest.mark.parametrize(
@@ -1389,9 +1397,13 @@ class TestCli:
             (["run", "--out-dir", "afile/sub"], "", "--out-dir"),
             (["run"], "out_dir=afile\n", "out_dir"),
             (["fig1", "--out-dir", "afile"], "", "--out-dir"),
+            (["run"], f"out_dir={'x' * 300}\n", "out_dir"),
+            (["fig1"], "out_dir=a\0b\n", "out_dir"),
+            (["dump-spectrum", "--out-dir", f"new/{'x' * 300}"], "", "--out-dir"),
         ],
         ids=[
             "dump_existing_file", "dump_config_under_file", "run_existing_file", "run_under_file", "run_config_file", "fig1_existing_file",
+            "run_config_long_name", "fig1_config_nul_byte", "dump_long_name_under_missing_dir",
         ],
     )
     def test_unusable_output_path_returns_error_code(
@@ -1423,6 +1435,9 @@ class TestCli:
             ("scenario_fig1", dict(out_dir="taken"), "out_dir taken/fig1_L3.csv"),
             ("dump_spectrum", dict(out_dir="taken"), "out_dir taken/spectrum_angular.csv"),
             ("dump_spectrum", dict(out_dir="taken"), "out_dir taken/spectrum_distance.csv"),
+            ("run_experiment", dict(out_dir="x" * 300), "out_dir"),
+            ("dump_spectrum", dict(out_dir="a\0b"), "out_dir"),
+            ("scenario_fig1", dict(out_dir=f"new/{'x' * 300}"), "out_dir"),
         ],
         ids=[
             "run_existing_file", "run_under_file", "fig1_existing_file",
@@ -1430,6 +1445,7 @@ class TestCli:
             "run_trials_csv_is_dir", "run_aggregate_csv_is_dir",
             "fig1_first_dump_is_dir", "fig1_last_dump_is_dir",
             "dump_angular_is_dir", "dump_distance_is_dir",
+            "run_long_name", "dump_nul_byte", "fig1_long_name_under_missing_dir",
         ],
     )
     def test_python_entry_point_checks_output_path_first(
@@ -1537,26 +1553,36 @@ def _tiny_config_texts(draw):
     return "\n".join(f"{k}={v}" for k, v in lines.items())
 
 
+# output directories under a temporary directory that holds one file, "afile":
+# a fresh one, one under that file, one with a NUL byte and one with a part
+# longer than any name limit below a missing directory
+_OUT_DIRS = ("fresh", "afile/sub", "a\0b", f"new/{'x' * 300}")
+
+
 class TestConfigProperty:
     @settings(max_examples=200, deadline=None)
     @given(_tiny_config_texts(), st.sampled_from([-1, 0, 1]))
+    # few drawn configs are accepted, so one that runs is always tried
+    @example("n_antennas=16\nk_ues=2\ntrials=1\nsnr_db_list=20\ncart_grid_points=6", 0)
     def test_config_runs_or_raises_config_error(self, text, trial):
         """A sweep, the plane-slice scenario and every spectrum dump of an
-        accepted config either return or raise ConfigError, and a sweep has one
-        row per (method, SNR, trial, user)."""
+        accepted config, into each of ``_OUT_DIRS``, either return or raise
+        ConfigError, and a sweep has one row per (method, SNR, trial, user)."""
         try:
             cfg = parse_config_text(text)
         except ConfigError:
             return
         # a hopeless placement raises ConfigError after PLACEMENT_BUDGET
         # attempts either way; a small budget keeps such examples cheap
-        with mock.patch.object(harness, "PLACEMENT_BUDGET", 1000):
-            with contextlib.suppress(ConfigError):
-                report = run_experiment(cfg)
-                keys = {(r.method, r.snr_db, r.trial, r.ue) for r in report.records}
-                n_rows = len(cfg.methods) * len(cfg.snr_db_list) * cfg.trials * cfg.k_ues
-                assert len(keys) == len(report.records) == n_rows
-            with contextlib.suppress(ConfigError):
-                scenario_fig1(cfg)
-            with tempfile.TemporaryDirectory() as out, contextlib.suppress(ConfigError):
-                harness.dump_spectrum(cfg, out, trial=trial)
+        with mock.patch.object(harness, "PLACEMENT_BUDGET", 1000), tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "afile").write_text("keep\n")
+            for out in (os.path.join(tmp, name) for name in _OUT_DIRS):
+                with contextlib.suppress(ConfigError):
+                    report = run_experiment(cfg, out_dir=out)
+                    keys = {(r.method, r.snr_db, r.trial, r.ue) for r in report.records}
+                    n_rows = len(cfg.methods) * len(cfg.snr_db_list) * cfg.trials * cfg.k_ues
+                    assert len(keys) == len(report.records) == n_rows
+                with contextlib.suppress(ConfigError):
+                    scenario_fig1(cfg, out_dir=out)
+                with contextlib.suppress(ConfigError):
+                    harness.dump_spectrum(cfg, out, trial=trial)
