@@ -308,8 +308,9 @@ def _check_arguments(func, **values) -> None:
 def _output_files(out_dir, names: Sequence[str], name: str = "out_dir") -> list[Path]:
     """``out_dir / file`` for each file of ``names``, checked so that a run fails
     before its work, with a ConfigError naming ``name``: ``out_dir`` is a str or
-    os.PathLike under a directory, its missing parts fit that directory's name
-    length limit, and no file of ``names`` is a directory.  Permissions are not checked."""
+    os.PathLike under a directory, none of its missing parts is a dangling
+    symbolic link, they fit that directory's name length limit, and no file of
+    ``names`` is a directory.  Permissions are not checked."""
     if not isinstance(out_dir, (str, os.PathLike)):
         raise ConfigError(f"{name} must be a str or os.PathLike path, got {out_dir!r}")
     path = Path(out_dir)
@@ -317,6 +318,8 @@ def _output_files(out_dir, names: Sequence[str], name: str = "out_dir") -> list[
         try:
             mode = os.stat(existing).st_mode
         except (FileNotFoundError, NotADirectoryError):
+            if os.path.lexists(existing):  # a link the write cannot make a directory
+                raise ConfigError(f"{name} {path}: {existing} is a symbolic link to nothing")
             continue  # not there yet: the write creates it
         except (OSError, ValueError) as exc:  # such as a name too long or a NUL byte
             raise ConfigError(f"{name} {path}: {exc}") from exc

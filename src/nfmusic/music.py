@@ -18,17 +18,19 @@ by the model, never computed: M for the unit-modulus planar-wave and polar
 responses on an M-element steering array, 1 for the unit-normalized exact one.
 
 A smoothed subspace steers on its own array: the centred ``side`` x ``side``
-square of the subarray size.  On it the planar-wave vector is a Kronecker
-product, ``a(az, el) = e_x(u) (x) e_y(v)`` with ``u = cos(el) sin(az)``
-and ``v = sin(el)``, so the angular scan never forms ``a``: it contracts
-``U_s^H`` with the y factor in one matmul and with the x factor in one batched
-matmul per elevation, O(K * side) per grid cell instead of O(K * side**2).
+square of the subarray size.  On it the planar-wave vector is ``e_x (x) e_y``;
+the scan contracts ``U_s^H`` with ``e_y`` in one matmul, to ``p_j`` (K x side) at
+elevation j.  ``conj(e_x[x]) e_x[x + d]`` depends only on the lag d (the
+difference co-array, Hoctor & Kassam, Proc. IEEE 1990), so ``||p_j e_x||**2`` is
+``c[0] + sum_d 2 Re(c[d] exp(i d phi))`` over the diagonal sums ``c[d]`` of
+``p_j^H p_j``, ``phi = 2 pi spacing cos(el) sin(az) / wavelength``: 2 (side - 1)
+real products per grid cell instead of K * side complex ones.
 
-Neither the angular steering factors, nor the angle-free terms of the
+Neither the angular lag terms, nor the angle-free terms of the
 polar-phase response, nor the unit-normalized exact-model location bank
 depends on the data, so each is built once and kept read-only in a small
-cache: the angular factors per (steering array, grid), ``side * 16`` bytes
-per grid cell plus the y factor; the distance bank per (steering array,
+cache: the angular lag terms per (steering array, grid), ``2 (side - 1) * 8``
+bytes per grid cell plus the y factor; the distance bank per (steering array,
 distance grid), ``M * D * 8`` bytes for M steering elements and D distances
 plus ``2D + 2M`` floats, so a distance scan pays only its per-angle
 remainder, an M x D complex exp; the location bank per (array geometry,
@@ -147,13 +149,8 @@ class PeakSet:
 
 
 def _column_energy(x: np.ndarray) -> np.ndarray:
-    """Squared norm of each column of a matrix, or of each matrix in a stack."""
+    """Squared norm of each column of a matrix."""
     return np.sum(x.real**2 + x.imag**2, axis=-2)
-
-
-def _signal_energy(un: NoiseSubspace, steering: np.ndarray) -> np.ndarray:
-    """||U_s^H a||**2 for each column ``a`` of ``steering``."""
-    return _column_energy(un.signal.conj().T @ steering)
 
 
 def _guarded_quotient(norm: float, captured: np.ndarray) -> np.ndarray:
@@ -181,24 +178,26 @@ def _steering_array(un: NoiseSubspace, g: ArrayGeometry) -> ArrayGeometry:
 
 
 @functools.lru_cache(maxsize=4)
-def _angular_bank(sub: ArrayGeometry, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column factors of the planar-wave steering vectors of the
-    steering array ``sub`` over an (azimuth, elevation) grid.
+def _angular_bank(sub: ArrayGeometry, grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """Lag terms and y factor of the planar-wave steering vectors of the
+    steering array ``sub`` over an (azimuth, elevation) grid, and the flat
+    indices of a (side, side) upper triangle by diagonal, with each one's start.
 
-    The x factor ``e_x`` has shape (n_el, side, n_az) and the y factor ``e_y``
-    (side, n_el); the steering vector of cell (i, j) is
-    ``np.kron(e_x[j, :, i], e_y[:, j])``.  Both factors are planar-wave
-    responses of the array's axis-only centres, (x_n, 0, 0) and (0, y_m, 0).
-    Both arrays are read-only: every caller, pool workers included, shares them.
+    The lag terms (n_el, 2(side - 1), n_az) are twice the conjugate response at
+    the lag centres (d * spacing, 0, 0), d = 1..side-1, as (cos, -sin) row pairs;
+    ``e_y`` (side, n_el) is the response at the centres (0, y_m, 0).
+    Every array is read-only: every caller, pool workers included, shares them.
     """
     az, el = grid.axis_points()
-    centers = sub.centers.reshape(sub.side, sub.side, 3)
-    e_x = farfield_response(sub, az, el[:, None], centers[:, 0] * [1.0, 0.0, 0.0])
-    e_x = np.ascontiguousarray(e_x.transpose(1, 0, 2))
-    e_y = farfield_response(sub, 0.0, el, centers[0, :] * [0.0, 1.0, 0.0])
-    e_x.flags.writeable = False
-    e_y.flags.writeable = False
-    return e_x, e_y
+    d = np.arange(sub.side)
+    phasor = farfield_response(sub, az, el[:, None], d[1:, None] * [sub.spacing, 0.0, 0.0])
+    terms = np.stack([2.0 * phasor.real, -2.0 * phasor.imag], 2).transpose(1, 0, 2, 3)
+    e_y = farfield_response(sub, 0.0, el, sub.centers[: sub.side] * [0.0, 1.0, 0.0])
+    upper = np.concatenate([k + (sub.side + 1) * d[: sub.side - k] for k in d])
+    bank = (terms.reshape(el.size, -1, az.size), e_y, upper, d * sub.side - d * (d - 1) // 2)
+    for array in bank:
+        array.flags.writeable = False
+    return bank
 
 
 def _mirror_corner(side: int, grid: GridSpec) -> tuple[int, int]:
@@ -307,12 +306,13 @@ def spectrum_2d_angular(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> 
     if grid.names() != ANGULAR_AXES:
         raise ValueError(f"expected axes {ANGULAR_AXES}, got {grid.names()}")
     sub = _steering_array(un, g)
-    side = sub.side
-    e_x, e_y = _angular_bank(sub, grid)
-    # U_s^H as (K, side, side) contracted with e_y over y, then per elevation
-    # with e_x over x: (n_el, K, side) @ (n_el, side, n_az) -> (n_el, K, n_az)
-    partial = (un.signal.conj().T.reshape(-1, side) @ e_y).reshape(-1, side, e_y.shape[1])
-    captured = _column_energy(partial.transpose(2, 0, 1) @ e_x)
+    terms, e_y, upper, starts = _angular_bank(sub, grid)
+    # p[j, k, x] = sum_y conj(U_s[(x, y), k]) e_y[y, j]; lag_sums[j, d] sums the
+    # d-th diagonal of p_j^H p_j and, as real pairs, contracts with the lag terms
+    p = (e_y.T @ un.signal.conj().T.reshape(-1, sub.side).T).reshape(len(e_y.T), -1, sub.side)
+    gram = (p.conj().transpose(0, 2, 1) @ p).reshape(len(p), -1)
+    lag_sums = np.add.reduceat(gram[:, upper], starts, axis=1)
+    captured = lag_sums[:, 0].real[:, None] + (lag_sums[:, None, 1:].view(float) @ terms)[:, 0]
     values = _guarded_quotient(un.dim, captured).T
     return SpectrumGrid(grid=grid, values=np.ascontiguousarray(values))
 
@@ -329,7 +329,7 @@ def spectrum_1d_distance(
         raise ValueError(f"expected a single 'distance' axis, got {grid.names()}")
     sub = _steering_array(un, g)
     steering = polar_steering(sub, _distance_bank(sub, grid), azimuth, elevation)
-    values = _guarded_quotient(un.dim, _signal_energy(un, steering))
+    values = _guarded_quotient(un.dim, _column_energy(un.signal.conj().T @ steering))
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 

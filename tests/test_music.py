@@ -239,7 +239,7 @@ class TestSpectrum3d:
         x = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
         un = noise_subspace(sample_covariance(x), 2)
         bank = music._location_bank(geo16, grid, 0, math.prod(grid.shape))
-        want = music._guarded_quotient(1.0, music._signal_energy(un, bank))
+        want = music._guarded_quotient(1.0, music._column_energy(un.signal.conj().T @ bank))
         assert np.array_equal(spectrum_3d(un, grid, geo16).values.ravel(), want)
 
     def test_location_bank_build_peak_memory(self):
@@ -292,8 +292,12 @@ class TestSpectrum2dAngular:
         # keyed on the steering array's value: an equal array shares the entry
         twin = ArrayGeometry(9, geo16.element_diag, geo16.wavelength)
         assert music._angular_bank(twin, grid) is first
-        e_x, e_y = first
-        assert e_x.shape == (9, 3, 13) and e_y.shape == (3, 9)
+        terms, e_y, upper, starts = first
+        # 2 (side - 1) real lag terms per cell; the 6 upper-triangle entries of
+        # a 3 x 3 Gram matrix in diagonal order, each diagonal's start
+        assert terms.shape == (9, 4, 13) and terms.dtype == float
+        assert e_y.shape == (3, 9)
+        assert upper.tolist() == [0, 4, 8, 1, 5, 2] and starts.tolist() == [0, 3, 5]
         for array in first:
             with pytest.raises(ValueError):
                 array.flat[0] = 0.0
@@ -305,25 +309,29 @@ class TestSpectrum2dAngular:
         assert music._angular_bank.cache_info().hits == hits + 1
 
     @pytest.mark.parametrize(
-        "n_antennas, c_r, k",
+        "n_antennas, c_r, k, az_lo, az_hi",
         [
-            (n, c_r, k)
+            (n, c_r, k, -1.1, 1.0)
             for n in (16, 25, 100)
             for c_r in (0, 1, 2)
             for k in (1, 2, 3, 4)
             if k < (math.isqrt(n) - c_r) ** 2
-        ],
+        ]
+        # the large_array steering subgrid (19 x 19), and one-sided azimuths
+        + [(400, 1, k, -1.1, 1.0) for k in (1, 4)]
+        + [(n, 1, 3, 0.2, 1.3) for n in (25, 100, 400)],
     )
-    def test_factored_scan_equals_per_vector_quotient(self, n_antennas, c_r, k):
-        """The row-and-column evaluation equals the noise-subspace quotient of
-        each full planar-wave steering vector on the steering subgrid."""
+    def test_factored_scan_equals_per_vector_quotient(self, n_antennas, c_r, k, az_lo, az_hi):
+        """The lag-sum evaluation equals the noise-subspace quotient of each
+        full planar-wave steering vector on the steering subgrid."""
         g = ArrayGeometry(n_antennas, 0.05 * math.sqrt(2), 0.1)
         locs = [UeLocation(0.3 * i - 0.4, 0.2 - 0.15 * i, 1.5 + 0.5 * i) for i in range(k)]
         a = channel_matrix(g, locs)
         pilots = gen_pilots(k, 5, stream(n_antennas, c_r, k, 0))
         block = received_block(a, pilots, 10.0, stream(n_antennas, c_r, k, 1))
         un = noise_subspace(smoothed_covariance(block, c_r), k)
-        grid = GridSpec((GridAxis("azimuth", -1.1, 1.0, 11), GridAxis("elevation", -0.8, 0.6, 7)))
+        azimuth = GridAxis("azimuth", az_lo, az_hi, 11)
+        grid = GridSpec((azimuth, GridAxis("elevation", -0.8, 0.6, 7)))
         centers = ArrayGeometry(un.dim, g.element_diag, g.wavelength).centers
         az, el = grid.axis_points()
         quotient = TestSignalSubspaceForm._quotient
@@ -412,7 +420,8 @@ class TestSignalSubspaceForm:
         grid = GridSpec((GridAxis("distance", 1.0, 6.0, 31),))
         sub = ArrayGeometry(un.dim, g.element_diag, g.wavelength)
         steering = polar_response(sub, 0.3, -0.1, grid.axis_points()[0])
-        want = music._guarded_quotient(steering.shape[0], music._signal_energy(un, steering))
+        captured = music._column_energy(un.signal.conj().T @ steering)
+        want = music._guarded_quotient(steering.shape[0], captured)
         for _ in range(2):  # a cold and a warm distance bank
             got = spectrum_1d_distance(un, 0.3, -0.1, grid, g).values
             assert np.array_equal(got, want)
