@@ -71,19 +71,21 @@ def _spherical_phase(r: np.ndarray, wavelength: float, out=None) -> np.ndarray:
     return np.exp(out, out=out)
 
 
-def array_response(g: ArrayGeometry, x, y, z) -> np.ndarray:
+def array_response(
+    g: ArrayGeometry, x, y, z, centers: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Exact spherical-wave response to users at Cartesian points (x, y, z).
 
     Entry n is amp_n * exp(-i 2 pi r_n / wavelength), where r_n is the distance
-    from the user to element n and amp_n = D / sqrt(8 pi) *
+    from the user to element n, at (x_n, y_n) in ``centers`` (default: the whole
+    array, elements in row-major order), and amp_n = D / sqrt(8 pi) *
     sqrt(z ((x_n - x)**2 + z**2)) / r_n**2.5.  The element gain depends on the
-    x offset and the height only, not on the y offset.  Elements are in
-    row-major order; every z must be positive.
+    x offset and the height only, not on the y offset.  Every z must be positive.
     """
     x, y, z = (np.asarray(c, dtype=float) for c in (x, y, z))
     if not np.all(z > 0):
         raise ValueError("users must lie in front of the array plane (z > 0)")
-    cx, cy = _element_xy(g.centers, x, y, z)
+    cx, cy = _element_xy(g.centers if centers is None else centers, x, y, z)
     dx = cx - x
     # z**2 by the C library's pow, which is how Python squares a float; numpy's
     # product differs in the last bit for about one height in a thousand, and

@@ -12,7 +12,6 @@ field and entry-point argument through its annotation.
 
 import concurrent.futures
 import contextlib
-import ctypes
 import dataclasses
 import functools
 import inspect
@@ -548,6 +547,8 @@ def _run_trial(
 def _openblas_threads() -> Optional[tuple]:
     """Thread-count (setter, getter) of the OpenBLAS bundled with numpy;
     None when it ships none."""
+    import ctypes  # this lookup is its only user
+
     libs = Path(np.__file__).parent.parent / "numpy.libs"
     for path in sorted(libs.glob("libscipy_openblas*.so")):
         lib = ctypes.CDLL(str(path))
@@ -632,11 +633,27 @@ def run_experiment(
     return report
 
 
-def _write_csv(path, header: Sequence[str], body: str) -> Path:
-    """Write a header line and then ``body``, creating the file's directory."""
+def _write_csv(path, header: Sequence[str], body: bytes) -> Path:
+    """Write a header line and then ``body``, creating the file's directory.
+
+    An existing file is overwritten in place and then cut to the bytes
+    written, so its page-cache pages are reused rather than freed and
+    allocated again; a file that is not regular, such as a FIFO or
+    ``/dev/null``, is written and not cut.  The write is not atomic: an
+    interrupted overwrite can leave new rows ahead of the old file's tail.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(",".join(header) + "\n" + body)
+    data = (",".join(header) + "\n").encode() + body
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # os.write may write less than it was given
+            rest = rest[os.write(fd, rest) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
     return path
 
 
@@ -648,7 +665,7 @@ def _write_records(cls: type, records: Sequence, path) -> Path:
         ",".join(["%.9g" % x if isinstance(x, float) else str(x) for x in r]) + "\n"
         for r in map(operator.attrgetter(*header), records)
     )
-    return _write_csv(path, header, body)
+    return _write_csv(path, header, body.encode())
 
 
 write_trial_csv = functools.partial(_write_records, TrialRecord)
@@ -730,7 +747,7 @@ def dump_spectrum_csv(spectrum: SpectrumGrid, path) -> Path:
     lines = [p + b"%s\n" for p in inner]
     for axis in outer:
         lines = [p.join([b"", *lines]) for p in axis]
-    return _write_csv(path, header, (b"".join(lines) % tuple(_format_values(values))).decode())
+    return _write_csv(path, header, b"".join(lines) % tuple(_format_values(values)))
 
 
 @dataclass(frozen=True)

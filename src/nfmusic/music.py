@@ -208,16 +208,22 @@ def _mirror_corner(side: int, grid: GridSpec) -> tuple[int, int]:
     return tuple(side if name in grid.names() else (side + 1) // 2 for name in "xy")
 
 
+def _orbit_leaders(side: int, corner: tuple[int, int]) -> np.ndarray:
+    """For each element, in row-major order, the corner row of the element
+    leading its mirror orbit."""
+    i = np.arange(side)
+    n, m = (i if h == side else np.minimum(i, i[::-1]) for h in corner)
+    return (n[:, None] * corner[1] + m).ravel()
+
+
 def _folded_signal(un: NoiseSubspace, side: int, corner: tuple[int, int]) -> np.ndarray:
     """``U_s`` with the rows of each mirror orbit summed into the row of its
     leading element, so that ``U_fold^H b`` over the corner rows ``b`` of a
     steering vector equals ``U_s^H a``; ``U_s`` itself when no axis folds."""
     if corner == (side, side):
         return un.signal
-    i = np.arange(side)
-    n, m = (i if h == side else np.minimum(i, i[::-1]) for h in corner)
     folded = np.zeros((corner[0] * corner[1], un.signal.shape[1]), complex)
-    np.add.at(folded, (n[:, None] * corner[1] + m).ravel(), un.signal)
+    np.add.at(folded, _orbit_leaders(side, corner), un.signal)
     return folded
 
 
@@ -228,7 +234,10 @@ def _location_bank(
     """Unit-normalized exact-model steering vectors for the flat grid cells
     ``start`` to ``stop`` of a (x, y, z)-ordered ``grid``; an omitted x or y is
     held at 0.  Only the rows of the elements that lead their mirror orbits
-    (:func:`_mirror_corner`) are kept, each bit-equal to its full column's.
+    (:func:`_mirror_corner`) are evaluated and kept, each bit-equal to its full
+    column's: a mirrored element's response has the bits of its leader's, so
+    the leaders' powers gathered back to every element, in element order, sum
+    to the full column's squared norm.
 
     It is filled ``_BLOCK`` cells at a time, so the build allocates one
     block's temporaries beyond the bank.  The array is read-only: every
@@ -238,15 +247,17 @@ def _location_bank(
     axes = [coords.get(n, np.array([0.0])) for n in CARTESIAN_AXES]
     shape = [ax.size for ax in axes]
     h_x, h_y = _mirror_corner(g.side, grid)
-    steering = np.empty((h_x, h_y, stop - start), dtype=complex)
+    leaders = _orbit_leaders(g.side, (h_x, h_y))
+    leader_centers = g.centers.reshape(g.side, g.side, -1)[:h_x, :h_y].reshape(h_x * h_y, -1)
+    steering = np.empty((h_x * h_y, stop - start), dtype=complex)
     for lo in range(start, stop, _BLOCK):
         hi = min(lo + _BLOCK, stop)
         cells = np.unravel_index(np.arange(lo, hi), shape)
-        block = array_response(g, *(ax[i] for ax, i in zip(axes, cells)))
-        norms = np.linalg.norm(block, axis=0, keepdims=True)
-        corner = block.reshape(g.side, g.side, -1)[:h_x, :h_y]
-        np.divide(corner, norms, out=steering[..., lo - start : hi - start])
-    steering = steering.reshape(h_x * h_y, -1)
+        block = array_response(g, *(ax[i] for ax, i in zip(axes, cells)), centers=leader_centers)
+        # np.linalg.norm's own expression, over every element in element order
+        power = (block.conj() * block).real
+        norms = np.sqrt(np.add.reduce(power[leaders], axis=0, keepdims=True))
+        np.divide(block, norms, out=steering[:, lo - start : hi - start])
     steering.flags.writeable = False
     return steering
 

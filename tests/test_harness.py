@@ -959,6 +959,58 @@ class TestCsvFormat:
         )
 
 
+class TestWriteCsv:
+    WANT = b"a,b\n1,2\n3,4\n"
+
+    @pytest.mark.parametrize("old", [None, b"x" * 100, b"x"], ids=["new", "longer", "shorter"])
+    def test_final_bytes_are_exactly_the_new_content(self, old, tmp_path):
+        """A new file, and an existing one longer (no stale tail) or shorter
+        than the new content, end up holding exactly the new bytes."""
+        path = tmp_path / "sub" / "out.csv"
+        if old is not None:
+            path.parent.mkdir()
+            path.write_bytes(old)
+        assert harness._write_csv(path, ["a", "b"], b"1,2\n3,4\n") == path
+        assert path.read_bytes() == self.WANT
+
+    def test_survives_short_writes(self, tmp_path, monkeypatch):
+        real_write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[:3]))
+        path = tmp_path / "out.csv"
+        path.write_bytes(b"x" * 50)
+        harness._write_csv(path, ["a", "b"], b"1,2\n3,4\n")
+        assert path.read_bytes() == self.WANT
+
+    def test_writes_through_a_symlink_to_a_regular_file(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"y" * 40)
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        harness._write_csv(link, ["a", "b"], b"1,2\n3,4\n")
+        assert link.is_symlink()
+        assert target.read_bytes() == self.WANT
+
+    def test_symlink_to_the_null_device_is_written_without_a_trim(self, tmp_path, monkeypatch):
+        cuts = []
+        monkeypatch.setattr(os, "ftruncate", lambda fd, size: cuts.append(size))
+        link = tmp_path / "null.csv"
+        link.symlink_to(os.devnull)
+        harness._write_csv(link, ["a", "b"], b"1,2\n3,4\n")
+        assert cuts == []
+        assert link.is_symlink()
+
+    def test_fig1_rerun_overwrites_its_dumps_exactly(self, tmp_path):
+        """A second fig1 call into a directory that holds the first call's
+        dumps writes the same bytes as that call into a fresh directory."""
+        cfg = _tiny_config(k_ues=2, cart_grid_points=30)
+        scenario_fig1(dataclasses.replace(cfg, seed=3), out_dir=tmp_path / "reused")
+        scenario_fig1(cfg, out_dir=tmp_path / "reused")
+        scenario_fig1(cfg, out_dir=tmp_path / "fresh")
+        for name in ("fig1_L10.csv", "fig1_L3.csv"):
+            got = (tmp_path / "reused" / name).read_bytes()
+            assert got == (tmp_path / "fresh" / name).read_bytes()
+
+
 def _per_value_bytes(values) -> list[bytes]:
     return [b"%.9g" % v for v in np.ravel(values).tolist()]
 

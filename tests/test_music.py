@@ -185,37 +185,48 @@ class TestSpectrum3d:
                     assert np.array_equal(got, fresh[g, grid])
 
     @pytest.mark.parametrize(
-        "axes, kept_m",
+        "n_antennas, axes, corner",
         [
-            ((GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)), 2),
+            (16, (GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 1.0, 3.0, 9)), (4, 2)),
             (
+                16,
                 (
                     GridAxis("x", -0.5, 0.5, 7),
                     GridAxis("y", -0.5, 0.5, 5),
                     GridAxis("z", 0.5, 2.0, 4),
                 ),
-                4,
+                (4, 4),
             ),
+            (81, (GridAxis("x", -0.6, 1.1, 6), GridAxis("z", 0.5, 2.2, 7)), (9, 5)),
+            (81, (GridAxis("y", -0.4, 1.3, 6), GridAxis("z", 0.5, 2.2, 7)), (5, 9)),
+            (16, (GridAxis("y", -0.4, 1.3, 6), GridAxis("z", 0.5, 2.2, 7)), (2, 4)),
+            (81, (GridAxis("z", 0.5, 2.2, 13),), (5, 5)),
         ],
-        ids=["xz", "xyz"],
+        ids=["xz", "xyz", "81-xz", "81-yz", "16-yz", "81-z"],
     )
-    def test_location_bank_blocks_equal_one_response(self, geo16, axes, kept_m, monkeypatch):
-        """A bank filled in blocks of 7 cells, the last one ragged, equals bit
-        for bit one ``array_response`` over all its cells divided by its
-        column norms, on the rows of the elements (n, m) with m <= kept_m:
-        the first of each mirror pair at y = 0, every element otherwise."""
+    def test_location_bank_blocks_equal_one_response(
+        self, geo16, n_antennas, axes, corner, monkeypatch
+    ):
+        """A bank filled in blocks of 7 cells, the last one ragged, from the
+        responses of the orbit-leading elements alone, equals bit for bit one
+        full ``array_response`` over all its cells divided by its column
+        norms, on the rows of the elements (n, m) of the leading ``corner``:
+        every element when no axis folds, the first of each mirror pair along
+        a folded one (y on an (x, z) grid, x on a (y, z) grid, both on a z
+        line), and on an odd side the middle row or column, which leads itself."""
         monkeypatch.setattr(music, "_BLOCK", 7)
-        rows = [geo16.index(n, m) for n in range(1, 5) for m in range(1, kept_m + 1)]
+        g = ArrayGeometry(n_antennas, geo16.element_diag, geo16.wavelength)
+        rows = [g.index(n, m) for n in range(1, corner[0] + 1) for m in range(1, corner[1] + 1)]
         grid = GridSpec(axes)
         coords = dict(zip(grid.names(), grid.axis_points()))
         full = [coords.get(n, np.array([0.0])) for n in music.CARTESIAN_AXES]
         size = math.prod(grid.shape)
         for start, stop in [(0, size), (5, size - 3)]:
             cells = np.unravel_index(np.arange(start, stop), [ax.size for ax in full])
-            want = array_response(geo16, *(ax[i] for ax, i in zip(full, cells)))
+            want = array_response(g, *(ax[i] for ax, i in zip(full, cells)))
             want /= np.linalg.norm(want, axis=0, keepdims=True)
             music._location_bank.cache_clear()
-            got = music._location_bank(geo16, grid, start, stop)
+            got = music._location_bank(g, grid, start, stop)
             assert np.array_equal(got.view(np.uint64), want[rows].view(np.uint64))
 
     @pytest.mark.parametrize(
