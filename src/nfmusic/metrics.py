@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import PolarLocation
+from .geometry import PolarLocation, polar_to_cart
 
 
 def _rows(a_true, a_hat) -> list[np.ndarray]:
@@ -63,10 +63,8 @@ def beamforming_gain(a_true: np.ndarray, a_hat: np.ndarray):
 
 
 def _direction(p: PolarLocation) -> np.ndarray:
-    ce = math.cos(p.elevation)
-    return np.array(
-        [ce * math.sin(p.azimuth), math.sin(p.elevation), ce * math.cos(p.azimuth)]
-    )
+    u = polar_to_cart(PolarLocation(p.azimuth, p.elevation, 1.0))
+    return np.array([u.x, u.y, u.z])
 
 
 def _cost(dir_a: np.ndarray, dir_b: np.ndarray, gap: float, d_scale: float) -> float:

@@ -37,11 +37,20 @@ remainder, an M x D complex exp; the location bank per (array geometry,
 grid, chunk of cells).  The location bank is cached one
 ``_CHUNK``-column chunk at a time and only the last chunk stays resident, at
 most ``_CHUNK * R * 16`` bytes; building a chunk allocates one ``_BLOCK``-cell
-block of temporaries beyond it.  A grid larger than one chunk rebuilds its
-chunks on every call.  An x or y that a grid holds at 0 makes the array's
-mirror across it a symmetry of every steering vector, so the bank keeps one
-row per mirror orbit, R of the M elements (50 of 100 on the reference (x, z)
-plane), and ``spectrum_3d`` sums ``U_s``'s rows over each orbit to match.
+block of temporaries beyond it.  A grid whose bank spans more than one
+chunk rebuilds its chunks on every call.  An x or y that a grid holds at 0
+makes the array's mirror across it a symmetry of every steering vector, so
+the bank keeps one row per mirror orbit, R of the M elements (50 of 100 on
+the reference (x, z) plane), and ``spectrum_3d`` sums ``U_s``'s rows over
+each orbit to match.
+
+The grid's own x mirror folds the cells: the response at (-x, y, z) is the
+response at (x, y, z) with the array's x mirror applied to the elements, bit
+for bit.  So on an exactly antisymmetric x axis (``GridAxis`` makes one of
+any x or y axis with ``lo == -hi``) the bank holds only the x >= 0 cells,
+5,000 of the reference's 10,000, and one product with the stacked
+``[U_fold, U_fold[P]]^H``, ``P`` the x mirror of the corner rows, scores both
+halves; the mirrored half agrees with a full bank's to rounding.
 """
 
 import functools
@@ -69,6 +78,10 @@ class GridAxis:
 
     An axis named "distance" is strictly positive with points uniform in 1/d
     (polar-domain sampling, Cui & Dai, IEEE TCOM 2022); any other is uniform.
+    An "x" or "y" axis with ``lo == -hi`` is exactly antisymmetric: its upper
+    half is the negated lower half of ``np.linspace``'s points, and an odd
+    count's centre is exactly 0.0, so ``spectrum_3d`` can fold the grid across
+    x = 0.  Every other axis keeps ``np.linspace``'s points bit for bit.
     """
 
     name: str
@@ -91,6 +104,10 @@ class GridAxis:
             points = 1.0 / np.linspace(1.0 / self.lo, 1.0 / self.hi, self.count)
         else:
             points = np.linspace(self.lo, self.hi, self.count)
+        if self.name in ("x", "y") and self.lo == -self.hi:
+            half = self.count // 2
+            points[-half:] = -points[half - 1 :: -1]
+            points[half : self.count - half] = 0.0
         points.flags.writeable = False
         return points
 
@@ -227,6 +244,13 @@ def _folded_signal(un: NoiseSubspace, side: int, corner: tuple[int, int]) -> np.
     return folded
 
 
+def _x_mirror(corner: tuple[int, int]) -> np.ndarray:
+    """For each corner row, in row-major order, the corner row of its
+    element's mirror across x = 0; a grid with an x axis keeps every x row
+    in the corner, so the mirror of a corner row is one too."""
+    return (np.arange(corner[0])[::-1, None] * corner[1] + np.arange(corner[1])).ravel()
+
+
 @functools.lru_cache(maxsize=1)
 def _location_bank(
     g: ArrayGeometry, grid: GridSpec, start: int, stop: int
@@ -286,6 +310,8 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
     exact response's amplitude varies by orders of magnitude over a Cartesian
     box, and the unnormalized quotient rewards low-gain cells near the array
     plane instead of subspace alignment, drowning genuine source peaks.
+    On an exactly antisymmetric x axis only the x >= 0 cells are steered; the
+    rest are scored as their mirrors (module docstring).
     """
     names = grid.names()
     if any(n not in CARTESIAN_AXES for n in names) or list(names) != sorted(
@@ -299,12 +325,27 @@ def spectrum_3d(un: NoiseSubspace, grid: GridSpec, g: ArrayGeometry) -> Spectrum
             f"noise subspace dimension {un.dim} does not match the full array ({g.n_antennas})"
         )
 
-    signal_h = _folded_signal(un, g.side, _mirror_corner(g.side, grid)).conj().T
-    values = np.empty(math.prod(grid.shape))
-    for start in range(0, values.size, _CHUNK):
-        stop = min(start + _CHUNK, values.size)
+    corner = _mirror_corner(g.side, grid)
+    signal = _folded_signal(un, g.side, corner)
+    x = dict(zip(names, grid.axis_points())).get("x")
+    size = math.prod(grid.shape)
+    # x is the slowest axis, so the x >= 0 cells of an antisymmetric x are
+    # the flat range from ``first``; their x mirrors score against U_fold[P]
+    first, folds = 0, 1
+    if x is not None and np.array_equal(x, -x[::-1]):
+        first, folds = x.size // 2 * (size // x.size), 2
+        signal = np.concatenate([signal, signal[_x_mirror(corner)]], axis=1)
+    signal_h = signal.conj().T
+    scores = np.empty((folds, size - first))
+    for start in range(first, size, _CHUNK):
+        stop = min(start + _CHUNK, size)
         steering = _location_bank(g, grid, start, stop)
-        values[start:stop] = _guarded_quotient(1.0, _column_energy(signal_h @ steering))
+        captured = _column_energy((signal_h @ steering).reshape(folds, -1, stop - start))
+        scores[:, start - first : stop - first] = _guarded_quotient(1.0, captured)
+    values = np.empty(size)
+    values[first:] = scores[0]
+    if first:
+        values[:first] = scores[1].reshape(-1, size // x.size)[::-1][: x.size // 2].ravel()
     return SpectrumGrid(grid=grid, values=values.reshape(grid.shape))
 
 

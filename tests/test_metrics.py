@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from nfmusic import metrics
-from nfmusic.geometry import PolarLocation, UeLocation, cart_to_polar
-from nfmusic.harness import ExperimentConfig, scenario_fig1
+from nfmusic.geometry import PolarLocation
 from nfmusic.metrics import (
     _linear_sum_assignment,
     TrialRecord,
@@ -224,15 +223,47 @@ class TestMatchEstimates:
         assert match_estimates(truths, [], 10.0) == [None, None, None]
 
 
+# True and estimated polar locations (azimuth, elevation, distance) of the
+# plane-slice benchmark's panel case (reference config, 20 dB, the L=10 peaks)
+# at seeds 3 and 6, as the unfolded plane-slice bank placed its peaks; their
+# d_scale is the reference distance range's far end, 10 m.
+FIG1_PANEL_CASES = {
+    3: (
+        [
+            ("-0x1.4b0d209a915edp+0", "0x0.0p+0", "0x1.3cf3bf982feafp+3"),
+            ("0x1.98e0ba55aea77p-3", "0x0.0p+0", "0x1.f7e60447b2372p+1"),
+            ("0x1.1da08348bdfb8p-1", "0x0.0p+0", "0x1.216142f9e9b18p+3"),
+            ("0x1.3a7c09cad9509p+0", "0x0.0p+0", "0x1.263494bada23ap+1"),
+        ],
+        [
+            ("0x1.3b29c5dd0f136p+0", "0x0.0p+0", "0x1.1b986fa6e1307p+1"),
+            ("0x1.385de9dc73ef9p+0", "0x0.0p+0", "0x1.37d3a9cf318e5p+1"),
+            ("0x1.3c56f21b6e0cdp+0", "0x0.0p+0", "0x1.6c090e6771e12p+1"),
+            ("0x1.9de3ce4cc1147p-3", "0x0.0p+0", "0x1.bc0c3d051dca0p+1"),
+        ],
+    ),
+    6: (
+        [
+            ("0x1.b0e2d43486e62p-1", "0x0.0p+0", "0x1.2722294b72c2cp+2"),
+            ("-0x1.20a286ad7430ap+0", "0x0.0p+0", "0x1.134bacb26cd29p+3"),
+            ("-0x1.9eabc3aecf7f5p-1", "0x0.0p+0", "0x1.aa2b103e817cbp+2"),
+            ("-0x1.029ee9a42fb02p-1", "0x0.0p+0", "0x1.09d77078cf20dp+3"),
+        ],
+        [
+            ("0x1.b142ca1c70149p-1", "0x0.0p+0", "0x1.1894c9cda5c39p+2"),
+            ("0x1.af8a01d0dbf8ep-1", "0x0.0p+0", "0x1.2a79f15916c26p+2"),
+            ("0x1.b3379ee733533p-1", "0x0.0p+0", "0x1.06b08e8b3b713p+2"),
+            ("0x1.b0d86114cdf50p-1", "0x0.0p+0", "0x1.6dde6df71cc92p+2"),
+        ],
+    ),
+}
+
+
 def _fig1_panel_case(seed):
-    """True and estimated polar locations of the plane-slice benchmark's panel
-    case at ``seed`` (reference config, 20 dB, the L=10 peaks), and its d_scale."""
-    cfg = ExperimentConfig(snr_db_list=(0.0, 10.0, 20.0), seed=seed, trials=1)
-    report = scenario_fig1(cfg, snr_db=20.0, l_values=(10, 3))
-    peaks = next(c for c in report.cases if c.l_pilots == 10).peaks.peaks
-    truth = [cart_to_polar(u) for u in report.true_locations]
-    est = [cart_to_polar(UeLocation(x=p.coords[0], y=0.0, z=p.coords[1])) for p in peaks]
-    return truth, est, cfg.distance_range[1]
+    """The frozen panel case at ``seed`` as (truth, estimates, d_scale)."""
+    return tuple(
+        [PolarLocation(*map(float.fromhex, p)) for p in locs] for locs in FIG1_PANEL_CASES[seed]
+    ) + (10.0,)
 
 
 polar_locations = st.builds(

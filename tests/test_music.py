@@ -70,6 +70,39 @@ class TestGridAxis:
             pts[0] = 0.0
         assert np.array_equal(GridAxis(name, 1.0, 4.0, 5).points, pts)
 
+    @pytest.mark.parametrize("count", [2, 3, 8, 9, 23, 100, 101])
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize("hi", [1.0, 0.1, 9.84807753012208])
+    def test_symmetric_cartesian_axis_is_exactly_antisymmetric(self, name, hi, count):
+        """An x or y axis with lo == -hi is its own negated reverse, bit for
+        bit, with an odd count's centre at exactly 0.0 (``np.linspace``'s is
+        1.4e-17 at hi = 0.1 and 23 points), and its lower half keeps
+        ``np.linspace``'s bits."""
+        pts = GridAxis(name, -hi, hi, count).points
+        assert np.array_equal(pts, -pts[::-1])
+        half = count // 2
+        lower = np.linspace(-hi, hi, count)[:half]
+        assert np.array_equal(pts[:half].view(np.uint64), lower.view(np.uint64))
+        if count % 2:
+            assert pts[half].hex() == (0.0).hex()
+        assert np.all(np.diff(pts) > 0)
+
+    @pytest.mark.parametrize(
+        "name, lo, hi",
+        [
+            ("x", -0.5, 0.6),
+            ("y", -1.0, 0.9999999999999999),
+            ("z", -1.0, 1.0),
+            ("azimuth", -1.0, 1.0),
+            ("elevation", -0.3, 0.3),
+        ],
+    )
+    @pytest.mark.parametrize("count", [8, 9, 101])
+    def test_other_axes_keep_linspace_bits(self, name, lo, hi, count):
+        pts = GridAxis(name, lo, hi, count).points
+        want = np.linspace(lo, hi, count)
+        assert np.array_equal(pts.view(np.uint64), want.view(np.uint64))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GridAxis("azimuth", 0.0, 1.0, 1)
@@ -241,10 +274,11 @@ class TestSpectrum3d:
         assert music._location_bank(g, grid, 0, cells).shape == (rows, cells)
 
     def test_unfolded_grid_scores_the_whole_bank(self, geo16):
-        """An (x, y, z) grid has no mirror orbit of two elements, so its
-        spectrum is, bit for bit, the quotient over the full bank."""
+        """An (x, y, z) grid has no mirror orbit of two elements, and an x
+        range that is not antisymmetric folds no cells, so its spectrum is,
+        bit for bit, the quotient over the full bank."""
         grid = GridSpec(
-            (GridAxis("x", -0.5, 0.5, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 4))
+            (GridAxis("x", -0.5, 0.6, 7), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 4))
         )
         rng = np.random.default_rng(6)
         x = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
@@ -252,6 +286,68 @@ class TestSpectrum3d:
         bank = music._location_bank(geo16, grid, 0, math.prod(grid.shape))
         want = music._guarded_quotient(1.0, music._column_energy(un.signal.conj().T @ bank))
         assert np.array_equal(spectrum_3d(un, grid, geo16).values.ravel(), want)
+
+    @staticmethod
+    def _full_bank_quotient(un, grid, g):
+        """The quotient over a bank of every grid cell, x < 0 included."""
+        corner = music._mirror_corner(g.side, grid)
+        signal_h = music._folded_signal(un, g.side, corner).conj().T
+        bank = music._location_bank(g, grid, 0, math.prod(grid.shape))
+        energy = music._column_energy(signal_h @ bank)
+        return music._guarded_quotient(1.0, energy).reshape(grid.shape)
+
+    @pytest.mark.parametrize("n_antennas", [16, 25])
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (GridAxis("x", -1.0, 1.0, 9), GridAxis("z", 0.5, 3.0, 11)),
+            (GridAxis("x", -1.0, 1.0, 10), GridAxis("z", 0.5, 3.0, 11)),
+            (GridAxis("x", -0.6, 0.6, 7), GridAxis("y", -0.5, 0.4, 5), GridAxis("z", 0.5, 2.0, 6)),
+            (GridAxis("x", -0.6, 0.6, 8), GridAxis("y", -0.5, 0.5, 5), GridAxis("z", 0.5, 2.0, 6)),
+        ],
+        ids=["xz-odd", "xz-even", "xyz-odd", "xyz-even"],
+    )
+    def test_x_fold_equals_the_full_bank(self, n_antennas, axes):
+        """On an antisymmetric x axis the spectrum scored from the x >= 0
+        cells alone equals the quotient over every cell to 1e-12, with the
+        same tallest peaks, and still spans the whole grid."""
+        g = ArrayGeometry(n_antennas, 0.05 * math.sqrt(2), 0.1)
+        grid = GridSpec(axes)
+        xs = grid.axis_points()[0]
+        y = 0.0 if len(axes) == 2 else 0.2
+        locs = [UeLocation(xs[2], y, 1.2), UeLocation(xs[-3], -y, 2.1), UeLocation(0.05, y, 1.6)]
+        block = received_block(
+            channel_matrix(g, locs).entries, gen_pilots(3, 12, stream(5, 0)), 20.0, stream(5, 1)
+        )
+        un = noise_subspace(sample_covariance(block.received.T), 3)
+        spec = spectrum_3d(un, grid, g)
+        want = self._full_bank_quotient(un, grid, g)
+        assert spec.values.shape == grid.shape
+        assert spec.values.size == math.prod(grid.shape)
+        assert np.allclose(spec.values, want, rtol=1e-12, atol=0)
+        peaks = find_peaks(spec, 3).peaks
+        assert [p.indices for p in peaks] == [
+            p.indices for p in find_peaks(SpectrumGrid(grid, want), 3).peaks
+        ]
+
+    @pytest.mark.parametrize(
+        "axes",
+        [
+            (GridAxis("x", -0.5, 0.6, 9), GridAxis("z", 0.5, 3.0, 11)),
+            (GridAxis("y", -0.5, 0.5, 8), GridAxis("z", 0.5, 2.0, 6)),
+        ],
+        ids=["xz", "yz"],
+    )
+    def test_grid_without_an_x_mirror_is_bit_identical(self, geo16, axes):
+        """An x axis that is not exactly antisymmetric, or no x axis, folds
+        no cells: the spectrum of a row-folded bank is, bit for bit, the
+        full-bank quotient (the (x, y, z) case is the test above)."""
+        grid = GridSpec(axes)
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+        un = noise_subspace(sample_covariance(x), 2)
+        got = spectrum_3d(un, grid, geo16).values
+        assert np.array_equal(got, self._full_bank_quotient(un, grid, geo16))
 
     def test_location_bank_build_peak_memory(self):
         """A cold build of the reference plane-slice bank allocates at most
@@ -475,13 +571,15 @@ class TestSignalSubspaceForm:
         assert np.allclose(got.ravel(), want, rtol=1e-9, atol=0)
 
     def test_3d_across_chunks(self, geo16, block, monkeypatch):
-        """A grid of 81 cells in chunks of 7 keeps the per-point values, and
-        only the last chunk's bank stays cached."""
+        """A 9 x 9 grid folded across x = 0 keeps its 45 cells at x >= 0; in
+        chunks of 7 it keeps the per-point values, and only the last chunk's
+        bank stays cached."""
         monkeypatch.setattr(music, "_CHUNK", 7)
         misses = music._location_bank.cache_info().misses
         self._check_3d(geo16, block)
         info = music._location_bank.cache_info()
-        assert info.misses == misses + 12
+        kept = 81 - 9 * (9 // 2)
+        assert info.misses == misses + math.ceil(kept / 7)
         assert info.currsize <= 1
 
 
